@@ -11,9 +11,11 @@ from .codec import (
     SWConfig,
     compress,
     decompress,
+    decompress_blocks,
     error_bound,
     sw_config,
     sw_decode,
+    sw_decode_blocks,
     sw_encode_x,
     sw_encode_y,
     sw_error_bound,
@@ -22,6 +24,7 @@ from .duality import (
     ChannelModel,
     DualityCode,
     channel_decode,
+    channel_decode_batch,
     channel_encode,
     induced_source,
     make_duality_code,
@@ -40,8 +43,10 @@ from .errors import (
 from .field import FieldSpec
 from .scdec import (
     L_MAX,
+    SC_TIE,
     SequentialDecoder,
     base_llr,
+    decode_batch,
     decode_block,
     genie_llr_profile,
     llr_combine_even,

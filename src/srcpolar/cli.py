@@ -17,16 +17,13 @@ import tempfile
 import numpy as np
 
 from . import codec, duality, spectrum as spec_mod
-from .errors import SrcPolarError
+from .errors import FormatError, SrcPolarError
+from .scdec import batch_rows
 from .sources import JointSource, parse_preset
 from .spectrum import HighEntropySet
 from .transform import SymbolBlock
 
 _F = lambda v: format(v, ".17g")
-
-# Parallelism cap honored by internal loops; all current paths run
-# sequentially, so the cap only bounds what they may use.
-POLAR_THREADS = max(1, int(os.environ.get("POLAR_THREADS", "1") or 1))
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -148,18 +145,17 @@ def cmd_decompress(args) -> int:
     while pos < len(body):
         blk, pos = codec.CompressedBlock.from_bytes(body, pos)
         blocks.append(blk)
+    if pad >= N or pad > len(blocks) * N:
+        raise FormatError(f"pad trailer {pad} does not fit {len(blocks)} blocks of {N} bits")
     side = None
     if args.side:
         side = np.frombuffer(open(args.side, "rb").read(), dtype=np.uint8).astype(np.int64)
         if side.shape[0] != len(blocks) * N:
             raise SrcPolarError("side-information length does not match the container")
+        side = side.reshape(len(blocks), N)
     elif source.y_size != 1:
         raise SrcPolarError("--side is required: the source has side information")
-    bits = []
-    for k, blk in enumerate(blocks):
-        y = side[k * N : (k + 1) * N] if side is not None else None
-        bits.append(codec.decompress(blk, y, hset, source).data)
-    all_bits = np.concatenate(bits) if bits else np.zeros(0, dtype=np.int64)
+    all_bits = codec.decompress_blocks(blocks, side, hset, source).reshape(-1)
     if pad:
         all_bits = all_bits[:-pad]
     _atomic_write(args.out, np.packbits(all_bits.astype(np.uint8)).tobytes())
@@ -187,16 +183,20 @@ def cmd_swsim(args) -> int:
     cfg = codec.sw_config(joint, args.N, args.rx, args.ry)
     flat = joint.probs.reshape(-1)
     errors = 0
-    for t in range(args.trials):
-        rng = np.random.default_rng([args.seed, t])
-        draws = rng.choice(flat.shape[0], size=args.N, p=flat)
-        x = SymbolBlock(joint.field, draws // 2)
-        y = SymbolBlock(joint.field, draws % 2)
-        x_hat, y_hat = codec.sw_decode(
-            codec.sw_encode_x(x, cfg), codec.sw_encode_y(y, cfg), cfg
-        )
-        if x_hat != x or y_hat != y:
-            errors += 1
+    step = batch_rows(args.N)
+    for start in range(0, args.trials, step):
+        xs, ys, cxs, cys = [], [], [], []
+        for t in range(start, min(start + step, args.trials)):
+            rng = np.random.default_rng([args.seed, t])
+            draws = rng.choice(flat.shape[0], size=args.N, p=flat)
+            x = SymbolBlock(joint.field, draws // 2)
+            y = SymbolBlock(joint.field, draws % 2)
+            cxs.append(codec.sw_encode_x(x, cfg))
+            cys.append(codec.sw_encode_y(y, cfg))
+            xs.append(x.data)
+            ys.append(y.data)
+        x_hat, y_hat = codec.sw_decode_blocks(cxs, cys, cfg)
+        errors += int(((x_hat != xs).any(axis=1) | (y_hat != ys).any(axis=1)).sum())
     bound = codec.sw_error_bound(cfg)
     rows = (
         "N,R_x,R_y,trials,joint_error_rate,bound\n"

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FingerprintMismatchError, FormatError, UnsupportedAlphabetError
-from .scdec import SequentialDecoder
+from .scdec import batch_rows, decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import METHOD_MC, HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, polar_forward, polar_inverse
+from .transform import SymbolBlock, _inverse_rows, polar_forward
 
 MAGIC = b"PLSC"
 VERSION_PLAIN = 1
@@ -84,7 +84,7 @@ def compress(x: SymbolBlock, hset: HighEntropySet, checksum: bool = False) -> Co
         raise DomainError(f"block length {x.N} != set length {hset.N}")
     u = polar_forward(x).data
     payload = u[np.asarray(hset.indices, dtype=np.int64) - 1]
-    crc = zlib.crc32(np.packbits(x.data.astype(np.uint8)).tobytes()) if checksum else None
+    crc = _crc(x.data) if checksum else None
     version = VERSION_CRC if checksum else VERSION_PLAIN
     return CompressedBlock(version, x.N.bit_length() - 1, hset.fingerprint, payload, crc)
 
@@ -95,27 +95,52 @@ def decompress(
     hset: HighEntropySet,
     source: JointSource,
 ) -> SymbolBlock:
-    """Sequential reconstruction of x from the payload and side block y."""
-    if block.fingerprint != hset.fingerprint:
-        raise FingerprintMismatchError(
-            f"block fingerprint {block.fingerprint} != set {hset.fingerprint}"
-        )
-    if block.N != hset.N:
-        raise FormatError("block length disagrees with index set")
-    if len(block.payload) != len(hset.indices):
-        raise FormatError("payload bit count disagrees with index set size")
-    known = dict(zip(hset.indices, (int(b) for b in block.payload)))
-    dec = SequentialDecoder(source, y, N=hset.N)
-    u_hat = np.empty(hset.N, dtype=np.int64)
-    for i in range(1, hset.N + 1):
-        bit, _ = dec.decide_next(i, known.get(i))
-        u_hat[i - 1] = bit
-    x_hat = polar_inverse(SymbolBlock(source.field, u_hat))
-    if block.version == VERSION_CRC:
-        got = zlib.crc32(np.packbits(x_hat.data.astype(np.uint8)).tobytes())
-        if got != block.crc:
-            raise FormatError("checksum mismatch after decompression")
+    """Reconstruction of x from one block's payload and side block y."""
+    Y = None if y is None else np.asarray(y, dtype=np.int64).reshape(1, -1)
+    return SymbolBlock(source.field, decompress_blocks([block], Y, hset, source)[0])
+
+
+def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> np.ndarray:
+    """Reconstruct every block at once; returns x as a (blocks, N) int64 array.
+
+    Y is the (blocks, N) array of side symbols, or None for a source
+    without side information.  Each block must match the index set, and a
+    version 2 block must match its crc32 after decoding.
+    """
+    for blk in blocks:
+        if blk.fingerprint != hset.fingerprint:
+            raise FingerprintMismatchError(
+                f"block fingerprint {blk.fingerprint} != set {hset.fingerprint}"
+            )
+        if blk.N != hset.N:
+            raise FormatError("block length disagrees with index set")
+        if len(blk.payload) != len(hset.indices):
+            raise FormatError("payload bit count disagrees with index set size")
+    N = hset.N
+    if Y is not None:
+        Y = np.asarray(Y, dtype=np.int64)
+        if Y.shape != (len(blocks), N):
+            raise DomainError(f"side blocks of shape {Y.shape} do not match {(len(blocks), N)}")
+    kept = np.asarray(hset.indices, dtype=np.int64) - 1
+    known_mask = np.zeros(N, dtype=bool)
+    known_mask[kept] = True
+    x_hat = np.empty((len(blocks), N), dtype=np.int64)
+    step = batch_rows(N)
+    for s in range(0, len(blocks), step):
+        chunk = blocks[s : s + step]
+        known = np.zeros((len(chunk), N), dtype=np.int64)
+        for k, blk in enumerate(chunk):
+            known[k, kept] = blk.payload
+        u_hat = decode_batch(source, None if Y is None else Y[s : s + step], known_mask, known)
+        x_hat[s : s + step] = _inverse_rows(source.field, u_hat)
+        for blk, x in zip(chunk, x_hat[s : s + step]):
+            if blk.version == VERSION_CRC and _crc(x) != blk.crc:
+                raise FormatError("checksum mismatch after decompression")
     return x_hat
+
+
+def _crc(bits: np.ndarray) -> int:
+    return zlib.crc32(np.packbits(bits.astype(np.uint8)).tobytes())
 
 
 def error_bound(hset: HighEntropySet, spec: PolarSpectrum) -> float:
@@ -182,8 +207,18 @@ def sw_encode_y(y: SymbolBlock, cfg: SWConfig) -> CompressedBlock:
 
 def sw_decode(cx: CompressedBlock, cy: CompressedBlock, cfg: SWConfig):
     """Two-stage joint decoding; returns (x_hat, y_hat)."""
-    y_hat = decompress(cy, None, cfg.set_y, cfg.y_marginal)
-    x_hat = decompress(cx, y_hat.data, cfg.set_x, cfg.joint)
+    x_hat, y_hat = sw_decode_blocks([cx], [cy], cfg)
+    return SymbolBlock(cfg.joint.field, x_hat[0]), SymbolBlock(cfg.y_marginal.field, y_hat[0])
+
+
+def sw_decode_blocks(cxs, cys, cfg: SWConfig):
+    """Two-stage joint decoding of many block pairs; returns (x_hat, y_hat) arrays.
+
+    Every Y block is decoded alone first, then every X block given its Y
+    estimate; both results are (blocks, N) int64 arrays.
+    """
+    y_hat = decompress_blocks(cys, None, cfg.set_y, cfg.y_marginal)
+    x_hat = decompress_blocks(cxs, y_hat, cfg.set_x, cfg.joint)
     return x_hat, y_hat
 
 

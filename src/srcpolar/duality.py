@@ -14,7 +14,7 @@ import numpy as np
 from .codec import error_bound
 from .errors import DomainError
 from .field import FieldSpec
-from .scdec import SequentialDecoder
+from .scdec import batch_rows, decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
 from .transform import SymbolBlock, polar_forward
@@ -142,37 +142,52 @@ def channel_encode(data: np.ndarray, code: DualityCode) -> SymbolBlock:
 
 
 def channel_decode(y, code: DualityCode) -> np.ndarray:
-    """Sequential decoding with frozen positions known; returns the data bits."""
+    """SC decoding with frozen positions known; returns the data bits."""
     y = np.asarray(y, dtype=np.int64)
-    if y.shape[0] != code.N:
-        raise DomainError(f"received block length {y.shape[0]} != N={code.N}")
-    if y.size and (y.min() < 0 or y.max() >= code.channel.output_size):
+    if y.ndim != 1:
+        raise DomainError("received block must be one-dimensional")
+    return channel_decode_batch(y[None], code)[0]
+
+
+def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
+    """Decode each row of the (B, N) received blocks; returns (B, data_size) data bits."""
+    Y = np.asarray(Y, dtype=np.int64)
+    if Y.ndim != 2 or Y.shape[1] != code.N:
+        raise DomainError(f"received block length {Y.shape[-1]} != N={code.N}")
+    if Y.size and (Y.min() < 0 or Y.max() >= code.channel.output_size):
         raise DomainError("received symbol outside the channel output alphabet")
-    known = dict(zip(code.frozen_set.indices, (int(b) for b in code.frozen_pattern)))
-    dec = SequentialDecoder(code.source, y)
-    u_hat = np.empty(code.N, dtype=np.int64)
-    for i in range(1, code.N + 1):
-        bit, _ = dec.decide_next(i, known.get(i))
-        u_hat[i - 1] = bit
-    return u_hat[np.asarray(code.data_indices, dtype=np.int64) - 1]
+    frozen = np.asarray(code.frozen_set.indices, dtype=np.int64) - 1
+    known_mask = np.zeros(code.N, dtype=bool)
+    known_mask[frozen] = True
+    pattern = np.zeros(code.N, dtype=np.int64)
+    pattern[frozen] = code.frozen_pattern
+    u_hat = decode_batch(code.source, Y, known_mask, np.broadcast_to(pattern, Y.shape))
+    return u_hat[:, np.asarray(code.data_indices, dtype=np.int64) - 1]
 
 
 def simulate(w: ChannelModel, code: DualityCode, trials: int, seed: int) -> dict:
-    """Seeded end-to-end trials; reports FER, BER and the union-bound certificate."""
+    """Seeded end-to-end trials; reports FER, BER and the union-bound certificate.
+
+    Trial t draws its data and channel noise from default_rng([seed, t]).
+    Trials are generated, decoded and scored one decoder batch at a time.
+    """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     frame_errors = 0
     bit_errors = 0
     k = code.data_size
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        data = rng.integers(0, 2, size=k, dtype=np.int64)
-        x = channel_encode(data, code)
-        y = w.sample(x.data, rng)
-        data_hat = channel_decode(y, code)
-        wrong = int((data_hat != data).sum())
-        bit_errors += wrong
-        frame_errors += wrong > 0
+    step = batch_rows(code.N)
+    for start in range(0, trials, step):
+        ts = range(start, min(start + step, trials))
+        data = np.empty((len(ts), k), dtype=np.int64)
+        Y = np.empty((len(ts), code.N), dtype=np.int64)
+        for r, t in enumerate(ts):
+            rng = np.random.default_rng([seed, t])
+            data[r] = rng.integers(0, 2, size=k, dtype=np.int64)
+            Y[r] = w.sample(channel_encode(data[r], code).data, rng)
+        wrong = (channel_decode_batch(Y, code) != data).sum(axis=1)
+        bit_errors += int(wrong.sum())
+        frame_errors += int((wrong > 0).sum())
     bound = error_bound(code.frozen_set, code.spectrum)
     return {
         "fer": frame_errors / trials,

@@ -1,9 +1,17 @@
-"""Sequential (successive cancellation) likelihood-ratio decoder.
+"""Successive-cancellation (SC) likelihood-ratio decoding.
 
 All likelihoods live in the natural-log domain, saturated to +-L_MAX.
-The recursion halves the observation block and splits the decided prefix
-into odd/even parts; each block decode performs N log2 N combine
-operations in total.
+Every codec decodes through `decode_batch`, a tree SC decoder that runs
+many blocks at once on numpy arrays.  Because G_N = F^(kron n) B_N, it
+works on the channel llrs in bit-reversed order: a node splits its llrs
+into halves a and b, decodes its first half of u from f(a, b), then its
+second half from g = b +- a, signed by the first half's partial sums.  A
+node whose u positions are all known (rate 0) does no llr math.
+
+`SequentialDecoder` is the step-by-step reference: it yields one
+decision llr per index and performs N log2 N combine operations per
+block.  Both decoders resolve ties alike (see SC_TIE), so they decide
+the same bits.
 """
 
 import math
@@ -11,9 +19,17 @@ import math
 import numpy as np
 
 from .errors import DomainError, ProtocolError, UnsupportedAlphabetError
+from .field import FieldSpec
 from .sources import JointSource
+from .transform import _kron_rows, bit_reverse_indices
 
 L_MAX = 700.0
+# An llr within SC_TIE of zero is a tie and decides 0, so that decisions do
+# not depend on float rounding near zero.
+SC_TIE = 1e-9
+# LLRs held per decode_batch chunk: blocks are decoded max(1, BATCH_LLRS // N)
+# at a time, which bounds the decoder's memory whatever the batch size.
+BATCH_LLRS = 1 << 14
 
 _LN = math.log
 _LOG1P = math.log1p
@@ -113,7 +129,7 @@ class SequentialDecoder:
             raise ProtocolError(f"expected index {self._next_i}, got {i}")
         llr = self._pending
         if known is None:
-            bit = 0 if llr >= 0.0 else 1
+            bit = 0 if llr >= -SC_TIE else 1
         else:
             if known not in (0, 1):
                 raise DomainError(f"known bit must be 0 or 1, got {known}")
@@ -148,6 +164,85 @@ def decode_block(source: JointSource, y, known_bits: dict[int, int], N: int | No
     return out, dec.combine_count
 
 
+def batch_rows(N: int) -> int:
+    """Blocks of length N that one decode_batch chunk holds."""
+    return max(1, BATCH_LLRS // N)
+
+
+def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
+    """SC-decode B blocks at once; returns u as a (B, N) int64 array.
+
+    Y is the (B, N) array of side symbols, or None for a source without
+    side information.  known_mask (N,) marks the positions whose bits the
+    caller already has; known_vals (B, N) holds them, and its other
+    entries are ignored.  Row b is what decode_block returns for Y[b] with
+    those known bits.  Blocks are decoded batch_rows(N) at a time.
+    """
+    known_vals = np.asarray(known_vals, dtype=np.int64)
+    known_mask = np.asarray(known_mask, dtype=bool)
+    if known_vals.ndim != 2:
+        raise DomainError("known values must be a (blocks, N) array")
+    B, N = known_vals.shape
+    if N == 0 or (N & (N - 1)) != 0:
+        raise DomainError(f"block length {N} is not a power of two")
+    if known_mask.shape != (N,):
+        raise DomainError(f"known mask must have {N} entries")
+    if ((known_vals[:, known_mask] & ~1) != 0).any():
+        raise DomainError("known bits must be 0 or 1")
+    if Y is None:
+        if source.y_size != 1:
+            raise DomainError("side block required for a source with side information")
+        Y = np.broadcast_to(np.int64(0), (B, N))
+    Y = np.asarray(Y, dtype=np.int64)
+    if Y.shape != (B, N):
+        raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
+    table = _llr_table(source, Y)
+    perm = bit_reverse_indices(N.bit_length() - 1)
+    unknown_before = [0, *np.cumsum(~known_mask).tolist()]
+    u = np.empty((B, N), dtype=np.int64)
+    step = batch_rows(N)
+    for s in range(0, B, step):
+        rows = slice(s, s + step)
+        _decode_node(table[Y[rows][:, perm]], unknown_before, known_vals[rows], u[rows], 0)
+    return u
+
+
+def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
+    """base_llr of every side symbol, checked against the symbols Y holds."""
+    if not source.field.is_binary:
+        raise UnsupportedAlphabetError("decoder requires a binary source")
+    if Y.size and (Y.min() < 0 or Y.max() >= source.y_size):
+        raise DomainError("side symbol out of range")
+    seen = np.zeros(source.y_size, dtype=bool)
+    seen[Y] = True
+    return np.array([base_llr(source, y) if seen[y] else 0.0 for y in range(source.y_size)])
+
+
+_GF2 = FieldSpec.binary()
+
+
+def _decode_node(L, unknown_before, known, u, lo):
+    """Decode u[:, lo:lo+m] from the node's llrs L (B, m); returns their partial sums.
+
+    unknown_before[i] counts the unknown positions below i.  The partial
+    sums are u[:, lo:lo+m] F^(kron m), the node's part of the re-encoded
+    block, which its parent needs for g.
+    """
+    m = L.shape[1]
+    hi = lo + m
+    if unknown_before[hi] == unknown_before[lo]:
+        u[:, lo:hi] = known[:, lo:hi]
+        return _kron_rows(_GF2, known[:, lo:hi].copy())
+    if m == 1:
+        u[:, lo:hi] = L < -SC_TIE
+        return u[:, lo:hi]
+    h = m >> 1
+    a, b = L[:, :h], L[:, h:]
+    left = _decode_node(_combine_odd_vec(a, b), unknown_before, known, u, lo)
+    right = _decode_node(_clamp_vec(b + np.where(left == 0, a, -a)), unknown_before, known, u, lo + h)
+    return np.concatenate((left ^ right, right), axis=1)
+
+
 def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     """Vectorized per-index llrs with the true prefix fed at every step.
 
@@ -163,11 +258,16 @@ def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     b = genie_llr_profile(chan_llr[:, N // 2 :], u_even)
     out = np.empty_like(chan_llr)
     out[:, 0::2] = _combine_odd_vec(a, b)
-    out[:, 1::2] = np.clip(b + np.where(u_odd == 0, a, -a), -L_MAX, L_MAX)
+    out[:, 1::2] = _clamp_vec(b + np.where(u_odd == 0, a, -a))
     return out
 
 
 def _combine_odd_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
     m = m + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    return np.clip(m, -L_MAX, L_MAX)
+    return _clamp_vec(m)
+
+
+def _clamp_vec(v: np.ndarray) -> np.ndarray:
+    """Saturate a fresh array to +-L_MAX in place (np.clip costs more on small arrays)."""
+    return np.minimum(np.maximum(v, -L_MAX, out=v), L_MAX, out=v)

@@ -42,6 +42,8 @@ class JointSource:
         table = np.asarray(self.probs, dtype=float)
         if table.ndim != 2 or table.shape[0] != self.field.q or table.shape[1] < 1:
             raise DomainError(f"probability table must be q x y_size with q={self.field.q}")
+        if not np.isfinite(table).all():
+            raise DomainError("probability table has a non-finite entry")
         if (table < 0).any():
             raise DomainError("negative probability entry")
         total = table.sum()

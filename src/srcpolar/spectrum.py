@@ -105,8 +105,11 @@ class HighEntropySet:
 
 
 def spectrum_fingerprint(source_desc, N: int, method: str, seed) -> str:
+    # The merge size decides which indices tv selects, so it is hashed too;
+    # a change to the bin rule must change this tag as well.
+    tag = f"{METHOD_TV}{TV_MERGE_SIZE}" if method == METHOD_TV else method
     blob = json.dumps(
-        {"source": source_desc, "N": N, "method": method, "seed": seed},
+        {"source": source_desc, "N": N, "method": tag, "seed": seed},
         sort_keys=True,
     ).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

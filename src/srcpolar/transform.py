@@ -72,19 +72,23 @@ def bit_reverse_permute(block: SymbolBlock) -> SymbolBlock:
     return SymbolBlock(block.field, block.data[perm])
 
 
-def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
-    """Forward transform applied to each row of a (..., N) array."""
-    N = rows.shape[-1]
-    n = N.bit_length() - 1
-    w = rows[..., bit_reverse_indices(n)]
+def _kron_rows(field: FieldSpec, w: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+    """w F^(kron n) for each row of a (..., N) array, computed in place; returns w."""
+    N = w.shape[-1]
     h = N >> 1
     while h >= 1:
         shaped = w.reshape(w.shape[:-1] + (N // (2 * h), 2, h))
         shaped[..., 0, :] = field.add_array(shaped[..., 0, :], shaped[..., 1, :])
         if ops is not None:
-            ops.add((N // (2 * h)) * h * int(np.prod(rows.shape[:-1], dtype=np.int64)))
+            ops.add((N // (2 * h)) * h * int(np.prod(w.shape[:-1], dtype=np.int64)))
         h >>= 1
     return w
+
+
+def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+    """Forward transform applied to each row of a (..., N) array."""
+    n = rows.shape[-1].bit_length() - 1
+    return _kron_rows(field, rows[..., bit_reverse_indices(n)], ops)
 
 
 def _inverse_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:

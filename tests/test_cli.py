@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -147,6 +148,31 @@ class TestCompressPipeline:
             "--out", str(tmp_path / "out.bin"),
         ) == 1
 
+    @pytest.mark.parametrize("pad", [64, 10**6])
+    def test_pad_trailer_out_of_range_fails(self, tmp_path, capsys, pad):
+        m = self._freeze(tmp_path, N=64)
+        (tmp_path / "in.bin").write_bytes(b"sixteen bytes!!!")
+        assert run(
+            "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+            "--out", str(tmp_path / "c.plsc"),
+        ) == 0
+        raw = (tmp_path / "c.plsc").read_bytes()
+        (tmp_path / "c.plsc").write_bytes(raw[:-4] + pad.to_bytes(4, "little"))
+        assert run(
+            "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
+            "--out", str(tmp_path / "out.bin"),
+        ) == 1
+        assert "pad trailer" in capsys.readouterr().err
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_empty_container_with_pad_fails(self, tmp_path):
+        m = self._freeze(tmp_path, N=64)
+        (tmp_path / "c.plsc").write_bytes((1).to_bytes(4, "little"))  # no blocks, 1 pad bit
+        assert run(
+            "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
+            "--out", str(tmp_path / "out.bin"),
+        ) == 1
+
     def test_missing_side_fails(self, tmp_path):
         m = self._freeze(tmp_path, preset="bsc_pair(0.05)", N=16, R=1.0)
         (tmp_path / "in.bin").write_bytes(b"\x00\x01")
@@ -239,7 +265,7 @@ def test_console_script_declared_and_callable(capsys):
 
 @pytest.mark.skipif(
     shutil.which("srcpolar") is None,
-    reason="srcpolar console script not on PATH; pip install -e . --no-build-isolation",
+    reason="srcpolar console script not on PATH; see README.md, Install",
 )
 def test_console_entry_point():
     import subprocess
@@ -248,3 +274,75 @@ def test_console_entry_point():
     assert r.returncode == 0
     for cmd in COMMANDS:
         assert cmd in r.stdout
+
+
+class TestPinnedOutputs:
+    """Fixed-seed outputs of chansim, swsim and decompress.
+
+    They pin the decoder's decisions, ties included: the rates are high
+    enough that some frames and blocks fail, so any changed decision
+    changes the bytes.  The BEC cases decide many exact-zero llrs.
+    """
+
+    CHANSIM = {
+        ("bsc(0.11)", ("64", "1024"), ("0.35", "0.5")): (
+            "channel,N,R,trials,fer,ber,bound\n"
+            "bsc(0.11),64,0.34999999999999998,40,0.125,0.025000000000000001,1\n"
+            "bsc(0.11),64,0.5,40,0.65000000000000002,0.2265625,1\n"
+            "bsc(0.11),1024,0.34999999999999998,40,0.17499999999999999,0.020251396648044692,1\n"
+            "bsc(0.11),1024,0.5,40,1,0.39047851562500002,1\n"
+        ),
+        ("bec(0.4)", ("256",), ("0.5", "0.6")): (
+            "channel,N,R,trials,fer,ber,bound\n"
+            "bec(0.4),256,0.5,40,0.42499999999999999,0.13027343750000001,1\n"
+            "bec(0.4),256,0.59999999999999998,40,0.875,0.33790849673202616,1\n"
+        ),
+    }
+    SWSIM = {
+        ("0.5", "0.85"): "256,0.5,0.84999999999999998,40,0.10000000000000001,2",
+        ("0.35", "0.8"): "256,0.34999999999999998,0.80000000000000004,40,0.69999999999999996,2",
+    }
+    DECOMPRESS = {
+        ("bsc_pair(0.11)", "0.6"): "c16c29eb4989f2693bb51be28fa8aa84c02e32279698c5af2c4f42394c1c85d2",
+        ("bec_pair(0.4)", "0.5"): "ae94c53ab3776351d7791fc6f8c47c50c5d741296ca4861938003bc14b01e7c4",
+    }
+
+    def test_chansim(self, tmp_path):
+        for (channel, Ns, Rs), want in self.CHANSIM.items():
+            out = tmp_path / "c.csv"
+            assert run("chansim", "--channel", channel, "-N", *Ns, "-R", *Rs,
+                       "--trials", "40", "--seed", "7", "--out", str(out)) == 0
+            assert out.read_text() == want
+
+    def test_swsim(self, tmp_path):
+        joint = tmp_path / "joint.json"
+        joint.write_text('{"q": 2, "y_size": 2, "probs": [0.76, 0.01, 0.04, 0.19]}')
+        for (rx, ry), want in self.SWSIM.items():
+            out = tmp_path / "s.csv"
+            assert run("swsim", "--source", str(joint), "-N", "256", "--rx", rx, "--ry", ry,
+                       "--trials", "40", "--seed", "7", "--out", str(out)) == 0
+            assert out.read_text() == "N,R_x,R_y,trials,joint_error_rate,bound\n" + want + "\n"
+
+    def test_decompress(self, tmp_path):
+        for (preset, rate), want in self.DECOMPRESS.items():
+            rng = np.random.default_rng(11)
+            data = rng.integers(0, 256, 500, dtype=np.uint8)
+            bits = np.unpackbits(data).astype(np.int64)
+            bits = np.concatenate([bits, np.zeros(-bits.size % 256, dtype=np.int64)])
+            if preset.startswith("bsc"):
+                side = bits ^ (rng.random(bits.size) < 0.11)
+            else:
+                side = np.where(rng.random(bits.size) < 0.4, 2, bits)
+            paths = {k: tmp_path / k for k in ("m.json", "x.bin", "y.bin", "x.plsc", "x.out")}
+            paths["x.bin"].write_bytes(data.tobytes())
+            paths["y.bin"].write_bytes(side.astype(np.uint8).tobytes())
+            assert run("freeze", "--preset", preset, "-N", "256", "-R", rate,
+                       "--out", str(paths["m.json"])) == 0
+            assert run("compress", "--manifest", str(paths["m.json"]), "--in", str(paths["x.bin"]),
+                       "--out", str(paths["x.plsc"])) == 0
+            assert run("decompress", "--manifest", str(paths["m.json"]),
+                       "--in", str(paths["x.plsc"]), "--side", str(paths["y.bin"]),
+                       "--out", str(paths["x.out"])) == 0
+            restored = paths["x.out"].read_bytes()
+            assert len(restored) == 500 and restored != data.tobytes()
+            assert hashlib.sha256(restored).hexdigest() == want

@@ -3,18 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srcpolar import (
     DomainError,
+    FieldSpec,
     JointSource,
     L_MAX,
     ProtocolError,
+    SC_TIE,
     SequentialDecoder,
+    UnsupportedAlphabetError,
     base_llr,
+    decode_batch,
     decode_block,
     genie_llr_profile,
     llr_combine_even,
     llr_combine_odd,
+    scdec,
 )
 
 from conftest import random_binary_source, successive_map_oracle
@@ -183,3 +189,96 @@ def test_genie_profile_matches_sequential_decoder(rng):
         for i in range(1, N + 1):
             _, llr = dec.decide_next(i, known=int(u_true[i - 1]))
             assert llr == pytest.approx(prof[i - 1], rel=1e-12, abs=1e-12)
+
+
+SOURCES = [
+    JointSource.bsc_pair(0.11),
+    JointSource.bec_pair(0.4),
+    JointSource.bernoulli(0.11),
+]
+
+
+def _row_by_row(s, Y, mask, known_vals):
+    rows = []
+    for y, vals in zip(Y, known_vals):
+        known = {int(i) + 1: int(vals[i]) for i in np.flatnonzero(mask)}
+        rows.append(decode_block(s, y, known)[0])
+    return np.array(rows)
+
+
+class TestDecodeBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.sampled_from([1, 2, 8, 64, 1024]),
+        B=st.sampled_from([1, 3, 16]),
+        kind=st.integers(0, len(SOURCES)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_sequential_decoder(self, N, B, kind, seed):
+        rng = np.random.default_rng(seed)
+        s = SOURCES[kind] if kind < len(SOURCES) else random_binary_source(rng, 3, floor=0.02)
+        mask = rng.random(N) < rng.random()
+        known_vals = rng.integers(0, 2, (B, N))
+        Y = rng.integers(0, s.y_size, (B, N))
+        got = decode_batch(s, Y, mask, known_vals)
+        assert got.shape == (B, N)
+        assert np.array_equal(got, _row_by_row(s, Y, mask, known_vals))
+        assert np.array_equal(got[:, mask], known_vals[:, mask])
+
+    def test_chunks_give_the_same_bits(self, rng, monkeypatch):
+        s = JointSource.bsc_pair(0.11)
+        mask = rng.random(8) < 0.3
+        known_vals = rng.integers(0, 2, (16, 8))
+        Y = rng.integers(0, 2, (16, 8))
+        whole = decode_batch(s, Y, mask, known_vals)
+        monkeypatch.setattr(scdec, "BATCH_LLRS", 24)  # 3 blocks per chunk, the last one short
+        assert scdec.batch_rows(8) == 3
+        assert np.array_equal(decode_batch(s, Y, mask, known_vals), whole)
+
+    def test_exact_tie_in_g(self):
+        # y = (0, 0) gives a = b; with u_1 = 1 known, g = b - a is exactly 0
+        s = JointSource.bsc_pair(0.11)
+        dec = SequentialDecoder(s, np.array([0, 0]))
+        dec.decide_next(1, known=1)
+        bit, llr = dec.decide_next(2)
+        assert llr == 0.0 and bit == 0
+        got = decode_batch(s, np.array([[0, 0]]), np.array([True, False]), np.array([[1, 0]]))
+        assert got.tolist() == [[1, bit]]
+
+    def test_near_zero_llr_is_a_tie(self):
+        # ln(P(0)/P(1)) is about -4e-13: inside the tie band, so both decide 0
+        s = JointSource.bernoulli(0.5 + 1e-13)
+        assert -SC_TIE < base_llr(s, 0) < 0.0
+        for N in (1, 2):
+            want, _ = decode_block(s, None, {}, N=N)
+            got = decode_batch(s, None, np.zeros(N, dtype=bool), np.zeros((1, N)))
+            assert want.tolist() == got[0].tolist() == [0] * N
+
+    def test_invalid_inputs(self):
+        s = JointSource.bsc_pair(0.11)
+        mask = np.zeros(4, dtype=bool)
+        ok_y = np.zeros((2, 4), dtype=np.int64)
+        with pytest.raises(DomainError):
+            decode_batch(s, ok_y, mask, np.zeros(4))  # known values not 2-D
+        with pytest.raises(DomainError):
+            decode_batch(s, np.zeros((2, 3)), np.zeros(3, dtype=bool), np.zeros((2, 3)))
+        with pytest.raises(DomainError):
+            decode_batch(s, ok_y, np.zeros(2, dtype=bool), np.zeros((2, 4)))
+        with pytest.raises(DomainError):
+            decode_batch(s, ok_y, np.ones(4, dtype=bool), np.full((2, 4), 2))
+        with pytest.raises(DomainError):
+            decode_batch(s, None, mask, np.zeros((2, 4)))  # side information required
+        with pytest.raises(DomainError):
+            decode_batch(s, np.zeros((1, 4)), mask, np.zeros((2, 4)))
+        with pytest.raises(DomainError):
+            decode_batch(s, np.full((2, 4), 2), mask, np.zeros((2, 4)))
+        with pytest.raises(UnsupportedAlphabetError):
+            decode_batch(JointSource(FieldSpec.prime(3), np.full((3, 1), 1 / 3)), None,
+                         mask, np.zeros((2, 4)))
+
+    def test_unobserved_impossible_symbol_is_fine(self):
+        s = JointSource(JointSource.bernoulli(0.5).field, np.array([[0.5, 0.0], [0.5, 0.0]]))
+        mask = np.zeros(2, dtype=bool)
+        assert decode_batch(s, np.zeros((1, 2)), mask, np.zeros((1, 2))).shape == (1, 2)
+        with pytest.raises(DomainError):
+            decode_batch(s, np.array([[0, 1]]), mask, np.zeros((1, 2)))

@@ -182,6 +182,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             JointSource(FieldSpec.binary(), np.array([[0.5], [0.6]]))
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_rejected(self, bad):
+        # json.loads accepts these tokens; NaN used to pass both table checks
+        with pytest.raises(DomainError):
+            JointSource.from_json(f'{{"q": 2, "y_size": 2, "probs": [0.5, {bad}, 0.25, 0.25]}}')
+
     def test_shape_must_match_field(self):
         with pytest.raises(DomainError):
             JointSource(FieldSpec.prime(3), np.array([[0.5], [0.5]]))

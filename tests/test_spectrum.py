@@ -238,6 +238,15 @@ class TestHighEntropySet:
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
 
+    def test_fingerprint_binds_tv_merge_size(self, monkeypatch):
+        from srcpolar import spectrum
+
+        desc = JointSource.bernoulli(0.11).description()
+        tv, zb = (spectrum.spectrum_fingerprint(desc, 16, m, None) for m in ("tv", "zbound"))
+        monkeypatch.setattr(spectrum, "TV_MERGE_SIZE", 16)
+        assert spectrum.spectrum_fingerprint(desc, 16, "tv", None) != tv
+        assert spectrum.spectrum_fingerprint(desc, 16, "zbound", None) == zb
+
     def test_manifest_round_trip(self):
         hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 16), 0.7)
         from srcpolar import HighEntropySet
