@@ -105,11 +105,12 @@ def cmd_freeze(args) -> int:
 
 
 def _load_manifest(path: str) -> tuple[HighEntropySet, JointSource]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    hset = HighEntropySet.from_manifest(doc)
-    source = JointSource.from_description(doc["source"])
-    return hset, source
+    try:
+        with open(path) as fh:
+            hset = HighEntropySet.from_manifest(json.load(fh))
+        return hset, JointSource.from_description(hset.source_desc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"manifest {path}: {type(exc).__name__}: {exc}") from None
 
 
 _PAD_TRAILER = 4  # u32 LE count of zero pad bits appended before encoding
@@ -276,10 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SrcPolarError as exc:
-        print(f"srcpolar: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SrcPolarError, OSError) as exc:
         print(f"srcpolar: error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,7 +83,7 @@ def compress(x: SymbolBlock, hset: HighEntropySet, checksum: bool = False) -> Co
     if x.N != hset.N:
         raise DomainError(f"block length {x.N} != set length {hset.N}")
     u = polar_forward(x).data
-    payload = u[np.asarray(hset.indices, dtype=np.int64) - 1]
+    payload = u[hset.mask]
     crc = _crc(x.data) if checksum else None
     version = VERSION_CRC if checksum else VERSION_PLAIN
     return CompressedBlock(version, x.N.bit_length() - 1, hset.fingerprint, payload, crc)
@@ -121,17 +121,13 @@ def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> n
         Y = np.asarray(Y, dtype=np.int64)
         if Y.shape != (len(blocks), N):
             raise DomainError(f"side blocks of shape {Y.shape} do not match {(len(blocks), N)}")
-    kept = np.asarray(hset.indices, dtype=np.int64) - 1
-    known_mask = np.zeros(N, dtype=bool)
-    known_mask[kept] = True
     x_hat = np.empty((len(blocks), N), dtype=np.int64)
     step = batch_rows(N)
     for s in range(0, len(blocks), step):
         chunk = blocks[s : s + step]
         known = np.zeros((len(chunk), N), dtype=np.int64)
-        for k, blk in enumerate(chunk):
-            known[k, kept] = blk.payload
-        u_hat = decode_batch(source, None if Y is None else Y[s : s + step], known_mask, known)
+        known[:, hset.mask] = [blk.payload for blk in chunk]
+        u_hat = decode_batch(source, None if Y is None else Y[s : s + step], hset.mask, known)
         x_hat[s : s + step] = _inverse_rows(source.field, u_hat)
         for blk, x in zip(chunk, x_hat[s : s + step]):
             if blk.version == VERSION_CRC and _crc(x) != blk.crc:
@@ -154,8 +150,7 @@ def error_bound(hset: HighEntropySet, spec: PolarSpectrum) -> float:
         raise DomainError("spectrum has no z values")
     if spec.N != hset.N:
         raise DomainError("spectrum and set lengths disagree")
-    comp = np.asarray(hset.complement(), dtype=np.int64) - 1
-    total = float(spec.z[comp].sum())
+    total = float(spec.z[~hset.mask].sum())
     return min(max(total, 0.0), 1.0)
 
 

@@ -93,10 +93,6 @@ class DualityCode:
     spectrum: PolarSpectrum  # certified z bounds used for the set
 
     @property
-    def data_indices(self) -> tuple:
-        return self.frozen_set.complement()
-
-    @property
     def data_size(self) -> int:
         return self.N - len(self.frozen_set.indices)
 
@@ -136,8 +132,8 @@ def channel_encode(data: np.ndarray, code: DualityCode) -> SymbolBlock:
     if data.shape[0] != code.data_size:
         raise DomainError(f"expected {code.data_size} data bits, got {data.shape[0]}")
     u = np.empty(code.N, dtype=np.int64)
-    u[np.asarray(code.frozen_set.indices, dtype=np.int64) - 1] = code.frozen_pattern
-    u[np.asarray(code.data_indices, dtype=np.int64) - 1] = data
+    u[code.frozen_set.mask] = code.frozen_pattern
+    u[~code.frozen_set.mask] = data
     return polar_forward(SymbolBlock(code.source.field, u))
 
 
@@ -156,13 +152,11 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
         raise DomainError(f"received block length {Y.shape[-1]} != N={code.N}")
     if Y.size and (Y.min() < 0 or Y.max() >= code.channel.output_size):
         raise DomainError("received symbol outside the channel output alphabet")
-    frozen = np.asarray(code.frozen_set.indices, dtype=np.int64) - 1
-    known_mask = np.zeros(code.N, dtype=bool)
-    known_mask[frozen] = True
+    frozen = code.frozen_set.mask
     pattern = np.zeros(code.N, dtype=np.int64)
     pattern[frozen] = code.frozen_pattern
-    u_hat = decode_batch(code.source, Y, known_mask, np.broadcast_to(pattern, Y.shape))
-    return u_hat[:, np.asarray(code.data_indices, dtype=np.int64) - 1]
+    u_hat = decode_batch(code.source, Y, frozen, np.broadcast_to(pattern, Y.shape))
+    return u_hat[:, ~frozen]
 
 
 def simulate(w: ChannelModel, code: DualityCode, trials: int, seed: int) -> dict:

@@ -13,12 +13,12 @@ Four ways to obtain per-index statistics of U^N = X^N G_N:
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, UnsupportedAlphabetError
+from .errors import BudgetExceededError, DomainError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
 from .scdec import base_llr, genie_llr_profile
 from .sources import JointSource, bhattacharyya
@@ -68,15 +68,28 @@ class HighEntropySet:
     N: int
     rate: float
     indices: tuple
-    z_values: tuple
     fingerprint: str
     method: str
     seed: int | None
     source_desc: dict | None
+    mask: np.ndarray = field(init=False, repr=False, compare=False)  # read-only, True at i-1
+
+    def __post_init__(self):
+        N, R, idx, fp = self.N, self.rate, self.indices, self.fingerprint
+        if type(N) is not int or N < 1 or N & (N - 1) or not 0.0 < R <= 1.0:
+            raise FormatError(f"N={N!r}, R={R!r}: N must be a power of two and 0 < R <= 1")
+        if not (isinstance(fp, str) and len(fp) == 16 and set(fp) <= set("0123456789abcdef")):
+            raise FormatError(f"fingerprint {fp!r} is not 16 lowercase hex digits")
+        if len(idx) != math.ceil(N * R) or not all(type(i) is int for i in idx) or not (
+            1 <= idx[0] and idx[-1] <= N and all(i < j for i, j in zip(idx, idx[1:]))
+        ):
+            raise FormatError(f"indices must be ceil(NR) strictly increasing integers in 1..{N}")
+        mask = np.isin(np.arange(1, N + 1), idx)
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     def complement(self) -> tuple:
-        chosen = set(self.indices)
-        return tuple(i for i in range(1, self.N + 1) if i not in chosen)
+        return tuple(int(i) + 1 for i in np.flatnonzero(~self.mask))
 
     def to_manifest(self) -> dict:
         return {
@@ -91,17 +104,18 @@ class HighEntropySet:
 
     @staticmethod
     def from_manifest(doc: dict) -> "HighEntropySet":
-        indices = tuple(int(i) for i in doc["indices"])
-        return HighEntropySet(
-            N=int(doc["N"]),
-            rate=float(doc["R"]),
-            indices=indices,
-            z_values=(),
-            fingerprint=str(doc["fingerprint"]),
-            method=str(doc["method"]),
-            seed=doc.get("seed"),
-            source_desc=doc.get("source"),
-        )
+        try:
+            return HighEntropySet(
+                N=doc["N"],
+                rate=doc["R"],
+                indices=tuple(doc["indices"]),
+                fingerprint=doc["fingerprint"],
+                method=doc["method"],
+                seed=doc.get("seed"),
+                source_desc=doc["source"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"malformed index-set manifest: {exc!r}") from None
 
 
 def spectrum_fingerprint(source_desc, N: int, method: str, seed) -> str:
@@ -312,7 +326,6 @@ def build_high_entropy_set(spec: PolarSpectrum, R: float) -> HighEntropySet:
         N=spec.N,
         rate=R,
         indices=tuple(int(i) + 1 for i in chosen),
-        z_values=tuple(float(spec.z[i]) for i in chosen),
         fingerprint=spectrum_fingerprint(spec.source_desc, spec.N, spec.method, spec.seed),
         method=spec.method,
         seed=spec.seed,

@@ -93,3 +93,31 @@ def random_binary_source(rng: np.random.Generator, y_size: int, floor: float = 0
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _replace_indices(at: int, value):
+    def edit(doc):
+        indices = list(doc["indices"])
+        indices[at] = value(doc)
+        return {**doc, "indices": indices}
+
+    return edit
+
+
+# Malformed index-set manifests, each made from a valid manifest dict; loading
+# any of them must fail with FormatError.
+BAD_MANIFESTS = {
+    **{
+        f"missing_{key}": (lambda doc, key=key: {k: v for k, v in doc.items() if k != key})
+        for key in ("N", "R", "indices", "fingerprint", "source")
+    },
+    "non_integer_index": _replace_indices(0, lambda doc: doc["indices"][0] + 0.5),
+    "index_0": _replace_indices(0, lambda doc: 0),
+    "index_N_plus_1": _replace_indices(-1, lambda doc: doc["N"] + 1),
+    "duplicate_index": _replace_indices(1, lambda doc: doc["indices"][0]),
+    "reversed_order": lambda doc: {**doc, "indices": doc["indices"][::-1]},
+    "one_index_short": lambda doc: {**doc, "indices": doc["indices"][:-1]},
+    "N_not_power_of_two": lambda doc: {**doc, "N": 12},
+    "rate_above_one": lambda doc: {**doc, "R": 1.5},
+    "fingerprint_not_hex": lambda doc: {**doc, "fingerprint": "z" * 16},
+}

@@ -11,6 +11,8 @@ import pytest
 from srcpolar import JointSource, binary_entropy
 from srcpolar.cli import main
 
+from conftest import BAD_MANIFESTS
+
 
 def run(*argv):
     return main(list(argv))
@@ -185,6 +187,30 @@ class TestCompressPipeline:
             "--out", str(tmp_path / "out.bin"),
         ) == 1
 
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    @pytest.mark.parametrize("case", sorted([*BAD_MANIFESTS, "invalid_json", "bad_source"]))
+    def test_bad_manifest_fails(self, tmp_path, capsys, command, case):
+        m = self._freeze(tmp_path, N=16, R=0.5)
+        (tmp_path / "in.bin").write_bytes(b"two blocks")
+        assert run(
+            "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+            "--out", str(tmp_path / "c.plsc"),
+        ) == 0
+        doc = json.loads(m.read_text())
+        if case == "invalid_json":
+            m.write_text(m.read_text()[:-3])
+        elif case == "bad_source":
+            m.write_text(json.dumps({**doc, "source": {"q": 2}}))
+        else:
+            m.write_text(json.dumps(BAD_MANIFESTS[case](doc)))
+        infile = tmp_path / ("in.bin" if command == "compress" else "c.plsc")
+        capsys.readouterr()
+        assert run(
+            command, "--manifest", str(m), "--in", str(infile), "--out", str(tmp_path / "out"),
+        ) == 1
+        assert capsys.readouterr().err.startswith("srcpolar: error:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestChansim:
     def test_noiseless_zero_fer(self, tmp_path):
@@ -277,11 +303,13 @@ def test_console_entry_point():
 
 
 class TestPinnedOutputs:
-    """Fixed-seed outputs of chansim, swsim and decompress.
+    """Fixed-seed outputs of chansim, swsim, compress and decompress.
 
     They pin the decoder's decisions, ties included: the rates are high
     enough that some frames and blocks fail, so any changed decision
-    changes the bytes.  The BEC cases decide many exact-zero llrs.
+    changes the bytes.  The BEC cases decide many exact-zero llrs.  The
+    container hashes pin the payload order, which a change applied to both
+    compress and decompress would leave invisible in the restored bytes.
     """
 
     CHANSIM = {
@@ -305,6 +333,11 @@ class TestPinnedOutputs:
     DECOMPRESS = {
         ("bsc_pair(0.11)", "0.6"): "c16c29eb4989f2693bb51be28fa8aa84c02e32279698c5af2c4f42394c1c85d2",
         ("bec_pair(0.4)", "0.5"): "ae94c53ab3776351d7791fc6f8c47c50c5d741296ca4861938003bc14b01e7c4",
+    }
+
+    COMPRESS = {
+        ("bsc_pair(0.11)", "0.6"): "3c85307702a91e13ef442f71b7e01c772b55fa3ad9f2e40d7c7e24f44841c2a6",
+        ("bec_pair(0.4)", "0.5"): "afa2624932767cd98844ac504a99d422779d6f4553e891dc855e9e6e84b0f634",
     }
 
     def test_chansim(self, tmp_path):
@@ -340,6 +373,8 @@ class TestPinnedOutputs:
                        "--out", str(paths["m.json"])) == 0
             assert run("compress", "--manifest", str(paths["m.json"]), "--in", str(paths["x.bin"]),
                        "--out", str(paths["x.plsc"])) == 0
+            container = paths["x.plsc"].read_bytes()
+            assert hashlib.sha256(container).hexdigest() == self.COMPRESS[preset, rate]
             assert run("decompress", "--manifest", str(paths["m.json"]),
                        "--in", str(paths["x.plsc"]), "--side", str(paths["y.bin"]),
                        "--out", str(paths["x.out"])) == 0

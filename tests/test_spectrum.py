@@ -8,6 +8,8 @@ from srcpolar import (
     BudgetExceededError,
     DomainError,
     FieldSpec,
+    FormatError,
+    HighEntropySet,
     JointSource,
     UnsupportedAlphabetError,
     bhattacharyya,
@@ -20,7 +22,7 @@ from srcpolar import (
     zbound_spectrum,
 )
 
-from conftest import random_binary_source
+from conftest import BAD_MANIFESTS, random_binary_source
 
 BER_HALF = JointSource.bernoulli(0.5)
 
@@ -203,6 +205,7 @@ class TestHighEntropySet:
         hset = build_high_entropy_set(zbound_spectrum(JointSource.bernoulli(0.11), 8), 1.0)
         assert hset.indices == tuple(range(1, 9))
         assert hset.complement() == ()
+        assert hset.mask.all()
 
     def test_bec_n4_half_rate(self):
         hset = build_high_entropy_set(exact_spectrum(JointSource.bec_pair(0.5), 4), 0.5)
@@ -216,6 +219,24 @@ class TestHighEntropySet:
         sp = zbound_spectrum(JointSource.bernoulli(0.11), 8)
         assert len(build_high_entropy_set(sp, 0.3).indices) == math.ceil(8 * 0.3)
         assert len(build_high_entropy_set(sp, 0.01).indices) == 1
+        for N, R in [(8, 0.3), (8, 0.01), (64, 0.7), (1024, 0.8), (1024, 0.35)]:
+            hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), N), R)
+            assert hset.mask.sum() == math.ceil(N * R)
+
+    def test_mask_is_read_only_and_marks_the_indices(self):
+        hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 64), 0.7)
+        assert hset.mask.dtype == bool and hset.mask.shape == (64,)
+        assert tuple(np.flatnonzero(hset.mask) + 1) == hset.indices
+        assert tuple(np.flatnonzero(~hset.mask) + 1) == hset.complement()
+        with pytest.raises(ValueError):
+            hset.mask[0] = not hset.mask[0]
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_bad_manifest_rejected(self, case):
+        hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 16), 0.5)
+        doc = hset.to_manifest()
+        with pytest.raises(FormatError):
+            HighEntropySet.from_manifest(BAD_MANIFESTS[case](doc))
 
     def test_selected_dominate_unselected(self, rng):
         s = random_binary_source(rng, 2)
@@ -249,10 +270,9 @@ class TestHighEntropySet:
 
     def test_manifest_round_trip(self):
         hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 16), 0.7)
-        from srcpolar import HighEntropySet
-
         again = HighEntropySet.from_manifest(hset.to_manifest())
         assert again.indices == hset.indices
+        assert np.array_equal(again.mask, hset.mask)
         assert again.fingerprint == hset.fingerprint
         assert again.N == hset.N
 
