@@ -10,6 +10,7 @@ from .codec import (
     CompressedBlock,
     SWConfig,
     compress,
+    compress_blocks,
     decompress,
     decompress_blocks,
     error_bound,

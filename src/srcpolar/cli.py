@@ -17,11 +17,10 @@ import tempfile
 import numpy as np
 
 from . import codec, duality, spectrum as spec_mod
-from .errors import FormatError, SrcPolarError
+from .errors import FormatError, SrcPolarError, UnsupportedAlphabetError
 from .scdec import batch_rows
 from .sources import JointSource, parse_preset
 from .spectrum import HighEntropySet
-from .transform import SymbolBlock
 
 _F = lambda v: format(v, ".17g")
 
@@ -44,7 +43,11 @@ def _load_source(args) -> JointSource:
         return parse_preset(args.preset)
     if getattr(args, "source", None):
         with open(args.source) as fh:
-            return JointSource.from_json(fh.read())
+            text = fh.read()
+        try:
+            return JointSource.from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"source {args.source}: {type(exc).__name__}: {exc}") from None
     raise SrcPolarError("one of --preset or --source is required")
 
 
@@ -114,23 +117,31 @@ def _load_manifest(path: str) -> tuple[HighEntropySet, JointSource]:
 
 
 _PAD_TRAILER = 4  # u32 LE count of zero pad bits appended before encoding
+# Input bits that compress reads and transforms per compress_blocks call,
+# rounded to whole blocks and whole bytes; bounds its memory whatever the
+# file size.
+COMPRESS_BITS = 1 << 20
 
 
 def cmd_compress(args) -> int:
-    hset, _source = _load_manifest(args.manifest)
+    hset, source = _load_manifest(args.manifest)
+    if not source.field.is_binary:
+        raise UnsupportedAlphabetError("compression requires a binary source")
     N = hset.N
-    raw = open(args.infile, "rb").read()
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).astype(np.int64)
-    pad = (-len(bits)) % N
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.int64)])
+    unit = max(N, 8)  # a whole number of blocks and of bytes
+    chunk_bytes = unit * max(1, COMPRESS_BITS // unit) // 8
     out = bytearray()
-    field = _source.field
-    for start in range(0, len(bits), N):
-        block = SymbolBlock(field, bits[start : start + N])
-        out += codec.compress(block, hset, checksum=args.checksum).to_bytes()
-    out += int(pad).to_bytes(_PAD_TRAILER, "little")
-    _atomic_write(args.out, bytes(out))
+    pad = 0
+    with open(args.infile, "rb") as fh:
+        while raw := fh.read(chunk_bytes):
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+            pad = -bits.size % N  # nonzero only in the last, short chunk
+            if pad:
+                bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+            for blk in codec.compress_blocks(bits.reshape(-1, N), hset, args.checksum):
+                out += blk.to_bytes()
+    out += pad.to_bytes(_PAD_TRAILER, "little")
+    _atomic_write(args.out, out)
     return 0
 
 
@@ -150,7 +161,7 @@ def cmd_decompress(args) -> int:
         raise FormatError(f"pad trailer {pad} does not fit {len(blocks)} blocks of {N} bits")
     side = None
     if args.side:
-        side = np.frombuffer(open(args.side, "rb").read(), dtype=np.uint8).astype(np.int64)
+        side = np.frombuffer(open(args.side, "rb").read(), dtype=np.uint8)
         if side.shape[0] != len(blocks) * N:
             raise SrcPolarError("side-information length does not match the container")
         side = side.reshape(len(blocks), N)
@@ -159,7 +170,7 @@ def cmd_decompress(args) -> int:
     all_bits = codec.decompress_blocks(blocks, side, hset, source).reshape(-1)
     if pad:
         all_bits = all_bits[:-pad]
-    _atomic_write(args.out, np.packbits(all_bits.astype(np.uint8)).tobytes())
+    _atomic_write(args.out, np.packbits(all_bits).tobytes())
     return 0
 
 
@@ -186,16 +197,13 @@ def cmd_swsim(args) -> int:
     errors = 0
     step = batch_rows(args.N)
     for start in range(0, args.trials, step):
-        xs, ys, cxs, cys = [], [], [], []
-        for t in range(start, min(start + step, args.trials)):
-            rng = np.random.default_rng([args.seed, t])
-            draws = rng.choice(flat.shape[0], size=args.N, p=flat)
-            x = SymbolBlock(joint.field, draws // 2)
-            y = SymbolBlock(joint.field, draws % 2)
-            cxs.append(codec.sw_encode_x(x, cfg))
-            cys.append(codec.sw_encode_y(y, cfg))
-            xs.append(x.data)
-            ys.append(y.data)
+        draws = np.array([
+            np.random.default_rng([args.seed, t]).choice(flat.shape[0], size=args.N, p=flat)
+            for t in range(start, min(start + step, args.trials))
+        ], dtype=np.uint8)
+        xs, ys = draws // 2, draws % 2
+        cxs = codec.compress_blocks(xs, cfg.set_x)
+        cys = codec.compress_blocks(ys, cfg.set_y)
         x_hat, y_hat = codec.sw_decode_blocks(cxs, cys, cfg)
         errors += int(((x_hat != xs).any(axis=1) | (y_hat != ys).any(axis=1)).sum())
     bound = codec.sw_error_bound(cfg)

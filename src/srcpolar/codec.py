@@ -9,6 +9,8 @@ Wire format of one compressed block:
     payload-bit-count u32  little endian
     [crc32  u32 LE]        version 2 only
     payload                bits in increasing index order, MSB-first
+
+Bits travel as uint8 arrays, one bit per byte.
 """
 
 import zlib
@@ -17,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FingerprintMismatchError, FormatError, UnsupportedAlphabetError
+from .field import FieldSpec
 from .scdec import batch_rows, decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import METHOD_MC, HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, _inverse_rows, polar_forward
+from .transform import SymbolBlock, _forward_rows, _inverse_rows
+
+_GF2 = FieldSpec.binary()
 
 MAGIC = b"PLSC"
 VERSION_PLAIN = 1
@@ -32,7 +37,7 @@ class CompressedBlock:
     version: int
     n: int
     fingerprint: str  # 16 hex chars
-    payload: np.ndarray  # bit array, length = payload bit count
+    payload: np.ndarray  # uint8 bit array, length = payload bit count
     crc: int | None = None
 
     @property
@@ -48,7 +53,7 @@ class CompressedBlock:
         head += len(self.payload).to_bytes(4, "little")
         if self.version == VERSION_CRC:
             head += int(self.crc).to_bytes(4, "little")
-        return bytes(head) + np.packbits(self.payload.astype(np.uint8)).tobytes()
+        return bytes(head) + np.packbits(self.payload).tobytes()
 
     @staticmethod
     def from_bytes(buf: bytes, offset: int = 0) -> tuple["CompressedBlock", int]:
@@ -72,7 +77,7 @@ class CompressedBlock:
         raw = buf[pos : pos + nbytes]
         if len(raw) < nbytes:
             raise FormatError("truncated compressed block")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits].astype(np.int64)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits]
         return CompressedBlock(version, n, fingerprint, bits, crc), pos + nbytes
 
 
@@ -80,13 +85,31 @@ def compress(x: SymbolBlock, hset: HighEntropySet, checksum: bool = False) -> Co
     """u = x G_N; emit u restricted to the high-entropy indices."""
     if not x.field.is_binary:
         raise UnsupportedAlphabetError("compression requires a binary source")
-    if x.N != hset.N:
-        raise DomainError(f"block length {x.N} != set length {hset.N}")
-    u = polar_forward(x).data
-    payload = u[hset.mask]
-    crc = _crc(x.data) if checksum else None
+    return compress_blocks(x.data.reshape(1, -1), hset, checksum)[0]
+
+
+def compress_blocks(X, hset: HighEntropySet, checksum: bool = False) -> list[CompressedBlock]:
+    """Compress every row of a (blocks, N) array of bits with one transform call.
+
+    X holds 0/1 symbols of the binary field; a uint8 array is used as it
+    is, any other integer array is checked and then copied to uint8.  Row
+    b gives what compress gives for that block alone.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != hset.N:
+        raise DomainError(f"blocks of shape {X.shape} do not have length {hset.N}")
+    if X.dtype.kind not in "biu" or (X.size and (X.min() < 0 or X.max() > 1)):
+        raise DomainError("compression takes bits: 0/1 symbols of the binary field")
+    X = X.astype(np.uint8, copy=False)
+    # .compress keeps the rows contiguous; [:, mask] returns a column-major
+    # array, on which each row's packbits in to_bytes is about 30x slower.
+    payloads = _forward_rows(_GF2, X).compress(hset.mask, axis=1)
     version = VERSION_CRC if checksum else VERSION_PLAIN
-    return CompressedBlock(version, x.N.bit_length() - 1, hset.fingerprint, payload, crc)
+    n = hset.N.bit_length() - 1
+    return [
+        CompressedBlock(version, n, hset.fingerprint, p, _crc(x) if checksum else None)
+        for p, x in zip(payloads, X)
+    ]
 
 
 def decompress(
@@ -101,7 +124,7 @@ def decompress(
 
 
 def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> np.ndarray:
-    """Reconstruct every block at once; returns x as a (blocks, N) int64 array.
+    """Reconstruct every block at once; returns x as a (blocks, N) uint8 array.
 
     Y is the (blocks, N) array of side symbols, or None for a source
     without side information.  Each block must match the index set, and a
@@ -121,7 +144,7 @@ def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> n
         Y = np.asarray(Y, dtype=np.int64)
         if Y.shape != (len(blocks), N):
             raise DomainError(f"side blocks of shape {Y.shape} do not match {(len(blocks), N)}")
-    x_hat = np.empty((len(blocks), N), dtype=np.int64)
+    x_hat = np.empty((len(blocks), N), dtype=np.uint8)
     step = batch_rows(N)
     for s in range(0, len(blocks), step):
         chunk = blocks[s : s + step]
@@ -136,7 +159,7 @@ def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> n
 
 
 def _crc(bits: np.ndarray) -> int:
-    return zlib.crc32(np.packbits(bits.astype(np.uint8)).tobytes())
+    return zlib.crc32(np.packbits(bits).tobytes())
 
 
 def error_bound(hset: HighEntropySet, spec: PolarSpectrum) -> float:
@@ -210,7 +233,7 @@ def sw_decode_blocks(cxs, cys, cfg: SWConfig):
     """Two-stage joint decoding of many block pairs; returns (x_hat, y_hat) arrays.
 
     Every Y block is decoded alone first, then every X block given its Y
-    estimate; both results are (blocks, N) int64 arrays.
+    estimate; both results are (blocks, N) uint8 arrays.
     """
     y_hat = decompress_blocks(cys, None, cfg.set_y, cfg.y_marginal)
     x_hat = decompress_blocks(cxs, y_hat, cfg.set_x, cfg.joint)

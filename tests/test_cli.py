@@ -3,12 +3,13 @@ import importlib
 import json
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srcpolar import JointSource, binary_entropy
+from srcpolar import HighEntropySet, JointSource, SymbolBlock, binary_entropy, cli, compress
 from srcpolar.cli import main
 
 from conftest import BAD_MANIFESTS
@@ -134,6 +135,79 @@ class TestCompressPipeline:
             "--side", str(tmp_path / "side.bin"), "--out", str(tmp_path / "out.bin"),
         ) == 0
         assert (tmp_path / "out.bin").read_bytes() == data
+
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_round_trip_blocks_not_byte_aligned(self, tmp_path, N):
+        data = os.urandom(101)
+        (tmp_path / "in.bin").write_bytes(data)
+        side = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        (tmp_path / "side.bin").write_bytes(side.tobytes())
+        for preset, rate, extra in (
+            ("bernoulli(0.11)", 1.0, []),
+            ("bsc_pair(0.0)", 0.5, ["--side", str(tmp_path / "side.bin")]),  # noiseless side
+        ):
+            m = self._freeze(tmp_path, preset=preset, N=N, R=rate)
+            assert run(
+                "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+                "--out", str(tmp_path / "c.plsc"), "--checksum",
+            ) == 0
+            assert run(
+                "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
+                *extra, "--out", str(tmp_path / "out.bin"),
+            ) == 0
+            assert (tmp_path / "out.bin").read_bytes() == data
+
+    @pytest.mark.parametrize(
+        "N, chunk_bits", [(64, 1), (64, 192), (64, cli.COMPRESS_BITS), (4, 12), (2, 1)]
+    )
+    def test_chunked_container_matches_per_block_compress(self, tmp_path, monkeypatch, N, chunk_bits):
+        # 1001 bytes: many chunks, and the last block is partial for every N here
+        data = np.random.default_rng(N + chunk_bits).integers(0, 256, 1001, dtype=np.uint8)
+        (tmp_path / "in.bin").write_bytes(data.tobytes())
+        m = self._freeze(tmp_path, N=N, R=0.75)
+        hset = HighEntropySet.from_manifest(json.loads(m.read_text()))
+        bits = np.unpackbits(data)
+        pad = -bits.size % N
+        blocks = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
+        want = b"".join(
+            compress(SymbolBlock(JointSource.bernoulli(0.11).field, x), hset, checksum=True).to_bytes()
+            for x in blocks
+        ) + pad.to_bytes(4, "little")
+        monkeypatch.setattr(cli, "COMPRESS_BITS", chunk_bits)
+        assert run(
+            "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+            "--out", str(tmp_path / "c.plsc"), "--checksum",
+        ) == 0
+        assert (tmp_path / "c.plsc").read_bytes() == want
+
+    def test_non_binary_manifest_source_fails(self, tmp_path, capsys):
+        m = self._freeze(tmp_path, N=16)
+        q3 = {"q": 3, "y_size": 1, "probs": [0.5, 0.25, 0.25]}
+        m.write_text(json.dumps({**json.loads(m.read_text()), "source": q3}))
+        (tmp_path / "in.bin").write_bytes(b"ab")
+        assert run(
+            "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+            "--out", str(tmp_path / "c.plsc"),
+        ) == 1
+        assert "binary source" in capsys.readouterr().err
+        assert not (tmp_path / "c.plsc").exists()
+
+    def test_compress_memory_stays_near_one_chunk(self, tmp_path):
+        # The input's bits as int64 would alone take 64 MiB; one chunk of
+        # uint8 bits takes 1 MiB.
+        m = self._freeze(tmp_path, N=2**16, R=0.75)
+        bits = np.random.default_rng(3).random(8 * 2**20) < 0.11
+        (tmp_path / "in.bin").write_bytes(np.packbits(bits).tobytes())
+        tracemalloc.start()
+        try:
+            assert run(
+                "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+                "--out", str(tmp_path / "c.plsc"), "--checksum",
+            ) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_corrupted_magic_fails(self, tmp_path):
         m = self._freeze(tmp_path, N=16)
@@ -269,6 +343,30 @@ class TestSwsim:
             "--rx", "0.1", "--ry", "0.95", "--trials", "1", "--seed", "0",
             "--out", str(tmp_path / "x"),
         ) == 1
+
+
+BAD_SOURCES = {
+    "truncated_json": '{"q": 2, "y_size": 1, "probs": [0.5, ',
+    "missing_y_size": '{"q": 2}',
+    "not_a_dict": "[0.5, 0.5]",
+    "probs_not_numbers": '{"q": 2, "y_size": 1, "probs": ["a", "b"]}',
+}
+SOURCE_COMMANDS = {
+    "spectrum": ["-N", "4"],
+    "freeze": ["-N", "4", "-R", "0.5"],
+    "swsim": ["-N", "4", "--rx", "0.9", "--ry", "0.9", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOURCE_COMMANDS))
+@pytest.mark.parametrize("case", sorted(BAD_SOURCES))
+def test_bad_source_file_fails(tmp_path, capsys, command, case):
+    src = tmp_path / "src.json"
+    src.write_text(BAD_SOURCES[case])
+    out = tmp_path / "out"
+    assert run(command, "--source", str(src), *SOURCE_COMMANDS[command], "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"srcpolar: error: source {src}: ")
+    assert not out.exists()
 
 
 COMMANDS = ["spectrum", "freeze", "compress", "decompress", "chansim", "swsim"]

@@ -1,18 +1,25 @@
+import math
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srcpolar import (
     CompressedBlock,
     DomainError,
     FingerprintMismatchError,
     FormatError,
+    HighEntropySet,
     JointSource,
     SymbolBlock,
     UnsupportedAlphabetError,
     build_high_entropy_set,
     compress,
+    compress_blocks,
     conditional_entropy,
     decompress,
+    decompress_blocks,
     error_bound,
     exact_spectrum,
     montecarlo_spectrum,
@@ -24,7 +31,7 @@ from srcpolar import (
     zbound_spectrum,
 )
 
-from conftest import random_binary_source
+from conftest import dense_transform_matrix, random_binary_source
 
 BER011 = JointSource.bernoulli(0.11)
 BSC011 = JointSource.bsc_pair(0.11)
@@ -65,6 +72,54 @@ class TestCompress:
         hset = build_high_entropy_set(zbound_spectrum(BER011, 4), 1.0)
         with pytest.raises(UnsupportedAlphabetError):
             compress(SymbolBlock(FieldSpec.prime(3), np.zeros(4, dtype=np.int64)), hset)
+
+
+class TestCompressBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.sampled_from([1, 2, 4, 8, 64, 1024]),
+        B=st.sampled_from([1, 3, 17]),
+        rate=st.floats(0.01, 1.0),
+        checksum=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_dense_transform(self, N, B, rate, checksum, seed):
+        rng = np.random.default_rng(seed)
+        kept = sorted(int(i) + 1 for i in rng.choice(N, math.ceil(N * rate), replace=False))
+        hset = HighEntropySet(N, rate, tuple(kept), "0123456789abcdef", "zbound", None, None)
+        X = rng.integers(0, 2, (B, N), dtype=np.uint8)
+        U = X.astype(np.int64) @ dense_transform_matrix(2, N) % 2
+        blocks = compress_blocks(X, hset, checksum)
+        assert len(blocks) == B
+        for x, u, blk in zip(X, U, blocks):
+            assert blk.payload.dtype == np.uint8
+            assert np.array_equal(blk.payload, u[np.array(kept) - 1])
+            assert (blk.version, blk.N, blk.fingerprint) == (2 if checksum else 1, N, hset.fingerprint)
+            assert blk.crc == (zlib.crc32(np.packbits(x).tobytes()) if checksum else None)
+        one = compress(bits(X[0]), hset, checksum)
+        assert one.to_bytes() == blocks[0].to_bytes()
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.zeros(8, dtype=np.uint8),  # one-dimensional
+            np.zeros((2, 4), dtype=np.uint8),  # wrong block length
+            np.full((2, 8), 2, dtype=np.uint8),
+            np.full((2, 8), -1, dtype=np.int64),
+            np.zeros((2, 8), dtype=float),
+        ],
+    )
+    def test_bad_blocks_rejected(self, X):
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 8), 0.5)
+        with pytest.raises(DomainError):
+            compress_blocks(X, hset)
+
+    def test_int_and_bool_blocks_accepted(self, rng):
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 8), 0.5)
+        X = rng.integers(0, 2, (3, 8), dtype=np.uint8)
+        want = [blk.to_bytes() for blk in compress_blocks(X, hset, True)]
+        for other in (X.astype(np.int64), X.astype(bool)):
+            assert [blk.to_bytes() for blk in compress_blocks(other, hset, True)] == want
 
 
 class TestDecompress:
@@ -109,6 +164,13 @@ class TestDecompress:
         with pytest.raises(FormatError):
             decompress(bad, None, hset, s)
 
+    def test_blocks_restore_as_uint8(self, rng):
+        X = rng.integers(0, 2, (5, 32), dtype=np.uint8)
+        hset = build_high_entropy_set(zbound_spectrum(BSC011, 32), 0.8)
+        Y = X ^ (rng.random(X.shape) < 0.01)
+        x_hat = decompress_blocks(compress_blocks(X, hset, True), Y, hset, BSC011)
+        assert x_hat.dtype == np.uint8 and np.array_equal(x_hat, X)
+
     def test_checksum_round_trip(self, rng):
         hset = build_high_entropy_set(zbound_spectrum(BER011, 16), 1.0)
         x = bits(rng.integers(0, 2, 16))
@@ -128,6 +190,7 @@ class TestSerialization:
             assert again.n == blk.n
             assert again.fingerprint == blk.fingerprint
             assert again.crc == blk.crc
+            assert again.payload.dtype == np.uint8
             assert np.array_equal(again.payload, blk.payload)
 
     def test_header_size(self):
