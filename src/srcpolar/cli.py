@@ -13,6 +13,7 @@ import os
 import re
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -148,7 +149,7 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     hset, source = _load_manifest(args.manifest)
     N = hset.N
-    buf = open(args.infile, "rb").read()
+    buf = Path(args.infile).read_bytes()
     if len(buf) < _PAD_TRAILER:
         raise SrcPolarError("truncated container")
     pad = int.from_bytes(buf[-_PAD_TRAILER:], "little")
@@ -161,7 +162,7 @@ def cmd_decompress(args) -> int:
         raise FormatError(f"pad trailer {pad} does not fit {len(blocks)} blocks of {N} bits")
     side = None
     if args.side:
-        side = np.frombuffer(open(args.side, "rb").read(), dtype=np.uint8)
+        side = np.frombuffer(Path(args.side).read_bytes(), dtype=np.uint8)
         if side.shape[0] != len(blocks) * N:
             raise SrcPolarError("side-information length does not match the container")
         side = side.reshape(len(blocks), N)

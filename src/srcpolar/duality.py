@@ -17,7 +17,7 @@ from .field import FieldSpec
 from .scdec import batch_rows, decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, polar_forward
+from .transform import SymbolBlock, _forward_rows
 
 _ROW_TOL = 1e-12
 
@@ -66,9 +66,12 @@ class ChannelModel:
 
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling of outputs for an input bit vector."""
+        return self._outputs(x, rng.random(x.shape[0]))
+
+    def _outputs(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Channel outputs for inputs x given uniforms r of the same shape (inverse CDF)."""
         cdf = np.cumsum(self.table, axis=1)
-        r = rng.random(x.shape[0])
-        return (r[:, None] >= cdf[x]).sum(axis=1).astype(np.int64)
+        return (r[..., None] >= cdf[x]).sum(axis=-1, dtype=np.int64)
 
 
 def induced_source(w: ChannelModel) -> JointSource:
@@ -131,10 +134,15 @@ def channel_encode(data: np.ndarray, code: DualityCode) -> SymbolBlock:
     data = np.asarray(data, dtype=np.int64)
     if data.shape[0] != code.data_size:
         raise DomainError(f"expected {code.data_size} data bits, got {data.shape[0]}")
-    u = np.empty(code.N, dtype=np.int64)
-    u[code.frozen_set.mask] = code.frozen_pattern
-    u[~code.frozen_set.mask] = data
-    return polar_forward(SymbolBlock(code.source.field, u))
+    return SymbolBlock(code.source.field, _encode_rows(data[None], code)[0])
+
+
+def _encode_rows(data: np.ndarray, code: DualityCode) -> np.ndarray:
+    """Codewords x = u G_N for each row of the (B, data_size) data bits, as uint8."""
+    u = np.empty((data.shape[0], code.N), dtype=np.uint8)
+    u[:, code.frozen_set.mask] = code.frozen_pattern
+    u[:, ~code.frozen_set.mask] = data
+    return _forward_rows(code.source.field, u)
 
 
 def channel_decode(y, code: DualityCode) -> np.ndarray:
@@ -162,8 +170,9 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
 def simulate(w: ChannelModel, code: DualityCode, trials: int, seed: int) -> dict:
     """Seeded end-to-end trials; reports FER, BER and the union-bound certificate.
 
-    Trial t draws its data and channel noise from default_rng([seed, t]).
-    Trials are generated, decoded and scored one decoder batch at a time.
+    Trial t draws its data bits and then N channel uniforms from
+    default_rng([seed, t]).  Trials are encoded, sent through the channel,
+    decoded and scored one decoder batch at a time.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -174,11 +183,12 @@ def simulate(w: ChannelModel, code: DualityCode, trials: int, seed: int) -> dict
     for start in range(0, trials, step):
         ts = range(start, min(start + step, trials))
         data = np.empty((len(ts), k), dtype=np.int64)
-        Y = np.empty((len(ts), code.N), dtype=np.int64)
+        noise = np.empty((len(ts), code.N))
         for r, t in enumerate(ts):
             rng = np.random.default_rng([seed, t])
             data[r] = rng.integers(0, 2, size=k, dtype=np.int64)
-            Y[r] = w.sample(channel_encode(data[r], code).data, rng)
+            noise[r] = rng.random(code.N)
+        Y = w._outputs(_encode_rows(data, code), noise)
         wrong = (channel_decode_batch(Y, code) != data).sum(axis=1)
         bit_errors += int(wrong.sum())
         frame_errors += int((wrong > 0).sum())

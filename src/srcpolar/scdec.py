@@ -2,11 +2,18 @@
 
 All likelihoods live in the natural-log domain, saturated to +-L_MAX.
 Every codec decodes through `decode_batch`, a tree SC decoder that runs
-many blocks at once on numpy arrays.  Because G_N = F^(kron n) B_N, it
-works on the channel llrs in bit-reversed order: a node splits its llrs
-into halves a and b, decodes its first half of u from f(a, b), then its
-second half from g = b +- a, signed by the first half's partial sums.  A
-node whose u positions are all known (rate 0) does no llr math.
+many blocks at once on numpy arrays, BATCH_LLRS = 2^16 llrs per chunk.
+Because G_N = F^(kron n) B_N, it works on the channel llrs in
+bit-reversed order: a node splits its llrs into halves a and b, decodes
+its first half of u from f(a, b), then its second half from g = b +- a,
+signed by the first half's partial sums.  Three node kinds are decided
+without that split, each giving SC's bits (see _decode_node):
+
+- Rate 0, every u position known: no llr math, so no f over a known left
+  half; its partial sums come from the known bits.
+- Rep, only the last position unknown: SC's chain of g steps to it.
+- Rate 1, every position unknown, behind a guard on min |llr|: the hard
+  decisions of its llrs.
 
 `SequentialDecoder` is the step-by-step reference: it yields one
 decision llr per index and performs N log2 N combine operations per
@@ -29,7 +36,7 @@ L_MAX = 700.0
 SC_TIE = 1e-9
 # LLRs held per decode_batch chunk: blocks are decoded max(1, BATCH_LLRS // N)
 # at a time, which bounds the decoder's memory whatever the batch size.
-BATCH_LLRS = 1 << 14
+BATCH_LLRS = 1 << 16
 
 _LN = math.log
 _LOG1P = math.log1p
@@ -199,12 +206,19 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     table = _llr_table(source, Y)
     perm = bit_reverse_indices(N.bit_length() - 1)
     unknown_before = [0, *np.cumsum(~known_mask).tolist()]
-    u = np.empty((B, N), dtype=np.int64)
+    known = known_vals.astype(np.uint8) & known_mask
+    u = np.empty((B, N), dtype=np.uint8)
     step = batch_rows(N)
     for s in range(0, B, step):
         rows = slice(s, s + step)
-        _decode_node(table[Y[rows][:, perm]], unknown_before, known_vals[rows], u[rows], 0)
-    return u
+        sums = _known_sums(known[rows])
+        if unknown_before[N] == 0:
+            beta = sums[-1]
+        else:
+            beta = _decode_node(table[Y[rows][:, perm]], 0, unknown_before, sums)
+        u[rows] = _kron_rows(_GF2, beta)
+    # widened only now, so the chunk's llrs are freed before the int64 copy exists
+    return u.astype(np.int64)
 
 
 def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
@@ -219,28 +233,91 @@ def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
 
 
 _GF2 = FieldSpec.binary()
+# A rate-1 node of size 2^d whose llrs all exceed RATE1_GUARD * d + 2 SC_TIE
+# in magnitude decides their hard decisions; see _decode_node.
+RATE1_GUARD = math.log(2) + 1e-12
 
 
-def _decode_node(L, unknown_before, known, u, lo):
-    """Decode u[:, lo:lo+m] from the node's llrs L (B, m); returns their partial sums.
+def _known_sums(known: np.ndarray) -> list:
+    """sums[d][:, lo:lo+2^d] = known[:, lo:lo+2^d] F^(kron 2^d) for every aligned block.
 
-    unknown_before[i] counts the unknown positions below i.  The partial
-    sums are u[:, lo:lo+m] F^(kron m), the node's part of the re-encoded
-    block, which its parent needs for g.
+    The stages of F^(kron N) commute, so running them from the shortest
+    half up gives every block size in one pass.
+    """
+    B, N = known.shape
+    sums = [known]
+    h = 1
+    while h < N:
+        w = sums[-1].copy()
+        v = w.reshape(B, N // (2 * h), 2, h)
+        v[:, :, 0, :] ^= v[:, :, 1, :]
+        sums.append(w)
+        h <<= 1
+    return sums
+
+
+def _decode_node(L, lo, unknown_before, sums):
+    """Decode u[:, lo:lo+m] from the node's llrs L (B, m); returns its partial sums.
+
+    The partial sums are u[:, lo:lo+m] F^(kron m), the node's part of the
+    re-encoded block, which its parent needs for g.  unknown_before[i]
+    counts the unknown positions below i, and sums (see _known_sums) holds
+    the partial sums of the known bits with the unknown ones set to 0.
+    The node has at least one unknown position.  Besides the plain SC
+    split it knows three node kinds, each deciding the bits SC decides:
+
+    - A child with no unknown position (rate 0) takes its partial sums from
+      sums, and its llrs (f for a left child, g for a right one) are never
+      computed.
+    - Rep: only the last position is unknown.  Its llr is the chain of g
+      steps SC takes, each against a rate-0 left half, in the same order
+      and with the same clamps.  Its decision then flips every partial
+      sum, since the last row of F^(kron m) is all ones.
+    - Rate 1: every position is unknown, m = 2^d, and every |L| exceeds
+      d (ln 2 + 1e-12) + 2 SC_TIE.  Then the partial sums are the hard
+      decisions L < 0.  Proof: the correction log1p(e^-|a+b|) -
+      log1p(e^-|a-b|) in f lies in [-ln 2, ln 2] and float error adds
+      under 2e-13 for |a|, |b| <= L_MAX, so |f(a, b)| >= min(|a|, |b|) -
+      ln 2 - 2e-13 and sign f = sign a sign b once that minimum exceeds
+      ln 2.  f thus meets the bound for d - 1.  If the left half decides
+      the hard decisions of f, HD(a) xor HD(b), then g adds a and b with
+      equal signs, so |g| >= |b| (clamping only lowers values above
+      L_MAX >= |b|) and sign g = sign b.  By induction every leaf llr
+      lies beyond 2 SC_TIE of zero and decides its hard decision, and the
+      node's partial sums (HD(a) xor HD(b) xor HD(b), HD(b)) are HD(L).
+      Without the guard this fails: for llrs (0, b) from a g that
+      cancelled, f(0, b) = 0 is a tie that decides 0, so SC's partial
+      sums are (HD(b), HD(b)) where the hard decisions are (0, HD(b)).
+      A node that misses the guard splits as plain SC does.
     """
     m = L.shape[1]
+    d = m.bit_length() - 1
     hi = lo + m
-    if unknown_before[hi] == unknown_before[lo]:
-        u[:, lo:hi] = known[:, lo:hi]
-        return _kron_rows(_GF2, known[:, lo:hi].copy())
-    if m == 1:
-        u[:, lo:hi] = L < -SC_TIE
-        return u[:, lo:hi]
+    unknown = unknown_before[hi] - unknown_before[lo]
+    if unknown == m and (m == 1 or np.abs(L).min() > RATE1_GUARD * d + 2 * SC_TIE):
+        return (L < -SC_TIE).view(np.uint8)
+    if unknown == 1 and unknown_before[hi - 1] == unknown_before[lo]:
+        for k in range(d - 1, -1, -1):
+            h = 1 << k
+            L = _g(L[:, :h], L[:, h:], sums[k][:, hi - 2 * h : hi - h])
+        return sums[d][:, lo:hi] ^ (L < -SC_TIE).view(np.uint8)
     h = m >> 1
+    mid = lo + h
     a, b = L[:, :h], L[:, h:]
-    left = _decode_node(_combine_odd_vec(a, b), unknown_before, known, u, lo)
-    right = _decode_node(_clamp_vec(b + np.where(left == 0, a, -a)), unknown_before, known, u, lo + h)
+    if unknown_before[mid] == unknown_before[lo]:
+        left = sums[d - 1][:, lo:mid]
+    else:
+        left = _decode_node(_combine_odd_vec(a, b), lo, unknown_before, sums)
+    if unknown_before[hi] == unknown_before[mid]:
+        right = sums[d - 1][:, mid:hi]
+    else:
+        right = _decode_node(_g(a, b, left), mid, unknown_before, sums)
     return np.concatenate((left ^ right, right), axis=1)
+
+
+def _g(a: np.ndarray, b: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """b + a where the left half's partial sum is 0, b - a where it is 1, clamped."""
+    return _clamp_vec(b + np.where(left == 0, a, -a))
 
 
 def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
@@ -258,14 +335,29 @@ def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     b = genie_llr_profile(chan_llr[:, N // 2 :], u_even)
     out = np.empty_like(chan_llr)
     out[:, 0::2] = _combine_odd_vec(a, b)
-    out[:, 1::2] = _clamp_vec(b + np.where(u_odd == 0, a, -a))
+    out[:, 1::2] = _g(a, b, u_odd)
     return out
 
 
 def _combine_odd_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    m = m + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    """llr_combine_odd elementwise, computed in place in two buffers.
+
+    copysign(min, a b) is sign(a) sign(b) min: |a b| <= L_MAX^2 cannot
+    overflow, an underflow keeps its sign, and min is 0 when a or b is.
+    """
+    m = np.minimum(np.abs(a), np.abs(b))
+    np.copysign(m, a * b, out=m)
+    m += _log1p_exp_neg_abs(np.add(a, b))
+    m -= _log1p_exp_neg_abs(np.subtract(a, b))
     return _clamp_vec(m)
+
+
+def _log1p_exp_neg_abs(v: np.ndarray) -> np.ndarray:
+    """log1p(exp(-|v|)) of a fresh array, in place."""
+    np.abs(v, out=v)
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    return np.log1p(v, out=v)
 
 
 def _clamp_vec(v: np.ndarray) -> np.ndarray:

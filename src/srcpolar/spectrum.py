@@ -80,11 +80,17 @@ class HighEntropySet:
             raise FormatError(f"N={N!r}, R={R!r}: N must be a power of two and 0 < R <= 1")
         if not (isinstance(fp, str) and len(fp) == 16 and set(fp) <= set("0123456789abcdef")):
             raise FormatError(f"fingerprint {fp!r} is not 16 lowercase hex digits")
-        if len(idx) != math.ceil(N * R) or not all(type(i) is int for i in idx) or not (
-            1 <= idx[0] and idx[-1] <= N and all(i < j for i, j in zip(idx, idx[1:]))
-        ):
-            raise FormatError(f"indices must be ceil(NR) strictly increasing integers in 1..{N}")
-        mask = np.isin(np.arange(1, N + 1), idx)
+        bad = FormatError(f"indices must be ceil(NR) strictly increasing integers in 1..{N}")
+        if len(idx) != math.ceil(N * R) or not all(type(i) is int for i in idx):
+            raise bad
+        try:
+            arr = np.array(idx, dtype=np.int64)
+        except OverflowError:
+            raise bad from None
+        if arr[0] < 1 or arr[-1] > N or (arr[1:] <= arr[:-1]).any():
+            raise bad
+        mask = np.zeros(N, dtype=bool)
+        mask[arr - 1] = True
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 

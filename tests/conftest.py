@@ -114,6 +114,7 @@ BAD_MANIFESTS = {
     "non_integer_index": _replace_indices(0, lambda doc: doc["indices"][0] + 0.5),
     "index_0": _replace_indices(0, lambda doc: 0),
     "index_N_plus_1": _replace_indices(-1, lambda doc: doc["N"] + 1),
+    "index_beyond_int64": _replace_indices(-1, lambda doc: 2**70),
     "duplicate_index": _replace_indices(1, lambda doc: doc["indices"][0]),
     "reversed_order": lambda doc: {**doc, "indices": doc["indices"][::-1]},
     "one_index_short": lambda doc: {**doc, "indices": doc["indices"][:-1]},

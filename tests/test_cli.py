@@ -1,9 +1,12 @@
+import gc
 import hashlib
 import importlib
 import json
 import os
 import shutil
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,31 @@ class TestCompressPipeline:
             "--side", str(tmp_path / "side.bin"), "--out", str(tmp_path / "out.bin"),
         ) == 0
         assert (tmp_path / "out.bin").read_bytes() == data
+
+    def test_decompress_closes_its_files(self, tmp_path, monkeypatch):
+        # A file left to the garbage collector warns as it is freed; under the
+        # error filter that warning is raised in a finalizer and only reaches
+        # sys.unraisablehook, so collect what reaches it.
+        unraised = []
+        monkeypatch.setattr(sys, "unraisablehook", unraised.append)
+        m = self._freeze(tmp_path, preset="bsc_pair(0.0)", N=32, R=0.5)
+        data = bytes(range(32))
+        (tmp_path / "in.bin").write_bytes(data)
+        side = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        (tmp_path / "side.bin").write_bytes(side.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert run(
+                "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+                "--out", str(tmp_path / "c.plsc"),
+            ) == 0
+            assert run(
+                "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
+                "--side", str(tmp_path / "side.bin"), "--out", str(tmp_path / "out.bin"),
+            ) == 0
+            gc.collect()
+        assert (tmp_path / "out.bin").read_bytes() == data
+        assert [u.exc_value for u in unraised] == []
 
     @pytest.mark.parametrize("N", [2, 4])
     def test_round_trip_blocks_not_byte_aligned(self, tmp_path, N):

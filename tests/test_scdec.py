@@ -23,6 +23,8 @@ from srcpolar import (
     scdec,
 )
 
+from srcpolar.duality import ChannelModel, channel_decode_batch, channel_encode, make_duality_code
+
 from conftest import random_binary_source, successive_map_oracle
 
 
@@ -76,6 +78,15 @@ class TestCombines:
             la, lb = math.exp(a), math.exp(b)
             want = math.log((la * lb + 1) / (la + lb))
             assert llr_combine_odd(a, b) == pytest.approx(want, abs=1e-10)
+
+    def test_vectorised_matches_scalar(self, rng):
+        a = np.concatenate([rng.normal(0, 10, 500), [0.0, -0.0, 0.0, L_MAX, -L_MAX, 1e-300]])
+        b = np.concatenate([rng.normal(0, 10, 500), [0.0, 3.0, -3.0, L_MAX, L_MAX, -1e-300]])
+        got = scdec._combine_odd_vec(a[None], b[None])[0]
+        want = [llr_combine_odd(x, y) for x, y in zip(a, b)]
+        # numpy's exp and log1p may differ from math's in the last place
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+        assert np.array_equal(np.sign(got), np.sign(want))
 
     def test_even_branch(self):
         assert llr_combine_even(1.5, 2.0, 0) == pytest.approx(3.5)
@@ -282,3 +293,88 @@ class TestDecodeBatch:
         assert decode_batch(s, np.zeros((1, 2)), mask, np.zeros((1, 2))).shape == (1, 2)
         with pytest.raises(DomainError):
             decode_batch(s, np.array([[0, 1]]), mask, np.zeros((1, 2)))
+
+
+def _edge_source(d: int) -> JointSource:
+    """Side symbols with llrs of either sign around d ln 2, the rate-1 guard of a size-2^d node.
+
+    The guard is d (ln 2 + 1e-12) + 2 SC_TIE: d ln 2 - 1e-6 and d ln 2 + 1e-10
+    lie below it, d ln 2 + 1e-8 and d ln 2 + 1e-3 above it.
+    """
+    offsets = (-1e-6, 1e-10, 1e-8, 1e-3)
+    llrs = [sign * (d * math.log(2) + off) for sign in (1, -1) for off in offsets]
+    p0 = np.array([1 / (1 + math.exp(-v)) for v in llrs])
+    return JointSource(FieldSpec.binary(), np.array([p0, 1 - p0]) / len(llrs))
+
+
+def _node_mask(rng, N: int) -> np.ndarray:
+    """Known mask of aligned blocks that are rate 0, rate 1, Rep, or split again."""
+    kind = int(rng.integers(4 if N > 1 else 2))
+    if kind == 0:
+        return np.ones(N, dtype=bool)
+    if kind == 1:
+        return np.zeros(N, dtype=bool)
+    if kind == 2:
+        return np.arange(N) < N - 1
+    return np.concatenate([_node_mask(rng, N // 2), _node_mask(rng, N // 2)])
+
+
+class TestNodeKinds:
+    """decode_batch decides rate-1 and Rep nodes at once; the bits must stay SC's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([2, 4, 8, 64]),
+        B=st.sampled_from([1, 4, 16]),
+        shape=st.sampled_from(["rate1", "rep", "tree"]),
+        kind=st.sampled_from(["bec", "bsc", "edge1", "edge2", "edge3", "edge6"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_sequential_decoder(self, N, B, shape, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "bec":
+            s = JointSource.bec_pair(0.4)  # exact zeros
+        elif kind == "bsc":
+            s = JointSource.bsc_pair(0.11)  # g = b - a cancels to exactly 0
+        else:
+            s = _edge_source(int(kind[4:]))
+        mask = {"rate1": np.zeros(N, dtype=bool), "rep": np.arange(N) < N - 1,
+                "tree": _node_mask(rng, N)}[shape]
+        known_vals = rng.integers(0, 2, (B, N))
+        Y = rng.integers(0, s.y_size, (B, N))
+        got = decode_batch(s, Y, mask, known_vals)
+        assert np.array_equal(got, _row_by_row(s, Y, mask, known_vals))
+
+    def test_guard_keeps_a_tie_from_g(self):
+        # u_1 known as 1 and y = (0, 0, 1, 1): g hands llrs (0, -2b) to the rate-1
+        # right half, where f(0, -2b) = 0 ties to 0 and SC decides partial sums
+        # (1, 1); their hard decisions would be (0, 1).
+        s = JointSource.bsc_pair(0.11)
+        Y = np.array([[0, 0, 1, 1]])
+        mask = np.array([True, True, False, False])
+        known_vals = np.array([[1, 0, 0, 0]])
+        got = decode_batch(s, Y, mask, known_vals)
+        assert np.array_equal(got, _row_by_row(s, Y, mask, known_vals))
+
+    def test_rate1_root_needs_no_f(self, monkeypatch):
+        # every llr is ln 9999 = 9.21, above the root's guard 10 ln 2 = 6.93
+        calls = []
+        combine = scdec._combine_odd_vec
+        monkeypatch.setattr(scdec, "_combine_odd_vec",
+                            lambda a, b: calls.append(1) or combine(a, b))
+        s = JointSource.bernoulli(1e-4)
+        got = decode_batch(s, None, np.zeros(1024, dtype=bool), np.zeros((2, 1024), dtype=np.int64))
+        assert calls == []
+        assert np.array_equal(got, np.broadcast_to(decode_block(s, None, {}, N=1024)[0], (2, 1024)))
+
+    def test_noise_free_channel_code_visits_few_nodes(self, monkeypatch):
+        w = ChannelModel.bsc(0.11)
+        code = make_duality_code(w, 1024, 0.35, 1)
+        data = np.random.default_rng(5).integers(0, 2, (8, code.data_size))
+        Y = np.array([channel_encode(d, code).data for d in data])
+        visits = []
+        node = scdec._decode_node
+        monkeypatch.setattr(scdec, "_decode_node", lambda *a: visits.append(1) or node(*a))
+        assert np.array_equal(channel_decode_batch(Y, code), data)
+        # 188 when every rate-1 guard holds; the plain SC split visits 905 nodes
+        assert len(visits) <= 200
