@@ -7,6 +7,7 @@ Floats are formatted with 17 significant digits.
 """
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -222,7 +223,9 @@ def _add_source_args(p):
     p.add_argument("--source", help="path to a source description JSON file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: no command mutates its defaults."""
     ap = argparse.ArgumentParser(prog="srcpolar", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

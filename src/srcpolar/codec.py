@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, FingerprintMismatchError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
-from .scdec import batch_rows, decode_batch
+from .scdec import decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import METHOD_MC, HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
 from .transform import SymbolBlock, _forward_rows, _inverse_rows
@@ -119,7 +119,7 @@ def decompress(
     source: JointSource,
 ) -> SymbolBlock:
     """Reconstruction of x from one block's payload and side block y."""
-    Y = None if y is None else np.asarray(y, dtype=np.int64).reshape(1, -1)
+    Y = None if y is None else np.asarray(y).reshape(1, -1)
     return SymbolBlock(source.field, decompress_blocks([block], Y, hset, source)[0])
 
 
@@ -128,7 +128,8 @@ def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> n
 
     Y is the (blocks, N) array of side symbols, or None for a source
     without side information.  Each block must match the index set, and a
-    version 2 block must match its crc32 after decoding.
+    version 2 block must match its crc32 after decoding.  The payloads go
+    to one decode_batch call as uint8 known bits, with Y in its own dtype.
     """
     for blk in blocks:
         if blk.fingerprint != hset.fingerprint:
@@ -139,22 +140,13 @@ def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> n
             raise FormatError("block length disagrees with index set")
         if len(blk.payload) != len(hset.indices):
             raise FormatError("payload bit count disagrees with index set size")
-    N = hset.N
-    if Y is not None:
-        Y = np.asarray(Y, dtype=np.int64)
-        if Y.shape != (len(blocks), N):
-            raise DomainError(f"side blocks of shape {Y.shape} do not match {(len(blocks), N)}")
-    x_hat = np.empty((len(blocks), N), dtype=np.uint8)
-    step = batch_rows(N)
-    for s in range(0, len(blocks), step):
-        chunk = blocks[s : s + step]
-        known = np.zeros((len(chunk), N), dtype=np.int64)
-        known[:, hset.mask] = [blk.payload for blk in chunk]
-        u_hat = decode_batch(source, None if Y is None else Y[s : s + step], hset.mask, known)
-        x_hat[s : s + step] = _inverse_rows(source.field, u_hat)
-        for blk, x in zip(chunk, x_hat[s : s + step]):
-            if blk.version == VERSION_CRC and _crc(x) != blk.crc:
-                raise FormatError("checksum mismatch after decompression")
+    known = np.zeros((len(blocks), hset.N), dtype=np.uint8)
+    payloads = [blk.payload for blk in blocks]
+    known[:, hset.mask] = np.reshape(payloads, (len(blocks), len(hset.indices)))
+    x_hat = _inverse_rows(source.field, decode_batch(source, Y, hset.mask, known))
+    for blk, x in zip(blocks, x_hat):
+        if blk.version == VERSION_CRC and _crc(x) != blk.crc:
+            raise FormatError("checksum mismatch after decompression")
     return x_hat
 
 
@@ -188,6 +180,8 @@ class SWConfig:
     rate_y: float
     set_x: HighEntropySet  # built for X given Y
     set_y: HighEntropySet  # built for Y alone
+    spec_x: PolarSpectrum  # certified z bounds set_x was built from
+    spec_y: PolarSpectrum  # and those of set_y
 
     def to_manifest(self) -> dict:
         return {
@@ -210,9 +204,10 @@ def sw_config(joint: JointSource, N: int, rate_x: float, rate_y: float) -> SWCon
         raise DomainError(f"R_x={rate_x} must exceed H(X|Y)={h_xy:.6f}")
     if rate_y <= h_y:
         raise DomainError(f"R_y={rate_y} must exceed H(Y)={h_y:.6f}")
-    set_x = build_high_entropy_set(zbound_spectrum(joint, N), rate_x)
-    set_y = build_high_entropy_set(zbound_spectrum(y_marg, N), rate_y)
-    return SWConfig(joint, y_marg, rate_x, rate_y, set_x, set_y)
+    spec_x, spec_y = zbound_spectrum(joint, N), zbound_spectrum(y_marg, N)
+    set_x = build_high_entropy_set(spec_x, rate_x)
+    set_y = build_high_entropy_set(spec_y, rate_y)
+    return SWConfig(joint, y_marg, rate_x, rate_y, set_x, set_y, spec_x, spec_y)
 
 
 def sw_encode_x(x: SymbolBlock, cfg: SWConfig) -> CompressedBlock:
@@ -242,6 +237,4 @@ def sw_decode_blocks(cxs, cys, cfg: SWConfig):
 
 def sw_error_bound(cfg: SWConfig) -> float:
     """Sum of the two stages' union-bound certificates (may exceed 1)."""
-    bx = error_bound(cfg.set_x, zbound_spectrum(cfg.joint, cfg.set_x.N))
-    by = error_bound(cfg.set_y, zbound_spectrum(cfg.y_marginal, cfg.set_y.N))
-    return bx + by
+    return error_bound(cfg.set_x, cfg.spec_x) + error_bound(cfg.set_y, cfg.spec_y)

@@ -147,21 +147,21 @@ def _encode_rows(data: np.ndarray, code: DualityCode) -> np.ndarray:
 
 def channel_decode(y, code: DualityCode) -> np.ndarray:
     """SC decoding with frozen positions known; returns the data bits."""
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if y.ndim != 1:
         raise DomainError("received block must be one-dimensional")
     return channel_decode_batch(y[None], code)[0]
 
 
 def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
-    """Decode each row of the (B, N) received blocks; returns (B, data_size) data bits."""
-    Y = np.asarray(Y, dtype=np.int64)
+    """Decode each row of the (B, N) received blocks; returns (B, data_size) uint8 data bits."""
+    Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[1] != code.N:
         raise DomainError(f"received block length {Y.shape[-1]} != N={code.N}")
     if Y.size and (Y.min() < 0 or Y.max() >= code.channel.output_size):
         raise DomainError("received symbol outside the channel output alphabet")
     frozen = code.frozen_set.mask
-    pattern = np.zeros(code.N, dtype=np.int64)
+    pattern = np.zeros(code.N, dtype=np.uint8)
     pattern[frozen] = code.frozen_pattern
     u_hat = decode_batch(code.source, Y, frozen, np.broadcast_to(pattern, Y.shape))
     return u_hat[:, ~frozen]

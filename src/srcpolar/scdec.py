@@ -177,15 +177,17 @@ def batch_rows(N: int) -> int:
 
 
 def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
-    """SC-decode B blocks at once; returns u as a (B, N) int64 array.
+    """SC-decode B blocks at once; returns u as a (B, N) uint8 array.
 
     Y is the (B, N) array of side symbols, or None for a source without
     side information.  known_mask (N,) marks the positions whose bits the
     caller already has; known_vals (B, N) holds them, and its other
     entries are ignored.  Row b is what decode_block returns for Y[b] with
-    those known bits.  Blocks are decoded batch_rows(N) at a time.
+    those known bits.  Integer Y and known_vals are read in their own
+    dtype, so uint8 bits and side symbols are never widened as a whole.
+    Blocks are decoded batch_rows(N) at a time.
     """
-    known_vals = np.asarray(known_vals, dtype=np.int64)
+    known_vals = np.asarray(known_vals)
     known_mask = np.asarray(known_mask, dtype=bool)
     if known_vals.ndim != 2:
         raise DomainError("known values must be a (blocks, N) array")
@@ -194,31 +196,32 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
         raise DomainError(f"block length {N} is not a power of two")
     if known_mask.shape != (N,):
         raise DomainError(f"known mask must have {N} entries")
-    if ((known_vals[:, known_mask] & ~1) != 0).any():
+    given = known_vals[:, known_mask]
+    if given.size and (given.min() < 0 or given.max() > 1):
         raise DomainError("known bits must be 0 or 1")
     if Y is None:
         if source.y_size != 1:
             raise DomainError("side block required for a source with side information")
-        Y = np.broadcast_to(np.int64(0), (B, N))
-    Y = np.asarray(Y, dtype=np.int64)
+        Y = np.broadcast_to(np.uint8(0), (B, N))
+    Y = np.asarray(Y)
+    if Y.dtype.kind not in "iu":
+        Y = Y.astype(np.int64)
     if Y.shape != (B, N):
         raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
     table = _llr_table(source, Y)
     perm = bit_reverse_indices(N.bit_length() - 1)
     unknown_before = [0, *np.cumsum(~known_mask).tolist()]
-    known = known_vals.astype(np.uint8) & known_mask
     u = np.empty((B, N), dtype=np.uint8)
     step = batch_rows(N)
     for s in range(0, B, step):
         rows = slice(s, s + step)
-        sums = _known_sums(known[rows])
+        sums = _known_sums(known_vals[rows].astype(np.uint8) & known_mask)
         if unknown_before[N] == 0:
             beta = sums[-1]
         else:
             beta = _decode_node(table[Y[rows][:, perm]], 0, unknown_before, sums)
         u[rows] = _kron_rows(_GF2, beta)
-    # widened only now, so the chunk's llrs are freed before the int64 copy exists
-    return u.astype(np.int64)
+    return u
 
 
 def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:

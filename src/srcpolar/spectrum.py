@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
-from .scdec import base_llr, genie_llr_profile
-from .sources import JointSource, bhattacharyya
+from .scdec import _llr_table, genie_llr_profile
+from .sources import JointSource, _entropy_nats, bhattacharyya
 from .transform import _forward_rows
 
 METHOD_EXACT = "exact"
@@ -175,25 +175,19 @@ def exact_spectrum(s: JointSource, N: int) -> PolarSpectrum:
     h = np.empty(N)
     z = np.empty(N) if s.field.is_binary else None
     marg = pu
-    ent_hi = _entropy_of(marg)
+    ent_hi = _entropy_nats(marg)
     for i in range(N, 0, -1):
         shaped = marg.reshape(q ** (i - 1), q, ys**N)
         if z is not None:
             z[i - 1] = 2.0 * float(np.sqrt(shaped[:, 0, :] * shaped[:, 1, :]).sum())
         marg = shaped.sum(axis=1)
-        ent_lo = _entropy_of(marg)
+        ent_lo = _entropy_nats(marg)
         h[i - 1] = (ent_hi - ent_lo) / lnq
         ent_hi = ent_lo
     np.clip(h, 0.0, None, out=h)
     if z is not None:
         np.clip(z, 0.0, 1.0, out=z)
     return PolarSpectrum(N=N, method=METHOD_EXACT, h=h, z=z, source_desc=s.description())
-
-
-def _entropy_of(p: np.ndarray) -> float:
-    flat = p.reshape(-1)
-    pos = flat[flat > 0]
-    return float(-(pos * np.log(pos)).sum())
 
 
 def zbound_spectrum(s: JointSource, N: int) -> PolarSpectrum:
@@ -295,15 +289,9 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int) -> Pola
     rng = np.random.default_rng(seed)
     flat = s.probs.reshape(-1)
     draws = rng.choice(flat.shape[0], size=(samples, N), p=flat)
-    x = (draws // s.y_size).astype(np.int64)
     y = draws % s.y_size
-    u = _forward_rows(s.field, x)
-    py = s.p_y()
-    # zero-probability side symbols are never drawn; placeholder llr of 0
-    llr_table = np.array(
-        [base_llr(s, yy) if py[yy] > 0 else 0.0 for yy in range(s.y_size)]
-    )
-    llrs = genie_llr_profile(llr_table[y], u)
+    u = _forward_rows(s.field, (draws // s.y_size).astype(np.uint8))
+    llrs = genie_llr_profile(_llr_table(s, y)[y], u)
     # -log2 P(true bit): logaddexp(0, -llr) for u=0, logaddexp(0, llr) for u=1
     signed = np.where(u == 0, -llrs, llrs)
     h = np.logaddexp(0.0, signed).mean(axis=0) / math.log(2.0)

@@ -237,6 +237,47 @@ class TestCompressPipeline:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("checksum", [[], ["--checksum"]])
+    @pytest.mark.parametrize("preset", ["bernoulli(0.11)", "bsc_pair(0.11)"])
+    def test_empty_file_round_trips(self, tmp_path, preset, checksum):
+        m = self._freeze(tmp_path, preset=preset, N=64, R=0.75)
+        (tmp_path / "in.bin").write_bytes(b"")
+        (tmp_path / "side.bin").write_bytes(b"")
+        side = ["--side", str(tmp_path / "side.bin")] if preset.startswith("bsc") else []
+        assert run(
+            "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+            "--out", str(tmp_path / "c.plsc"), *checksum,
+        ) == 0
+        assert run(
+            "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
+            *side, "--out", str(tmp_path / "out.bin"),
+        ) == 0
+        assert (tmp_path / "out.bin").read_bytes() == b""
+
+    def test_decompress_memory_per_bit(self, tmp_path):
+        # Side symbols, known bits and u stay uint8 through decoding: the side
+        # symbols alone as int64 would take 8 bytes per decoded bit.
+        m = self._freeze(tmp_path, preset="bsc_pair(0.11)", N=1024, R=0.8)
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2, 8 * 2**18, dtype=np.uint8)
+        side = bits ^ (rng.random(bits.size) < 0.11)
+        (tmp_path / "in.bin").write_bytes(np.packbits(bits).tobytes())
+        (tmp_path / "side.bin").write_bytes(side.astype(np.uint8).tobytes())
+        assert run(
+            "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+            "--out", str(tmp_path / "c.plsc"),
+        ) == 0
+        tracemalloc.start()
+        try:
+            assert run(
+                "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
+                "--side", str(tmp_path / "side.bin"), "--out", str(tmp_path / "out.bin"),
+            ) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * bits.size
+
     def test_corrupted_magic_fails(self, tmp_path):
         m = self._freeze(tmp_path, N=16)
         (tmp_path / "in.bin").write_bytes(b"hello world!")
@@ -429,7 +470,7 @@ def test_console_entry_point():
 
 
 class TestPinnedOutputs:
-    """Fixed-seed outputs of chansim, swsim, compress and decompress.
+    """Fixed-seed outputs of chansim, swsim, compress, decompress and an mc freeze.
 
     They pin the decoder's decisions, ties included: the rates are high
     enough that some frames and blocks fail, so any changed decision
@@ -465,6 +506,8 @@ class TestPinnedOutputs:
         ("bsc_pair(0.11)", "0.6"): "3c85307702a91e13ef442f71b7e01c772b55fa3ad9f2e40d7c7e24f44841c2a6",
         ("bec_pair(0.4)", "0.5"): "afa2624932767cd98844ac504a99d422779d6f4553e891dc855e9e6e84b0f634",
     }
+
+    MC_MANIFEST = "26f03e8db1c9acb747f7e1555f96d6928f4246444e256d4e7d88c0a4d5f35852"
 
     def test_chansim(self, tmp_path):
         for (channel, Ns, Rs), want in self.CHANSIM.items():
@@ -507,3 +550,9 @@ class TestPinnedOutputs:
             restored = paths["x.out"].read_bytes()
             assert len(restored) == 500 and restored != data.tobytes()
             assert hashlib.sha256(restored).hexdigest() == want
+
+    def test_mc_manifest(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert run("freeze", "--preset", "bsc_pair(0.11)", "-N", "256", "-R", "0.8",
+                   "--method", "mc", "--samples", "2000", "--seed", "5", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MC_MANIFEST

@@ -15,6 +15,7 @@ from srcpolar import (
     SymbolBlock,
     UnsupportedAlphabetError,
     build_high_entropy_set,
+    codec,
     compress,
     compress_blocks,
     conditional_entropy,
@@ -25,6 +26,7 @@ from srcpolar import (
     montecarlo_spectrum,
     sw_config,
     sw_decode,
+    sw_decode_blocks,
     sw_encode_x,
     sw_encode_y,
     sw_error_bound,
@@ -325,6 +327,25 @@ class TestSlepianWolf:
 
         want = eb(cfg.set_x, zs(j, 32)) + eb(cfg.set_y, zs(cfg.y_marginal, 32))
         assert sw_error_bound(cfg) == pytest.approx(want, abs=1e-15)
+
+    def test_bound_reads_the_kept_spectra(self, monkeypatch):
+        j = self._joint()
+        cfg = sw_config(j, 32, 0.6, 0.9)
+        assert build_high_entropy_set(cfg.spec_x, 0.6) == cfg.set_x
+        assert build_high_entropy_set(cfg.spec_y, 0.9) == cfg.set_y
+        want = sw_error_bound(cfg)
+        monkeypatch.setattr(codec, "zbound_spectrum", None)  # no spectrum is rebuilt
+        assert sw_error_bound(cfg) == want
+
+    def test_blocks_decode_as_uint8(self, rng):
+        j = self._joint()
+        cfg = sw_config(j, 16, 1.0, 1.0)
+        X = rng.integers(0, 2, (3, 16), dtype=np.uint8)
+        Y = rng.integers(0, 2, (3, 16), dtype=np.uint8)
+        cxs, cys = compress_blocks(X, cfg.set_x), compress_blocks(Y, cfg.set_y)
+        x_hat, y_hat = sw_decode_blocks(cxs, cys, cfg)
+        assert x_hat.dtype == y_hat.dtype == np.uint8
+        assert np.array_equal(x_hat, X) and np.array_equal(y_hat, Y)
 
     def test_joint_decoding_mostly_correct(self):
         j = self._joint()

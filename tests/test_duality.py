@@ -7,6 +7,7 @@ from srcpolar import (
     bhattacharyya,
     binary_entropy,
     channel_decode,
+    channel_decode_batch,
     channel_encode,
     conditional_entropy,
     induced_source,
@@ -127,6 +128,13 @@ class TestEncodeDecode:
             data = rng.integers(0, 2, code.data_size)
             x = channel_encode(data, code)
             assert np.array_equal(channel_decode(x.data, code), data)
+
+    def test_batch_decodes_uint8_received_blocks_to_uint8(self, rng):
+        code = make_duality_code(ChannelModel.bsc(0.0), 64, 0.5, 5)
+        data = rng.integers(0, 2, (4, code.data_size))
+        Y = np.array([channel_encode(d, code).data for d in data], dtype=np.uint8)
+        got = channel_decode_batch(Y, code)
+        assert got.dtype == np.uint8 and np.array_equal(got, data)
 
     def test_received_block_validated(self):
         code = make_duality_code(ChannelModel.bsc(0.05), 8, 0.5, 0)

@@ -246,6 +246,19 @@ class TestDecodeBatch:
         assert scdec.batch_rows(8) == 3
         assert np.array_equal(decode_batch(s, Y, mask, known_vals), whole)
 
+    def test_uint8_bits_in_and_out(self, rng):
+        # Bits and side symbols travel as uint8; the known values of unknown
+        # positions are ignored whatever they hold.
+        s = JointSource.bsc_pair(0.11)
+        mask = rng.random(64) < 0.5
+        known_vals = rng.integers(0, 2, (5, 64))
+        Y = rng.integers(0, 2, (5, 64))
+        want = decode_batch(s, Y, mask, known_vals)
+        known8 = np.where(mask, known_vals, 255).astype(np.uint8)
+        got = decode_batch(s, Y.astype(np.uint8), mask, known8)
+        assert want.dtype == got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
     def test_exact_tie_in_g(self):
         # y = (0, 0) gives a = b; with u_1 = 1 known, g = b - a is exactly 0
         s = JointSource.bsc_pair(0.11)
