@@ -23,7 +23,7 @@ from .field import FieldSpec
 from .scdec import decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import METHOD_MC, HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, _forward_rows, _inverse_rows
+from .transform import SymbolBlock, _forward_rows
 
 _GF2 = FieldSpec.binary()
 
@@ -129,7 +129,8 @@ def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> n
     Y is the (blocks, N) array of side symbols, or None for a source
     without side information.  Each block must match the index set, and a
     version 2 block must match its crc32 after decoding.  The payloads go
-    to one decode_batch call as uint8 known bits, with Y in its own dtype.
+    to one decode_batch call as uint8 known bits, with Y in its own dtype;
+    it returns x itself, so no transform runs.
     """
     for blk in blocks:
         if blk.fingerprint != hset.fingerprint:
@@ -143,7 +144,7 @@ def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> n
     known = np.zeros((len(blocks), hset.N), dtype=np.uint8)
     payloads = [blk.payload for blk in blocks]
     known[:, hset.mask] = np.reshape(payloads, (len(blocks), len(hset.indices)))
-    x_hat = _inverse_rows(source.field, decode_batch(source, Y, hset.mask, known))
+    x_hat = decode_batch(source, Y, hset.mask, known)
     for blk, x in zip(blocks, x_hat):
         if blk.version == VERSION_CRC and _crc(x) != blk.crc:
             raise FormatError("checksum mismatch after decompression")
@@ -172,7 +173,7 @@ def error_bound(hset: HighEntropySet, spec: PolarSpectrum) -> float:
 # Slepian-Wolf corner point: decode Y alone, then X given the Y estimate.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SWConfig:
     joint: JointSource  # P_{X,Y}, both binary
     y_marginal: JointSource  # P_Y as a source with no side information

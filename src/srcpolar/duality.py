@@ -22,7 +22,7 @@ from .transform import SymbolBlock, _forward_rows
 _ROW_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelModel:
     """Binary-input DMC given by a (2, m) transition table W(y|x)."""
 
@@ -84,7 +84,7 @@ def symmetric_capacity(w: ChannelModel) -> float:
     return 1.0 - conditional_entropy(induced_source(w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualityCode:
     N: int
     rate: float
@@ -158,13 +158,11 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[1] != code.N:
         raise DomainError(f"received block length {Y.shape[-1]} != N={code.N}")
-    if Y.size and (Y.min() < 0 or Y.max() >= code.channel.output_size):
-        raise DomainError("received symbol outside the channel output alphabet")
     frozen = code.frozen_set.mask
     pattern = np.zeros(code.N, dtype=np.uint8)
     pattern[frozen] = code.frozen_pattern
-    u_hat = decode_batch(code.source, Y, frozen, np.broadcast_to(pattern, Y.shape))
-    return u_hat[:, ~frozen]
+    x_hat = decode_batch(code.source, Y, frozen, np.broadcast_to(pattern, Y.shape))
+    return _forward_rows(code.source.field, x_hat)[:, ~frozen]
 
 
 def simulate(w: ChannelModel, code: DualityCode, trials: int, seed: int) -> dict:

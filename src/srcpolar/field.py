@@ -83,7 +83,8 @@ class FieldSpec:
             return np.bitwise_xor(a, b, out=out)
         return np.remainder(np.add(a, b, dtype=np.int64), self.q, out=out, casting="unsafe")
 
-    def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def sub_array(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """a - b; written into out, in out's dtype, when out is given."""
         if self.kind == _GF4_KIND or self.q == 2:
-            return np.bitwise_xor(a, b)
-        return (a.astype(np.int64) - b) % self.q
+            return np.bitwise_xor(a, b, out=out)
+        return np.remainder(np.subtract(a, b, dtype=np.int64), self.q, out=out, casting="unsafe")

@@ -15,6 +15,9 @@ without that split, each giving SC's bits (see _decode_node):
 - Rate 1, every position unknown, behind a guard on min |llr|: the hard
   decisions of its llrs.
 
+The root's partial sums are u F^(kron n), the decoded block x = u G_N in
+bit-reversed order, so `decode_batch` returns x without a transform.
+
 `SequentialDecoder` is the step-by-step reference: it yields one
 decision llr per index and performs N log2 N combine operations per
 block.  Both decoders resolve ties alike (see SC_TIE), so they decide
@@ -26,9 +29,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, ProtocolError, UnsupportedAlphabetError
-from .field import FieldSpec
 from .sources import JointSource
-from .transform import _kron_rows, bit_reverse_indices
+from .transform import _integers, _stage, bit_reverse_indices
 
 L_MAX = 700.0
 # An llr within SC_TIE of zero is a tie and decides 0, so that decisions do
@@ -177,14 +179,14 @@ def batch_rows(N: int) -> int:
 
 
 def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
-    """SC-decode B blocks at once; returns u as a (B, N) uint8 array.
+    """SC-decode B blocks at once; returns x = u G_N as a (B, N) uint8 array.
 
     Y is the (B, N) array of side symbols, or None for a source without
-    side information.  known_mask (N,) marks the positions whose bits the
-    caller already has; known_vals (B, N) holds them, and its other
+    side information.  known_mask (N,) marks the positions of u whose bits
+    the caller already has; known_vals (B, N) holds them, and its other
     entries are ignored.  Row b is what decode_block returns for Y[b] with
-    those known bits.  Integer Y and known_vals are read in their own
-    dtype, so uint8 bits and side symbols are never widened as a whole.
+    those known bits, times G_N.  Integer Y and known_vals are read in their
+    own dtype, so uint8 bits and side symbols are never widened as a whole.
     Blocks are decoded batch_rows(N) at a time.
     """
     known_vals = np.asarray(known_vals)
@@ -196,32 +198,30 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
         raise DomainError(f"block length {N} is not a power of two")
     if known_mask.shape != (N,):
         raise DomainError(f"known mask must have {N} entries")
-    given = known_vals[:, known_mask]
+    given = _integers(known_vals[:, known_mask], "known bits")
     if given.size and (given.min() < 0 or given.max() > 1):
         raise DomainError("known bits must be 0 or 1")
     if Y is None:
         if source.y_size != 1:
             raise DomainError("side block required for a source with side information")
         Y = np.broadcast_to(np.uint8(0), (B, N))
-    Y = np.asarray(Y)
-    if Y.dtype.kind not in "iu":
-        Y = Y.astype(np.int64)
+    Y = _integers(Y, "side symbols")
     if Y.shape != (B, N):
         raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
     table = _llr_table(source, Y)
     perm = bit_reverse_indices(N.bit_length() - 1)
     unknown_before = [0, *np.cumsum(~known_mask).tolist()]
-    u = np.empty((B, N), dtype=np.uint8)
+    x = np.empty((B, N), dtype=np.uint8)
     step = batch_rows(N)
     for s in range(0, B, step):
         rows = slice(s, s + step)
-        sums = _known_sums(known_vals[rows].astype(np.uint8) & known_mask)
+        sums = _known_sums(source, known_vals[rows].astype(np.uint8) & known_mask)
         if unknown_before[N] == 0:
             beta = sums[-1]
         else:
             beta = _decode_node(table[Y[rows][:, perm]], 0, unknown_before, sums)
-        u[rows] = _kron_rows(_GF2, beta)
-    return u
+        x[rows] = beta[:, perm]  # the root's partial sums, x in bit-reversed order
+    return x
 
 
 def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
@@ -235,27 +235,21 @@ def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
     return np.array([base_llr(source, y) if seen[y] else 0.0 for y in range(source.y_size)])
 
 
-_GF2 = FieldSpec.binary()
 # A rate-1 node of size 2^d whose llrs all exceed RATE1_GUARD * d + 2 SC_TIE
 # in magnitude decides their hard decisions; see _decode_node.
 RATE1_GUARD = math.log(2) + 1e-12
 
 
-def _known_sums(known: np.ndarray) -> list:
+def _known_sums(source: JointSource, known: np.ndarray) -> list:
     """sums[d][:, lo:lo+2^d] = known[:, lo:lo+2^d] F^(kron 2^d) for every aligned block.
 
     The stages of F^(kron N) commute, so running them from the shortest
     half up gives every block size in one pass.
     """
-    B, N = known.shape
     sums = [known]
-    h = 1
-    while h < N:
-        w = sums[-1].copy()
-        v = w.reshape(B, N // (2 * h), 2, h)
-        v[:, :, 0, :] ^= v[:, :, 1, :]
-        sums.append(w)
-        h <<= 1
+    for d in range(known.shape[1].bit_length() - 1):
+        sums.append(sums[-1].copy())
+        _stage(source.field, sums[-1], 1 << d)
     return sums
 
 

@@ -33,7 +33,7 @@ def _entropy_nats(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSource:
     field: FieldSpec
     probs: np.ndarray  # shape (q, y_size)

@@ -1,8 +1,8 @@
 """Polar transform u = x G_N with G_N = F^(kron n) B_N, plus its inverse.
 
 F = [[1,0],[1,1]].  B_N (bit reversal) commutes with the Kronecker power,
-so the forward pass permutes the input once and then runs n in-place
-combine stages; total work is (N/2) log2 N field additions.
+so each pass permutes the input once and then runs n in-place butterfly
+stages (see _stage); total work is (N/2) log2 N field operations.
 """
 
 from dataclasses import dataclass
@@ -32,12 +32,12 @@ class SymbolBlock:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int64)
+        arr = _integers(self.data, "block data").astype(np.int64, copy=False)
+        if arr.ndim != 1:
+            raise DomainError("block data must be one-dimensional")
         n = arr.shape[0]
         if n == 0 or (n & (n - 1)) != 0:
             raise DomainError(f"block length {n} is not a power of two")
-        if arr.ndim != 1:
-            raise DomainError("block data must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= self.field.q):
             raise DomainError(f"symbols out of range for q={self.field.q}")
         object.__setattr__(self, "data", arr)
@@ -52,6 +52,16 @@ class SymbolBlock:
             and self.field == other.field
             and np.array_equal(self.data, other.data)
         )
+
+
+def _integers(a, what: str) -> np.ndarray:
+    """a in its integer dtype, or bools and whole-valued floats as int64; 0.5 raises DomainError."""
+    a = np.asarray(a)
+    if a.dtype.kind in "iu":
+        return a
+    if a.dtype.kind in "bf" and np.isfinite(a).all() and (a == np.trunc(a)).all():
+        return a.astype(np.int64)
+    raise DomainError(f"{what} must be whole numbers")
 
 
 @lru_cache(maxsize=None)
@@ -72,18 +82,22 @@ def bit_reverse_permute(block: SymbolBlock) -> SymbolBlock:
     return SymbolBlock(block.field, block.data[perm])
 
 
-def _kron_rows(field: FieldSpec, w: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
-    """w F^(kron n) for each row of a (..., N) array, computed in place; returns w.
+def _stage(field: FieldSpec, w: np.ndarray, h: int, sub: bool = False) -> None:
+    """One butterfly stage in place: the last axis read as (N/2h, 2, h), head <- head +- tail."""
+    # Splitting only the last axis keeps this a view of w in any memory order.
+    shaped = w.reshape(w.shape[:-1] + (w.shape[-1] // (2 * h), 2, h))
+    head = shaped[..., 0, :]
+    (field.sub_array if sub else field.add_array)(head, shaped[..., 1, :], out=head)
 
-    w keeps its dtype, so a uint8 array of bits stays one byte per bit.
+
+def _kron_rows(field: FieldSpec, w: np.ndarray, ops: OpCounter | None = None, sub=False) -> np.ndarray:
+    """w F^(kron n), or with sub w times its inverse, for each row of a (..., N) array, in place.
+
+    Returns w, in its dtype, so a uint8 array of bits stays one byte per bit.
     """
-    N = w.shape[-1]
-    h = N >> 1
+    h = w.shape[-1] >> 1
     while h >= 1:
-        # Splitting only the last axis keeps this a view of w in any memory order.
-        shaped = w.reshape(w.shape[:-1] + (N // (2 * h), 2, h))
-        head = shaped[..., 0, :]
-        field.add_array(head, shaped[..., 1, :], out=head)
+        _stage(field, w, h, sub)
         if ops is not None:
             ops.add(w.size // 2)
         h >>= 1
@@ -100,18 +114,9 @@ def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = No
 
 
 def _inverse_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
-    """Inverse transform on each row: undo stages in reverse, then unpermute."""
-    N = rows.shape[-1]
-    n = N.bit_length() - 1
-    w = rows.copy()
-    h = 1
-    while h < N:
-        shaped = w.reshape(w.shape[:-1] + (N // (2 * h), 2, h))
-        shaped[..., 0, :] = field.sub_array(shaped[..., 0, :], shaped[..., 1, :])
-        if ops is not None:
-            ops.add((N // (2 * h)) * h * int(np.prod(rows.shape[:-1], dtype=np.int64)))
-        h <<= 1
-    return w[..., bit_reverse_indices(n)]
+    """Inverse transform on each row: B_N commutes with the stages, so unpermute, then subtract."""
+    n = rows.shape[-1].bit_length() - 1
+    return _kron_rows(field, rows[..., bit_reverse_indices(n)], ops, sub=True)
 
 
 def polar_forward(block: SymbolBlock, ops: OpCounter | None = None) -> SymbolBlock:
@@ -124,6 +129,6 @@ def polar_inverse(block: SymbolBlock, ops: OpCounter | None = None) -> SymbolBlo
 
     Over GF(2) and GF(4) the transform is an involution, so this equals
     polar_forward; for odd prime q the kernel inverse [[1,0],[-1,1]] is
-    applied stage by stage in reverse.
+    applied stage by stage.
     """
     return SymbolBlock(block.field, _inverse_rows(block.field, block.data, ops))

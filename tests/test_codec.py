@@ -24,12 +24,14 @@ from srcpolar import (
     error_bound,
     exact_spectrum,
     montecarlo_spectrum,
+    scdec,
     sw_config,
     sw_decode,
     sw_decode_blocks,
     sw_encode_x,
     sw_encode_y,
     sw_error_bound,
+    transform,
     zbound_spectrum,
 )
 
@@ -172,6 +174,27 @@ class TestDecompress:
         Y = X ^ (rng.random(X.shape) < 0.01)
         x_hat = decompress_blocks(compress_blocks(X, hset, True), Y, hset, BSC011)
         assert x_hat.dtype == np.uint8 and np.array_equal(x_hat, X)
+
+    def test_read_path_runs_no_transform(self, rng, monkeypatch):
+        # decode_batch returns x itself, so neither decompress_blocks nor
+        # sw_decode_blocks may need a transform to restore the bits.
+        X = rng.integers(0, 2, (4, 64), dtype=np.uint8)
+        Y = X ^ (rng.random((4, 64)) < 0.02)
+        hset = build_high_entropy_set(zbound_spectrum(BSC011, 64), 0.6)
+        blocks = compress_blocks(X, hset, checksum=True)
+        cfg = sw_config(TestSlepianWolf._joint(), 16, 1.0, 1.0)
+        cxs, cys = compress_blocks(X[:, :16], cfg.set_x), compress_blocks(Y[:, :16], cfg.set_y)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("transform on the read path")
+
+        for mod in (codec, scdec, transform):
+            for name in ("_forward_rows", "_inverse_rows", "_kron_rows"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, boom)
+        assert np.array_equal(decompress_blocks(blocks, Y, hset, BSC011), X)
+        x_hat, y_hat = sw_decode_blocks(cxs, cys, cfg)
+        assert np.array_equal(x_hat, X[:, :16]) and np.array_equal(y_hat, Y[:, :16])
 
     def test_checksum_round_trip(self, rng):
         hset = build_high_entropy_set(zbound_spectrum(BER011, 16), 1.0)

@@ -10,6 +10,7 @@ from srcpolar import (
     channel_decode_batch,
     channel_encode,
     conditional_entropy,
+    duality,
     induced_source,
     make_duality_code,
     simulate,
@@ -136,12 +137,25 @@ class TestEncodeDecode:
         got = channel_decode_batch(Y, code)
         assert got.dtype == np.uint8 and np.array_equal(got, data)
 
+    def test_batch_forms_u_with_one_transform(self, rng, monkeypatch):
+        # decode_batch returns codewords; channel_decode_batch alone maps them to u.
+        code = make_duality_code(ChannelModel.bsc(0.0), 64, 0.5, 5)
+        data = rng.integers(0, 2, (16, code.data_size))
+        Y = np.array([channel_encode(d, code).data for d in data])
+        calls = []
+        forward = duality._forward_rows
+        monkeypatch.setattr(duality, "_forward_rows", lambda *a: calls.append(1) or forward(*a))
+        assert np.array_equal(channel_decode_batch(Y, code), data)
+        assert len(calls) == 1
+
     def test_received_block_validated(self):
         code = make_duality_code(ChannelModel.bsc(0.05), 8, 0.5, 0)
         with pytest.raises(DomainError):
             channel_decode(np.zeros(4, dtype=np.int64), code)
         with pytest.raises(DomainError):
             channel_decode(np.full(8, 2), code)  # 2 not a BSC output
+        with pytest.raises(DomainError):
+            channel_decode(np.full(8, 0.4), code)  # not read as 0
 
 
 class TestSimulate:

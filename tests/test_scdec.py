@@ -13,6 +13,7 @@ from srcpolar import (
     ProtocolError,
     SC_TIE,
     SequentialDecoder,
+    SymbolBlock,
     UnsupportedAlphabetError,
     base_llr,
     decode_batch,
@@ -20,6 +21,8 @@ from srcpolar import (
     genie_llr_profile,
     llr_combine_even,
     llr_combine_odd,
+    polar_forward,
+    polar_inverse,
     scdec,
 )
 
@@ -210,10 +213,11 @@ SOURCES = [
 
 
 def _row_by_row(s, Y, mask, known_vals):
+    """decode_block's u times G_N for each row: what decode_batch returns."""
     rows = []
     for y, vals in zip(Y, known_vals):
         known = {int(i) + 1: int(vals[i]) for i in np.flatnonzero(mask)}
-        rows.append(decode_block(s, y, known)[0])
+        rows.append(polar_forward(SymbolBlock(s.field, decode_block(s, y, known)[0])).data)
     return np.array(rows)
 
 
@@ -234,7 +238,8 @@ class TestDecodeBatch:
         got = decode_batch(s, Y, mask, known_vals)
         assert got.shape == (B, N)
         assert np.array_equal(got, _row_by_row(s, Y, mask, known_vals))
-        assert np.array_equal(got[:, mask], known_vals[:, mask])
+        u = np.array([polar_inverse(SymbolBlock(s.field, x)).data for x in got])
+        assert np.array_equal(u[:, mask], known_vals[:, mask])
 
     def test_chunks_give_the_same_bits(self, rng, monkeypatch):
         s = JointSource.bsc_pair(0.11)
@@ -296,6 +301,12 @@ class TestDecodeBatch:
             decode_batch(s, np.zeros((1, 4)), mask, np.zeros((2, 4)))
         with pytest.raises(DomainError):
             decode_batch(s, np.full((2, 4), 2), mask, np.zeros((2, 4)))
+        with pytest.raises(DomainError):
+            decode_batch(s, ok_y, np.ones(4, dtype=bool), np.full((2, 4), 0.5))  # not a bit
+        with pytest.raises(DomainError):
+            decode_batch(s, np.full((2, 4), 1.7), mask, np.zeros((2, 4)))  # not a symbol
+        with pytest.raises(DomainError):
+            decode_batch(s, np.full((2, 4), np.nan), mask, np.zeros((2, 4)))
         with pytest.raises(UnsupportedAlphabetError):
             decode_batch(JointSource(FieldSpec.prime(3), np.full((3, 1), 1 / 3)), None,
                          mask, np.zeros((2, 4)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from srcpolar import (
+    ChannelModel,
     DomainError,
     FieldSpec,
     JointSource,
@@ -13,8 +14,10 @@ from srcpolar import (
     binary_entropy,
     check_z_h_inequalities,
     conditional_entropy,
+    make_duality_code,
     parse_preset,
     renyi_entropy,
+    sw_config,
 )
 
 from conftest import random_binary_source
@@ -191,6 +194,21 @@ class TestValidation:
     def test_shape_must_match_field(self):
         with pytest.raises(DomainError):
             JointSource(FieldSpec.prime(3), np.array([[0.5], [0.5]]))
+
+
+# Objects holding an ndarray compare and hash by identity.
+@pytest.mark.parametrize("make", [
+    lambda: JointSource.bsc_pair(0.1),
+    lambda: ChannelModel.bsc(0.1),
+    lambda: make_duality_code(ChannelModel.bsc(0.1), 16, 0.5, 0),
+    lambda: sw_config(JointSource(FieldSpec.binary(), np.array([[0.72, 0.02], [0.08, 0.18]])),
+                      16, 0.9, 0.9),
+], ids=["JointSource", "ChannelModel", "DualityCode", "SWConfig"])
+def test_eq_and_hash_do_not_raise(make):
+    a, b = make(), make()
+    assert a == a
+    assert isinstance(a == b, bool)
+    assert hash(a) == hash(a)
 
 
 class TestSerialization:

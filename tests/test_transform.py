@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from srcpolar import (
     polar_forward,
     polar_inverse,
 )
+from srcpolar.transform import _inverse_rows
 
 from conftest import dense_forward
 
@@ -65,6 +67,11 @@ class TestForward:
     def test_out_of_range_symbol_rejected(self):
         with pytest.raises(DomainError):
             blk(GF2, [0, 2])
+        with pytest.raises(DomainError):
+            blk(GF2, [0.5, 1.0])  # not truncated to [0, 1]
+        with pytest.raises(DomainError):
+            blk(GF2, 5)  # not one-dimensional
+        assert blk(GF2, [0.0, 1.0]) == blk(GF2, [0, 1])
 
 
 class TestInverse:
@@ -122,6 +129,20 @@ def test_op_counter_counts_butterfly_adds():
         polar_forward(blk(GF2, np.zeros(N, dtype=int)), ops)
         n = N.bit_length() - 1
         assert ops.count == (N // 2) * n
+
+
+def test_inverse_needs_one_copy_of_its_input(rng):
+    # The unpermuting gather makes the one new array; the stages run in place.
+    rows = rng.integers(0, 2, (2048, 1024), dtype=np.uint8)
+    want = np.array([polar_inverse(blk(GF2, r)).data for r in rows[:4]])
+    tracemalloc.start()
+    try:
+        got = _inverse_rows(GF2, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * rows.nbytes
+    assert got.dtype == np.uint8 and np.array_equal(got[:4], want)
 
 
 def test_runtime_scales_quasilinearly(rng):
