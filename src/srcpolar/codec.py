@@ -32,7 +32,7 @@ VERSION_PLAIN = 1
 VERSION_CRC = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressedBlock:
     version: int
     n: int

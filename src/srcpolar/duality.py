@@ -157,7 +157,7 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
     """Decode each row of the (B, N) received blocks; returns (B, data_size) uint8 data bits."""
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[1] != code.N:
-        raise DomainError(f"received block length {Y.shape[-1]} != N={code.N}")
+        raise DomainError(f"received blocks of shape {Y.shape} are not (blocks, N={code.N})")
     frozen = code.frozen_set.mask
     pattern = np.zeros(code.N, dtype=np.uint8)
     pattern[frozen] = code.frozen_pattern

@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ProtocolError, UnsupportedAlphabetError
+from .field import FieldSpec
 from .sources import JointSource
 from .transform import _integers, _stage, bit_reverse_indices
 
@@ -97,7 +98,9 @@ class SequentialDecoder:
             if source.y_size != 1:
                 raise DomainError("side block required for a source with side information")
             y = np.zeros(N, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
+        y = _integers(y, "side symbols")
+        if y.ndim != 1:
+            raise DomainError("side block must be one-dimensional")
         n = y.shape[0]
         if n == 0 or (n & (n - 1)) != 0:
             raise DomainError(f"block length {n} is not a power of two")
@@ -215,7 +218,7 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     step = batch_rows(N)
     for s in range(0, B, step):
         rows = slice(s, s + step)
-        sums = _known_sums(source, known_vals[rows].astype(np.uint8) & known_mask)
+        sums = _known_sums(source.field, known_vals[rows].astype(np.uint8) & known_mask)
         if unknown_before[N] == 0:
             beta = sums[-1]
         else:
@@ -240,7 +243,7 @@ def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
 RATE1_GUARD = math.log(2) + 1e-12
 
 
-def _known_sums(source: JointSource, known: np.ndarray) -> list:
+def _known_sums(field: FieldSpec, known: np.ndarray) -> list:
     """sums[d][:, lo:lo+2^d] = known[:, lo:lo+2^d] F^(kron 2^d) for every aligned block.
 
     The stages of F^(kron N) commute, so running them from the shortest
@@ -249,7 +252,7 @@ def _known_sums(source: JointSource, known: np.ndarray) -> list:
     sums = [known]
     for d in range(known.shape[1].bit_length() - 1):
         sums.append(sums[-1].copy())
-        _stage(source.field, sums[-1], 1 << d)
+        _stage(field, sums[-1], 1 << d)
     return sums
 
 
@@ -324,16 +327,34 @@ def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     decision llrs a sequential decoder would see given the true u prefix.
     """
     N = chan_llr.shape[1]
-    if N == 1:
-        return chan_llr
-    u_odd = u_true[:, 0::2]
-    u_even = u_true[:, 1::2]
-    a = genie_llr_profile(chan_llr[:, : N // 2], u_odd ^ u_even)
-    b = genie_llr_profile(chan_llr[:, N // 2 :], u_even)
-    out = np.empty_like(chan_llr)
-    out[:, 0::2] = _combine_odd_vec(a, b)
-    out[:, 1::2] = _g(a, b, u_odd)
-    return out
+    L = chan_llr[:, bit_reverse_indices(N.bit_length() - 1)].T
+    return _genie_llrs(L, _known_sums(FieldSpec.binary(), np.asarray(u_true, dtype=np.uint8))).T
+
+
+def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:
+    """Every position's decision llrs given the true u, as an (N, B) array.
+
+    L is the (N, B) array of channel llrs in bit-reversed order, one row
+    per position; a C-ordered L is overwritten with the result.  sums is
+    _known_sums of the true (B, N) u.  A genie knows every u, so nothing
+    waits on a decision and the tree runs level by level: at level t each
+    of the 2^t nodes splits into halves a and b, its left child gets
+    f(a, b) and its right child g(a, b) signed by the left child's true
+    partial sums, as in _decode_node.  After log2 N levels row i holds
+    u_i's llrs.  Positions major keeps every inner loop B llrs long, even
+    where the halves hold one position.
+    """
+    N, B = L.shape
+    flat = L.reshape(-1)
+    for k in range(N.bit_length() - 2, -1, -1):
+        h = 1 << k
+        nodes = flat.reshape(N // (2 * h), 2, h * B)
+        a, b = nodes[:, 0], nodes[:, 1]
+        left = sums[k].reshape(B, N // (2 * h), 2, h)[:, :, 0].transpose(1, 2, 0)
+        right = _g(a, b, left.reshape(a.shape))
+        nodes[:, 0] = _combine_odd_vec(a, b)
+        nodes[:, 1] = right
+    return flat.reshape(N, B)
 
 
 def _combine_odd_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:

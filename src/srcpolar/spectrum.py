@@ -8,11 +8,16 @@ Four ways to obtain per-index statistics of U^N = X^N G_N:
 * Tal-Vardy degrading merges of the equivalent symmetric channel, giving
   certified upper bounds much tighter than the pair recursion,
 * Monte-Carlo genie-aided estimation (estimates, never certificates).
+  Samples are drawn and processed in chunks, on one thread per usable
+  core, so memory does not grow with the sample count; the estimates are
+  the same, bit for bit, whatever the thread count.
 """
 
 import hashlib
 import json
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,9 +25,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
-from .scdec import _llr_table, genie_llr_profile
+from .scdec import _genie_llrs, _known_sums, _llr_table, batch_rows
 from .sources import JointSource, _entropy_nats, bhattacharyya
-from .transform import _forward_rows
+from .transform import _forward_rows, bit_reverse_indices
 
 METHOD_EXACT = "exact"
 METHOD_ZBOUND = "zbound"
@@ -41,7 +46,7 @@ _TV_BIN_SCALE = (TV_MERGE_SIZE - 1) / math.log1p(_TV_LLR_CAP)
 _TV_CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarSpectrum:
     """Per-index h/z values (or bounds/estimates) for one block length."""
 
@@ -280,31 +285,85 @@ def _tv_merge(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int) -> PolarSpectrum:
-    """Genie-aided Monte-Carlo estimates of the h and z spectra."""
-    _check_block_length(N)
+    """Genie-aided Monte-Carlo estimates of the h and z spectra.
+
+    Samples are drawn and processed in chunks of batch_rows(N) rows, and at
+    most one chunk per thread, plus one, is held at a time, so memory does
+    not grow with the sample count.  The draws run in order in the calling
+    thread.  A pool with one thread per usable core computes each chunk's
+    genie llrs and its h and z terms; numpy releases the GIL in those
+    loops.  The terms are summed in sample order, so the estimates are the
+    same, bit for bit, as one pass over all samples, whatever the thread
+    count.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = _check_block_length(N)
     if not s.field.is_binary:
         raise UnsupportedAlphabetError("Monte-Carlo estimation requires q = 2")
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     flat = s.probs.reshape(-1)
-    draws = rng.choice(flat.shape[0], size=(samples, N), p=flat)
-    y = draws % s.y_size
-    u = _forward_rows(s.field, (draws // s.y_size).astype(np.uint8))
-    llrs = genie_llr_profile(_llr_table(s, y)[y], u)
-    # -log2 P(true bit): logaddexp(0, -llr) for u=0, logaddexp(0, llr) for u=1
-    signed = np.where(u == 0, -llrs, llrs)
-    h = np.logaddexp(0.0, signed).mean(axis=0) / math.log(2.0)
-    z = (1.0 / np.cosh(0.5 * llrs)).mean(axis=0)
+    perm = bit_reverse_indices(n)
+    step = batch_rows(N)
+    workers = _workers()
+    h = z = None
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for start in range(0, samples, step):
+            draws = rng.choice(flat.shape[0], size=(min(step, samples - start), N), p=flat)
+            pending.append(pool.submit(_genie_terms, s, draws, perm))
+            if len(pending) > workers:
+                h, z = _add_terms(h, z, pending.popleft().result())
+        while pending:
+            h, z = _add_terms(h, z, pending.popleft().result())
     return PolarSpectrum(
         N=N,
         method=METHOD_MC,
-        h=h,
-        z=np.clip(z, 0.0, 1.0),
+        h=h / samples / math.log(2.0),
+        z=np.clip(z / samples, 0.0, 1.0),
         source_desc=s.description(),
         samples=samples,
         seed=seed,
     )
+
+
+def _workers() -> int:
+    """Threads for montecarlo_spectrum: one per core this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _genie_terms(s: JointSource, draws: np.ndarray, perm: np.ndarray) -> tuple:
+    """Per-sample h and z terms of a (B, N) chunk of draws, each C-ordered (B, N).
+
+    A draw indexes s.probs flattened, x * y_size + y.  The h term is
+    -ln P(true bit) = logaddexp(0, -llr) for u = 0, logaddexp(0, llr) for
+    u = 1; the z term is sech(llr / 2).
+    """
+    x, y = np.divmod(draws, s.y_size)
+    u = _forward_rows(s.field, x.astype(np.uint8))
+    llrs = _genie_llrs(_llr_table(s, y)[y.T[perm]], _known_sums(s.field, u))
+    llrs = np.ascontiguousarray(llrs.T)
+    return np.logaddexp(0.0, np.where(u == 0, -llrs, llrs)), 1.0 / np.cosh(0.5 * llrs)
+
+
+def _add_terms(h, z, terms: tuple) -> tuple:
+    """h and z plus one chunk's terms, adding row after row.
+
+    A sum over axis 0 of a C-ordered array adds its rows in order, so each
+    chunk continues the running sums exactly as one sum over every sample.
+    (At N = 1 numpy sums a column pairwise, so there that holds only while
+    every sample fits in one chunk.)
+    """
+    h_terms, z_terms = terms
+    if h is not None:
+        h_terms[0] += h
+        z_terms[0] += z
+    return h_terms.sum(axis=0), z_terms.sum(axis=0)
 
 
 def build_high_entropy_set(spec: PolarSpectrum, R: float) -> HighEntropySet:

@@ -551,6 +551,22 @@ class TestPinnedOutputs:
             assert len(restored) == 500 and restored != data.tobytes()
             assert hashlib.sha256(restored).hexdigest() == want
 
+    MC_SPECTRUM = {
+        "bsc_pair(0.11)": ("e13a07c69e0505f8ec7c610a2b31ad99fe5aba6200a80a85d87161db91f783e6",
+                           "5b6a1da1a7bb9a6023ad08a7807ebe84842ab9273848e01e3dab160f36485833"),
+        "bec_pair(0.4)": ("2a9849e3b776f81624fdef1320b12cd5ef87afcf1ede45f3c3f095be2c4db0fe",
+                          "3297fb93b86dfab3546c2585fd26f150d5cfaa4b54116d9be7b8c495fdaea1ec"),
+    }
+
+    def test_mc_spectrum(self, tmp_path):
+        # h and z are written to 17 digits, so these pin every bit of the estimates
+        out = tmp_path / "s.csv"
+        for preset, (rows, fractions) in self.MC_SPECTRUM.items():
+            assert run("spectrum", "--preset", preset, "-N", "256", "--method", "mc",
+                       "--samples", "2000", "--seed", "5", "--out", str(out)) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == rows
+            assert hashlib.sha256(Path(f"{out}.fractions.csv").read_bytes()).hexdigest() == fractions
+
     def test_mc_manifest(self, tmp_path):
         out = tmp_path / "m.json"
         assert run("freeze", "--preset", "bsc_pair(0.11)", "-N", "256", "-R", "0.8",

@@ -156,6 +156,8 @@ class TestEncodeDecode:
             channel_decode(np.full(8, 2), code)  # 2 not a BSC output
         with pytest.raises(DomainError):
             channel_decode(np.full(8, 0.4), code)  # not read as 0
+        with pytest.raises(DomainError):
+            channel_decode_batch(5, code)  # a scalar has no block length
 
 
 class TestSimulate:

@@ -120,6 +120,14 @@ class TestDecideNext:
         with pytest.raises(ProtocolError):
             dec.decide_next(1)
 
+    def test_side_symbols_must_be_whole_numbers(self):
+        # rejected, not truncated to whole symbols and decoded
+        s = JointSource.bsc_pair(0.11)
+        for y in ([0.5, 1.7], [0.0, np.nan], 5):
+            with pytest.raises(DomainError):
+                decode_block(s, y, {})
+        assert np.array_equal(decode_block(s, [0.0, 1.0], {})[0], decode_block(s, [0, 1], {})[0])
+
     def test_n4_matches_successive_map(self):
         s = JointSource.bernoulli(0.11)
         dec = SequentialDecoder(s, N=4)

@@ -6,6 +6,7 @@ import pytest
 
 from srcpolar import (
     ChannelModel,
+    CompressedBlock,
     DomainError,
     FieldSpec,
     JointSource,
@@ -18,6 +19,7 @@ from srcpolar import (
     parse_preset,
     renyi_entropy,
     sw_config,
+    zbound_spectrum,
 )
 
 from conftest import random_binary_source
@@ -203,7 +205,10 @@ class TestValidation:
     lambda: make_duality_code(ChannelModel.bsc(0.1), 16, 0.5, 0),
     lambda: sw_config(JointSource(FieldSpec.binary(), np.array([[0.72, 0.02], [0.08, 0.18]])),
                       16, 0.9, 0.9),
-], ids=["JointSource", "ChannelModel", "DualityCode", "SWConfig"])
+    lambda: zbound_spectrum(JointSource.bsc_pair(0.1), 8),
+    lambda: CompressedBlock(1, 3, "00" * 8, np.zeros(4, dtype=np.uint8)),
+], ids=["JointSource", "ChannelModel", "DualityCode", "SWConfig", "PolarSpectrum",
+        "CompressedBlock"])
 def test_eq_and_hash_do_not_raise(make):
     a, b = make(), make()
     assert a == a

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from srcpolar import (
     montecarlo_spectrum,
     polarization_fractions,
     tv_spectrum,
+    spectrum,
     zbound_spectrum,
 )
 
@@ -198,6 +200,32 @@ class TestMonteCarlo:
     def test_zero_samples_rejected(self):
         with pytest.raises(DomainError):
             montecarlo_spectrum(BER_HALF, 4, 0, 1)
+
+    def test_same_bits_for_any_thread_count(self, monkeypatch):
+        # 1000 samples are three full chunks of 256 rows and one of 232
+        s = JointSource.bsc_pair(0.11)
+        got = []
+        for workers in (1, 3):
+            monkeypatch.setattr(spectrum, "_workers", lambda workers=workers: workers)
+            got.append(montecarlo_spectrum(s, 256, 1000, 13))
+        assert np.array_equal(got[0].h, got[1].h)
+        assert np.array_equal(got[0].z, got[1].z)
+
+    def test_memory_does_not_grow_with_samples(self, monkeypatch):
+        # Samples are processed a few chunks at a time, so the peak must not
+        # follow the sample count.  The thread count is fixed because every
+        # thread holds a chunk.
+        monkeypatch.setattr(spectrum, "_workers", lambda: 2)
+        s = JointSource.bsc_pair(0.11)
+        peaks = []
+        for samples in (500, 4000):
+            tracemalloc.start()
+            try:
+                montecarlo_spectrum(s, 1024, samples, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestHighEntropySet:
