@@ -29,7 +29,9 @@ from .duality import (
     channel_encode,
     induced_source,
     make_duality_code,
+    parse_channel,
     simulate,
+    sw_simulate,
     symmetric_capacity,
 )
 from .errors import (

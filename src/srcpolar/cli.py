@@ -11,7 +11,6 @@ import functools
 import io
 import json
 import os
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import codec, duality, spectrum as spec_mod
 from .errors import FormatError, SrcPolarError, UnsupportedAlphabetError
-from .scdec import batch_rows
 from .sources import JointSource, parse_preset
 from .spectrum import HighEntropySet
 
@@ -53,28 +51,12 @@ def _load_source(args) -> JointSource:
     raise SrcPolarError("one of --preset or --source is required")
 
 
-_CHAN_RE = re.compile(r"^\s*(bsc|bec)\s*\(\s*([0-9.eE+-]+)\s*\)\s*$")
-
-
-def _parse_channel(text: str) -> duality.ChannelModel:
-    m = _CHAN_RE.match(text)
-    if not m:
-        raise SrcPolarError(f"unknown channel spec: {text!r} (expected bsc(p) or bec(eps))")
-    if m.group(1) == "bsc":
-        return duality.ChannelModel.bsc(float(m.group(2)))
-    return duality.ChannelModel.bec(float(m.group(2)))
-
-
 def _compute_spectrum(src, N, method, samples, seed):
     if method == "exact":
         return spec_mod.exact_spectrum(src, N)
     if method == "zbound":
         return spec_mod.zbound_spectrum(src, N)
-    if method == "mc":
-        if seed is None:
-            raise SrcPolarError("--seed is required for the Monte-Carlo method")
-        return spec_mod.montecarlo_spectrum(src, N, samples, seed)
-    raise SrcPolarError(f"unknown method {method!r}")
+    return spec_mod.montecarlo_spectrum(src, N, samples, seed)  # argparse allows only "mc" here
 
 
 def cmd_spectrum(args) -> int:
@@ -177,7 +159,7 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_chansim(args) -> int:
-    w = _parse_channel(args.channel)
+    w = duality.parse_channel(args.channel)
     rows = io.StringIO()
     rows.write("channel,N,R,trials,fer,ber,bound\n")
     for N in args.N:
@@ -193,26 +175,12 @@ def cmd_chansim(args) -> int:
 
 
 def cmd_swsim(args) -> int:
-    joint = _load_source(args)
-    cfg = codec.sw_config(joint, args.N, args.rx, args.ry)
-    flat = joint.probs.reshape(-1)
-    errors = 0
-    step = batch_rows(args.N)
-    for start in range(0, args.trials, step):
-        draws = np.array([
-            np.random.default_rng([args.seed, t]).choice(flat.shape[0], size=args.N, p=flat)
-            for t in range(start, min(start + step, args.trials))
-        ], dtype=np.uint8)
-        xs, ys = draws // 2, draws % 2
-        cxs = codec.compress_blocks(xs, cfg.set_x)
-        cys = codec.compress_blocks(ys, cfg.set_y)
-        x_hat, y_hat = codec.sw_decode_blocks(cxs, cys, cfg)
-        errors += int(((x_hat != xs).any(axis=1) | (y_hat != ys).any(axis=1)).sum())
-    bound = codec.sw_error_bound(cfg)
+    cfg = codec.sw_config(_load_source(args), args.N, args.rx, args.ry)
+    rep = duality.sw_simulate(cfg, args.trials, args.seed)
     rows = (
         "N,R_x,R_y,trials,joint_error_rate,bound\n"
         f"{args.N},{_F(args.rx)},{_F(args.ry)},{args.trials},"
-        f"{_F(errors / args.trials)},{_F(bound)}\n"
+        f"{_F(rep['joint_error_rate'])},{_F(rep['bound'])}\n"
     )
     _atomic_write(args.out, rows.encode())
     return 0

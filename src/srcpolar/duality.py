@@ -1,4 +1,4 @@
-"""Channel coding through the source/channel duality.
+"""Channel coding through the source/channel duality, and the seeded simulations.
 
 A binary-input channel W with uniform inputs induces the source
 P_{X,Y}(x,y) = W(y|x)/2; coding at rate R < I(W) over W is compression of
@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import error_bound
+from .codec import SWConfig, compress_blocks, error_bound, sw_decode_blocks, sw_error_bound
 from .errors import DomainError
 from .field import FieldSpec
 from .scdec import batch_rows, decode_batch
-from .sources import JointSource, conditional_entropy
+from .sources import JointSource, _parse_spec, conditional_entropy
 from .spectrum import HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, _forward_rows
+from .transform import SymbolBlock, _check_count, _forward_rows
 
 _ROW_TOL = 1e-12
 
@@ -74,6 +74,11 @@ class ChannelModel:
         return (r[..., None] >= cdf[x]).sum(axis=-1, dtype=np.int64)
 
 
+def parse_channel(text: str) -> ChannelModel:
+    """Parse 'bsc(p)' or 'bec(eps)'."""
+    return _parse_spec(text, {"bsc": ChannelModel.bsc, "bec": ChannelModel.bec}, "channel spec")
+
+
 def induced_source(w: ChannelModel) -> JointSource:
     """The source (X, Y) ~ Q(x) W(y|x) with Q uniform on {0,1}."""
     return JointSource(FieldSpec.binary(), 0.5 * w.table)
@@ -115,7 +120,7 @@ def make_duality_code(w: ChannelModel, N: int, rate: float, pattern_seed: int) -
     src = induced_source(w)
     spec = zbound_spectrum(src, N)
     frozen = build_high_entropy_set(spec, 1.0 - rate)
-    rng = np.random.default_rng(pattern_seed)
+    rng = np.random.default_rng(_check_count(pattern_seed, "seed", 0))
     pattern = rng.integers(0, 2, size=len(frozen.indices), dtype=np.int64)
     return DualityCode(
         N=N,
@@ -165,6 +170,15 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
     return _forward_rows(code.source.field, x_hat)[:, ~frozen]
 
 
+def _trial_batches(trials: int, seed: int, N: int):
+    """default_rng([seed, t]) of each trial t, in lists of batch_rows(N); checks trials, seed."""
+    _check_count(trials, "trials", 1)
+    _check_count(seed, "seed", 0)
+    step = batch_rows(N)
+    for s in range(0, trials, step):
+        yield [np.random.default_rng([seed, t]) for t in range(s, min(s + step, trials))]
+
+
 def simulate(w: ChannelModel, code: DualityCode, trials: int, seed: int) -> dict:
     """Seeded end-to-end trials; reports FER, BER and the union-bound certificate.
 
@@ -172,28 +186,35 @@ def simulate(w: ChannelModel, code: DualityCode, trials: int, seed: int) -> dict
     default_rng([seed, t]).  Trials are encoded, sent through the channel,
     decoded and scored one decoder batch at a time.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    frame_errors = 0
-    bit_errors = 0
+    frame_errors = bit_errors = 0
     k = code.data_size
-    step = batch_rows(code.N)
-    for start in range(0, trials, step):
-        ts = range(start, min(start + step, trials))
-        data = np.empty((len(ts), k), dtype=np.int64)
-        noise = np.empty((len(ts), code.N))
-        for r, t in enumerate(ts):
-            rng = np.random.default_rng([seed, t])
+    for rngs in _trial_batches(trials, seed, code.N):
+        data = np.empty((len(rngs), k), dtype=np.int64)
+        noise = np.empty((len(rngs), code.N))
+        for r, rng in enumerate(rngs):
             data[r] = rng.integers(0, 2, size=k, dtype=np.int64)
             noise[r] = rng.random(code.N)
         Y = w._outputs(_encode_rows(data, code), noise)
         wrong = (channel_decode_batch(Y, code) != data).sum(axis=1)
         bit_errors += int(wrong.sum())
         frame_errors += int((wrong > 0).sum())
+    ber = bit_errors / (trials * k) if k else 0.0
     bound = error_bound(code.frozen_set, code.spectrum)
-    return {
-        "fer": frame_errors / trials,
-        "ber": bit_errors / (trials * k) if k else 0.0,
-        "bound": bound,
-        "trials": trials,
-    }
+    return {"fer": frame_errors / trials, "ber": ber, "bound": bound, "trials": trials}
+
+
+def sw_simulate(cfg: SWConfig, trials: int, seed: int) -> dict:
+    """Seeded Slepian-Wolf trials; reports the joint error rate and the union-bound certificate.
+
+    Trial t draws N pairs (x, y) from default_rng([seed, t]) and fails if x or y decodes wrong.
+    """
+    N = cfg.set_x.N
+    flat = cfg.joint.probs.reshape(-1)
+    errors = 0
+    for rngs in _trial_batches(trials, seed, N):
+        draws = np.array([rng.choice(flat.size, size=N, p=flat) for rng in rngs], dtype=np.uint8)
+        xs, ys = np.divmod(draws, cfg.joint.y_size)
+        cxs, cys = compress_blocks(xs, cfg.set_x), compress_blocks(ys, cfg.set_y)
+        x_hat, y_hat = sw_decode_blocks(cxs, cys, cfg)
+        errors += int(((x_hat != xs).any(axis=1) | (y_hat != ys).any(axis=1)).sum())
+    return {"joint_error_rate": errors / trials, "bound": sw_error_bound(cfg), "trials": trials}

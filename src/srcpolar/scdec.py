@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, ProtocolError, UnsupportedAlphabetError
 from .field import FieldSpec
 from .sources import JointSource
-from .transform import _integers, _stage, bit_reverse_indices
+from .transform import _check_block_length, _integers, _stage, bit_reverse_indices
 
 L_MAX = 700.0
 # An llr within SC_TIE of zero is a tie and decides 0, so that decisions do
@@ -102,8 +102,7 @@ class SequentialDecoder:
         if y.ndim != 1:
             raise DomainError("side block must be one-dimensional")
         n = y.shape[0]
-        if n == 0 or (n & (n - 1)) != 0:
-            raise DomainError(f"block length {n} is not a power of two")
+        _check_block_length(n)
         if N is not None and N != n:
             raise DomainError("explicit N disagrees with side block length")
         self.N = n
@@ -197,8 +196,7 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     if known_vals.ndim != 2:
         raise DomainError("known values must be a (blocks, N) array")
     B, N = known_vals.shape
-    if N == 0 or (N & (N - 1)) != 0:
-        raise DomainError(f"block length {N} is not a power of two")
+    n = _check_block_length(N)
     if known_mask.shape != (N,):
         raise DomainError(f"known mask must have {N} entries")
     given = _integers(known_vals[:, known_mask], "known bits")
@@ -212,18 +210,19 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     if Y.shape != (B, N):
         raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
     table = _llr_table(source, Y)
-    perm = bit_reverse_indices(N.bit_length() - 1)
+    perm = bit_reverse_indices(n)
     unknown_before = [0, *np.cumsum(~known_mask).tolist()]
     x = np.empty((B, N), dtype=np.uint8)
     step = batch_rows(N)
     for s in range(0, B, step):
         rows = slice(s, s + step)
-        sums = _known_sums(source.field, known_vals[rows].astype(np.uint8) & known_mask)
+        known = np.ascontiguousarray(known_vals[rows].T, dtype=np.uint8) & known_mask[:, None]
+        sums = _known_sums(source.field, known)
         if unknown_before[N] == 0:
             beta = sums[-1]
         else:
-            beta = _decode_node(table[Y[rows][:, perm]], 0, unknown_before, sums)
-        x[rows] = beta[:, perm]  # the root's partial sums, x in bit-reversed order
+            beta = _decode_node(table[Y[rows].T[perm]], 0, unknown_before, sums)
+        x[rows] = beta[perm].T  # the root's partial sums, x in bit-reversed order
     return x
 
 
@@ -244,22 +243,24 @@ RATE1_GUARD = math.log(2) + 1e-12
 
 
 def _known_sums(field: FieldSpec, known: np.ndarray) -> list:
-    """sums[d][:, lo:lo+2^d] = known[:, lo:lo+2^d] F^(kron 2^d) for every aligned block.
+    """sums[d][lo:lo+2^d] = F^(kron 2^d) applied to known[lo:lo+2^d] for every aligned block.
 
-    The stages of F^(kron N) commute, so running them from the shortest
-    half up gives every block size in one pass.
+    known is (N, B), positions major like every SC tree array, so a stage over halves of h
+    positions is one over h B entries of the flat array.  The stages commute: running them
+    from the shortest half up gives every block size in one pass.
     """
+    N, B = known.shape
     sums = [known]
-    for d in range(known.shape[1].bit_length() - 1):
+    for d in range(N.bit_length() - 1):
         sums.append(sums[-1].copy())
-        _stage(field, sums[-1], 1 << d)
+        _stage(field, sums[-1].reshape(-1), B << d)
     return sums
 
 
 def _decode_node(L, lo, unknown_before, sums):
-    """Decode u[:, lo:lo+m] from the node's llrs L (B, m); returns its partial sums.
+    """Decode u[lo:lo+m] from the node's llrs L (m, B); returns its (m, B) partial sums.
 
-    The partial sums are u[:, lo:lo+m] F^(kron m), the node's part of the
+    The partial sums are u[lo:lo+m] F^(kron m), the node's part of the
     re-encoded block, which its parent needs for g.  unknown_before[i]
     counts the unknown positions below i, and sums (see _known_sums) holds
     the partial sums of the known bits with the unknown ones set to 0.
@@ -290,7 +291,7 @@ def _decode_node(L, lo, unknown_before, sums):
       sums are (HD(b), HD(b)) where the hard decisions are (0, HD(b)).
       A node that misses the guard splits as plain SC does.
     """
-    m = L.shape[1]
+    m = L.shape[0]
     d = m.bit_length() - 1
     hi = lo + m
     unknown = unknown_before[hi] - unknown_before[lo]
@@ -299,20 +300,20 @@ def _decode_node(L, lo, unknown_before, sums):
     if unknown == 1 and unknown_before[hi - 1] == unknown_before[lo]:
         for k in range(d - 1, -1, -1):
             h = 1 << k
-            L = _g(L[:, :h], L[:, h:], sums[k][:, hi - 2 * h : hi - h])
-        return sums[d][:, lo:hi] ^ (L < -SC_TIE).view(np.uint8)
+            L = _g(L[:h], L[h:], sums[k][hi - 2 * h : hi - h])
+        return sums[d][lo:hi] ^ (L < -SC_TIE).view(np.uint8)
     h = m >> 1
     mid = lo + h
-    a, b = L[:, :h], L[:, h:]
+    a, b = L[:h], L[h:]
     if unknown_before[mid] == unknown_before[lo]:
-        left = sums[d - 1][:, lo:mid]
+        left = sums[d - 1][lo:mid]
     else:
         left = _decode_node(_combine_odd_vec(a, b), lo, unknown_before, sums)
     if unknown_before[hi] == unknown_before[mid]:
-        right = sums[d - 1][:, mid:hi]
+        right = sums[d - 1][mid:hi]
     else:
         right = _decode_node(_g(a, b, left), mid, unknown_before, sums)
-    return np.concatenate((left ^ right, right), axis=1)
+    return np.concatenate((left ^ right, right))
 
 
 def _g(a: np.ndarray, b: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -326,9 +327,8 @@ def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     chan_llr and u_true are (samples, N); returns the (samples, N) array of
     decision llrs a sequential decoder would see given the true u prefix.
     """
-    N = chan_llr.shape[1]
-    L = chan_llr[:, bit_reverse_indices(N.bit_length() - 1)].T
-    return _genie_llrs(L, _known_sums(FieldSpec.binary(), np.asarray(u_true, dtype=np.uint8))).T
+    L = chan_llr[:, bit_reverse_indices(chan_llr.shape[1].bit_length() - 1)].T
+    return _genie_llrs(L, _known_sums(FieldSpec.binary(), np.asarray(u_true, dtype=np.uint8).T)).T
 
 
 def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:
@@ -336,7 +336,7 @@ def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:
 
     L is the (N, B) array of channel llrs in bit-reversed order, one row
     per position; a C-ordered L is overwritten with the result.  sums is
-    _known_sums of the true (B, N) u.  A genie knows every u, so nothing
+    _known_sums of the true (N, B) u.  A genie knows every u, so nothing
     waits on a decision and the tree runs level by level: at level t each
     of the 2^t nodes splits into halves a and b, its left child gets
     f(a, b) and its right child g(a, b) signed by the left child's true
@@ -350,8 +350,7 @@ def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:
         h = 1 << k
         nodes = flat.reshape(N // (2 * h), 2, h * B)
         a, b = nodes[:, 0], nodes[:, 1]
-        left = sums[k].reshape(B, N // (2 * h), 2, h)[:, :, 0].transpose(1, 2, 0)
-        right = _g(a, b, left.reshape(a.shape))
+        right = _g(a, b, sums[k].reshape(N // (2 * h), 2, h * B)[:, 0])
         nodes[:, 0] = _combine_odd_vec(a, b)
         nodes[:, 1] = right
     return flat.reshape(N, B)

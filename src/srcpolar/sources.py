@@ -115,7 +115,7 @@ class JointSource:
         return JointSource(FieldSpec.binary(), table)
 
 
-_PRESET_RE = re.compile(r"^\s*(\w+)\s*\(\s*([0-9.eE+-]+)\s*\)\s*$")
+_SPEC_RE = re.compile(r"^\s*(\w+)\s*\(\s*([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)\s*\)\s*$")
 
 _PRESETS = {
     "bernoulli": JointSource.bernoulli,
@@ -124,12 +124,17 @@ _PRESETS = {
 }
 
 
+def _parse_spec(text: str, makers: dict, what: str):
+    """makers[name](number) for a spec in the one grammar, name(number); else DomainError."""
+    m = _SPEC_RE.match(text)
+    if not m or m.group(1) not in makers:
+        raise DomainError(f"unknown {what}: {text!r} (want name(number), name in {list(makers)})")
+    return makers[m.group(1)](float(m.group(2)))
+
+
 def parse_preset(text: str) -> JointSource:
     """Parse 'bernoulli(p)', 'bsc_pair(p)' or 'bec_pair(eps)'."""
-    m = _PRESET_RE.match(text)
-    if not m or m.group(1) not in _PRESETS:
-        raise DomainError(f"unknown source preset: {text!r}")
-    return _PRESETS[m.group(1)](float(m.group(2)))
+    return _parse_spec(text, _PRESETS, "source preset")
 
 
 def conditional_entropy(s: JointSource) -> float:

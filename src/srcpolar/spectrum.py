@@ -27,7 +27,7 @@ from .errors import BudgetExceededError, DomainError, FormatError, UnsupportedAl
 from .field import FieldSpec
 from .scdec import _genie_llrs, _known_sums, _llr_table, batch_rows
 from .sources import JointSource, _entropy_nats, bhattacharyya
-from .transform import _forward_rows, bit_reverse_indices
+from .transform import _check_block_length, _check_count, _forward_rows, bit_reverse_indices
 
 METHOD_EXACT = "exact"
 METHOD_ZBOUND = "zbound"
@@ -138,12 +138,6 @@ def spectrum_fingerprint(source_desc, N: int, method: str, seed) -> str:
         sort_keys=True,
     ).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _check_block_length(N: int) -> int:
-    if N < 1 or (N & (N - 1)) != 0:
-        raise DomainError(f"N={N} is not a power of two")
-    return N.bit_length() - 1
 
 
 @lru_cache(maxsize=32)
@@ -301,9 +295,8 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int) -> Pola
     n = _check_block_length(N)
     if not s.field.is_binary:
         raise UnsupportedAlphabetError("Monte-Carlo estimation requires q = 2")
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    _check_count(samples, "samples", 1)
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
     flat = s.probs.reshape(-1)
     perm = bit_reverse_indices(n)
     step = batch_rows(N)
@@ -346,7 +339,7 @@ def _genie_terms(s: JointSource, draws: np.ndarray, perm: np.ndarray) -> tuple:
     """
     x, y = np.divmod(draws, s.y_size)
     u = _forward_rows(s.field, x.astype(np.uint8))
-    llrs = _genie_llrs(_llr_table(s, y)[y.T[perm]], _known_sums(s.field, u))
+    llrs = _genie_llrs(_llr_table(s, y)[y.T[perm]], _known_sums(s.field, u.T))
     llrs = np.ascontiguousarray(llrs.T)
     return np.logaddexp(0.0, np.where(u == 0, -llrs, llrs)), 1.0 / np.cosh(0.5 * llrs)
 

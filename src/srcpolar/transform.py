@@ -35,9 +35,7 @@ class SymbolBlock:
         arr = _integers(self.data, "block data").astype(np.int64, copy=False)
         if arr.ndim != 1:
             raise DomainError("block data must be one-dimensional")
-        n = arr.shape[0]
-        if n == 0 or (n & (n - 1)) != 0:
-            raise DomainError(f"block length {n} is not a power of two")
+        _check_block_length(arr.shape[0])
         if arr.size and (arr.min() < 0 or arr.max() >= self.field.q):
             raise DomainError(f"symbols out of range for q={self.field.q}")
         object.__setattr__(self, "data", arr)
@@ -62,6 +60,20 @@ def _integers(a, what: str) -> np.ndarray:
     if a.dtype.kind in "bf" and np.isfinite(a).all() and (a == np.trunc(a)).all():
         return a.astype(np.int64)
     raise DomainError(f"{what} must be whole numbers")
+
+
+def _check_block_length(N: int) -> int:
+    """log2 N; a block length that is not a power of two raises DomainError."""
+    if N < 1 or N & (N - 1):
+        raise DomainError(f"block length {N} is not a power of two")
+    return N.bit_length() - 1
+
+
+def _check_count(value, what: str, least: int) -> int:
+    """value as an int of at least `least`; anything else (-1, 2.5, None) raises DomainError."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @lru_cache(maxsize=None)

@@ -383,6 +383,15 @@ class TestChansim:
             "--trials", "1", "--seed", "0", "--out", str(tmp_path / "x"),
         ) == 1
 
+    @pytest.mark.parametrize("spec", ["bsc(1e)", "bsc(..)", "bsc()", "bec(+-1)"])
+    def test_malformed_channel_number(self, tmp_path, capsys, spec):
+        # these used to reach float() and escape as a bare ValueError
+        out = tmp_path / "x"
+        assert run("chansim", "--channel", spec, "-N", "8", "-R", "0.5",
+                   "--trials", "1", "--seed", "0", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("srcpolar: error: unknown channel spec")
+        assert not out.exists()
+
 
 class TestSwsim:
     @staticmethod
@@ -413,6 +422,17 @@ class TestSwsim:
             "--out", str(tmp_path / "x"),
         ) == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_validated(self, tmp_path, capsys, trials):
+        # 0 used to divide by zero, and -3 wrote a row with error rate -0
+        out = tmp_path / "sw.csv"
+        assert run(
+            "swsim", "--source", str(self._joint_file(tmp_path)), "-N", "16",
+            "--rx", "0.8", "--ry", "0.95", "--trials", trials, "--seed", "0", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err.startswith("srcpolar: error: trials must be")
+        assert not out.exists()
+
 
 BAD_SOURCES = {
     "truncated_json": '{"q": 2, "y_size": 1, "probs": [0.5, ',
@@ -425,6 +445,36 @@ SOURCE_COMMANDS = {
     "freeze": ["-N", "4", "-R", "0.5"],
     "swsim": ["-N", "4", "--rx", "0.9", "--ry", "0.9", "--seed", "0"],
 }
+
+
+@pytest.mark.parametrize("command", sorted(SOURCE_COMMANDS))
+@pytest.mark.parametrize("preset", ["bernoulli(..)", "bernoulli(1e)", "bernoulli()"])
+def test_malformed_preset_number_fails(tmp_path, capsys, command, preset):
+    out = tmp_path / "out"
+    assert run(command, "--preset", preset, *SOURCE_COMMANDS[command], "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("srcpolar: error: unknown source preset")
+    assert not out.exists()
+
+
+SEEDED_COMMANDS = {
+    "chansim": ["--channel", "bsc(0.1)", "-N", "8", "-R", "0.5", "--trials", "2"],
+    "swsim": ["-N", "16", "--rx", "0.8", "--ry", "0.95", "--trials", "2"],
+    "freeze": ["-N", "8", "-R", "0.5", "--method", "mc", "--samples", "10"],
+    "spectrum": ["-N", "8", "--method", "mc", "--samples", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_negative_seed_fails(tmp_path, capsys, command):
+    # numpy rejects a negative seed with its own ValueError, which escaped as a traceback
+    joint = tmp_path / "joint.json"
+    joint.write_text('{"q": 2, "y_size": 2, "probs": [0.76, 0.01, 0.04, 0.19]}')
+    source = [] if command == "chansim" else ["--source", str(joint)]
+    out = tmp_path / "out"
+    assert run(command, *source, *SEEDED_COMMANDS[command], "--seed", "-1",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("srcpolar: error: seed must be")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(SOURCE_COMMANDS))
@@ -524,6 +574,29 @@ class TestPinnedOutputs:
             assert run("swsim", "--source", str(joint), "-N", "256", "--rx", rx, "--ry", ry,
                        "--trials", "40", "--seed", "7", "--out", str(out)) == 0
             assert out.read_text() == "N,R_x,R_y,trials,joint_error_rate,bound\n" + want + "\n"
+
+    # 150 trials at N=1024 run as decoder batches of 64, 64 and 22 trials
+    CHANSIM_BATCHES = (
+        "channel,N,R,trials,fer,ber,bound\n"
+        "bsc(0.11),1024,0.34999999999999998,150,0.16666666666666666,0.024022346368715083,1\n"
+        "bsc(0.11),1024,0.5,150,1,0.39329427083333335,1\n"
+    )
+    SWSIM_BATCHES = (
+        "N,R_x,R_y,trials,joint_error_rate,bound\n"
+        "1024,0.5,0.84999999999999998,150,0.073333333333333334,2\n"
+    )
+
+    def test_trials_across_batches(self, tmp_path):
+        joint = tmp_path / "joint.json"
+        joint.write_text('{"q": 2, "y_size": 2, "probs": [0.76, 0.01, 0.04, 0.19]}')
+        out = tmp_path / "c.csv"
+        assert run("chansim", "--channel", "bsc(0.11)", "-N", "1024", "-R", "0.35", "0.5",
+                   "--trials", "150", "--seed", "7", "--out", str(out)) == 0
+        assert out.read_text() == self.CHANSIM_BATCHES
+        out = tmp_path / "s.csv"
+        assert run("swsim", "--source", str(joint), "-N", "1024", "--rx", "0.5", "--ry", "0.85",
+                   "--trials", "150", "--seed", "7", "--out", str(out)) == 0
+        assert out.read_text() == self.SWSIM_BATCHES
 
     def test_decompress(self, tmp_path):
         for (preset, rate), want in self.DECOMPRESS.items():

@@ -4,6 +4,8 @@ import pytest
 from srcpolar import (
     ChannelModel,
     DomainError,
+    FieldSpec,
+    JointSource,
     bhattacharyya,
     binary_entropy,
     channel_decode,
@@ -13,7 +15,11 @@ from srcpolar import (
     duality,
     induced_source,
     make_duality_code,
+    scdec,
     simulate,
+    sw_config,
+    sw_error_bound,
+    sw_simulate,
     symmetric_capacity,
 )
 
@@ -197,6 +203,26 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(w, code, 0, 0)
 
+    @pytest.mark.parametrize("trials, seed", [(2.5, 0), (-3, 0), (5, -1), (5, 1.5), (5, None)])
+    def test_trials_and_seed_must_be_whole(self, trials, seed):
+        w = ChannelModel.bsc(0.1)
+        code = make_duality_code(w, 16, 0.5, 0)
+        with pytest.raises(DomainError):
+            simulate(w, code, trials, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_pattern_seed_validated(self, seed):
+        with pytest.raises(DomainError):
+            make_duality_code(ChannelModel.bsc(0.1), 16, 0.5, seed)
+
+    def test_batching_does_not_change_results(self, monkeypatch):
+        # trial t always draws from default_rng([seed, t]), whatever the batch
+        w = ChannelModel.bsc(0.08)
+        code = make_duality_code(w, 64, 0.4, 3)
+        whole = simulate(w, code, 50, 9)
+        monkeypatch.setattr(scdec, "BATCH_LLRS", 3 * 64)
+        assert simulate(w, code, 50, 9) == whole
+
 
 def test_duality_identity():
     # coding rate R over W == compressing the induced source at rate 1-R
@@ -220,3 +246,34 @@ def test_frozen_pattern_equivariance():
         fers.append(simulate(w, code, 150, 33)["fer"])
     # two-proportion probe: same underlying rate, so the gap stays small
     assert abs(fers[0] - fers[1]) < 0.15
+
+
+class TestSwSimulate:
+    # Y ~ Ber(0.2), X = Y xor Ber(0.05): H(Y) ~ 0.72, H(X|Y) ~ 0.29
+    JOINT = JointSource(FieldSpec.binary(), np.array([[0.76, 0.01], [0.04, 0.19]]))
+
+    def test_report(self):
+        cfg = sw_config(self.JOINT, 64, 0.6, 0.9)
+        rep = sw_simulate(cfg, 30, 4)
+        assert rep["trials"] == 30
+        assert 0.0 <= rep["joint_error_rate"] <= 1.0
+        assert round(rep["joint_error_rate"] * 30) == pytest.approx(rep["joint_error_rate"] * 30)
+        assert rep["bound"] == sw_error_bound(cfg)
+
+    def test_seeded_and_independent_of_batching(self, monkeypatch):
+        cfg = sw_config(self.JOINT, 64, 0.45, 0.8)
+        whole = sw_simulate(cfg, 40, 7)
+        assert sw_simulate(cfg, 40, 7) == whole
+        assert 0.0 < whole["joint_error_rate"] < 1.0  # some trials fail, so the bytes pin decisions
+        monkeypatch.setattr(scdec, "BATCH_LLRS", 3 * 64)
+        assert sw_simulate(cfg, 40, 7) == whole
+
+    def test_noiseless_pair_never_fails(self):
+        # X = Y and all of Y is stored: both stages decode without error
+        joint = JointSource(FieldSpec.binary(), np.array([[0.8, 0.0], [0.0, 0.2]]))
+        assert sw_simulate(sw_config(joint, 32, 0.1, 1.0), 20, 1)["joint_error_rate"] == 0.0
+
+    @pytest.mark.parametrize("trials, seed", [(0, 0), (-3, 0), (2.5, 0), (5, -1), (5, 1.5)])
+    def test_trials_and_seed_validated(self, trials, seed):
+        with pytest.raises(DomainError):
+            sw_simulate(sw_config(self.JOINT, 16, 0.8, 0.95), trials, seed)

@@ -16,6 +16,7 @@ from srcpolar import (
     check_z_h_inequalities,
     conditional_entropy,
     make_duality_code,
+    parse_channel,
     parse_preset,
     renyi_entropy,
     sw_config,
@@ -248,3 +249,36 @@ class TestPresets:
             parse_preset("laplace(0.1)")
         with pytest.raises(DomainError):
             parse_preset("bernoulli")
+
+
+class TestSpecGrammar:
+    """Presets and channels share one name(number) grammar."""
+
+    @pytest.mark.parametrize("text, p", [
+        ("bernoulli(0.11)", 0.11), (" bernoulli ( 1.1e-1 ) ", 0.11), ("bernoulli(.5)", 0.5),
+        ("bernoulli(1.)", 1.0), ("bernoulli(+0.25)", 0.25), ("bernoulli(1E-1)", 0.1),
+    ])
+    def test_numbers_accepted(self, text, p):
+        assert np.allclose(parse_preset(text).probs, JointSource.bernoulli(p).probs)
+
+    @pytest.mark.parametrize("text", [
+        "bernoulli(..)", "bernoulli(1e)", "bernoulli()", "bernoulli(nan)", "bernoulli(0.1",
+        "bernoulli(0.1)x", "bernoulli(1_0)", "bernoulli(0.1, 0.2)", "bsc(0.1)", "cauchy(1)", "",
+    ])
+    def test_malformed_preset_is_domain_error(self, text):
+        with pytest.raises(DomainError, match="unknown source preset"):
+            parse_preset(text)
+
+    def test_channels(self):
+        w = parse_channel("bsc(0.11)")
+        assert w.kind == "bsc" and w.param == 0.11
+        w = parse_channel(" bec ( 4e-1 ) ")
+        assert w.kind == "bec" and w.param == 0.4
+        with pytest.raises(DomainError):
+            parse_channel("bsc(1.5)")  # well formed, out of range
+
+    @pytest.mark.parametrize("text", ["bsc(1e)", "bsc(..)", "bsc()", "bec(-)", "awgn(1.0)",
+                                      "bsc_pair(0.1)"])
+    def test_malformed_channel_is_domain_error(self, text):
+        with pytest.raises(DomainError, match="unknown channel spec"):
+            parse_channel(text)

@@ -201,6 +201,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             montecarlo_spectrum(BER_HALF, 4, 0, 1)
 
+    @pytest.mark.parametrize("samples, seed", [(10, -1), (10, 1.5), (10, None), (2.5, 1)])
+    def test_bad_seed_or_samples_rejected(self, samples, seed):
+        # numpy's own ValueError for a negative seed is not a SrcPolarError
+        with pytest.raises(DomainError):
+            montecarlo_spectrum(BER_HALF, 4, samples, seed)
+
     def test_same_bits_for_any_thread_count(self, monkeypatch):
         # 1000 samples are three full chunks of 256 rows and one of 232
         s = JointSource.bsc_pair(0.11)

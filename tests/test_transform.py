@@ -7,11 +7,18 @@ import pytest
 from srcpolar import (
     DomainError,
     FieldSpec,
+    JointSource,
     OpCounter,
+    SequentialDecoder,
     SymbolBlock,
     bit_reverse_permute,
+    decode_batch,
+    exact_spectrum,
+    montecarlo_spectrum,
     polar_forward,
     polar_inverse,
+    tv_spectrum,
+    zbound_spectrum,
 )
 from srcpolar.transform import _inverse_rows
 
@@ -159,3 +166,18 @@ def test_runtime_scales_quasilinearly(rng):
     t_small = best_of(1 << 12)
     t_big = best_of(1 << 13)
     assert t_big <= 2.6 * max(t_small, 1e-4)  # floor guards timer noise
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SymbolBlock(GF2, np.zeros(6, dtype=np.int64)),
+    lambda: SequentialDecoder(JointSource.bernoulli(0.1), np.zeros(6, dtype=np.int64)),
+    lambda: decode_batch(JointSource.bernoulli(0.1), None, np.zeros(6, dtype=bool),
+                         np.zeros((1, 6), dtype=np.uint8)),
+    lambda: exact_spectrum(JointSource.bernoulli(0.1), 6),
+    lambda: zbound_spectrum(JointSource.bernoulli(0.1), 6),
+    lambda: tv_spectrum(JointSource.bernoulli(0.1), 6),
+    lambda: montecarlo_spectrum(JointSource.bernoulli(0.1), 6, 10, 0),
+], ids=["SymbolBlock", "SequentialDecoder", "decode_batch", "exact", "zbound", "tv", "mc"])
+def test_one_block_length_check(make):
+    with pytest.raises(DomainError, match="^block length 6 is not a power of two$"):
+        make()
