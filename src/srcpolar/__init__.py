@@ -11,8 +11,10 @@ from .codec import (
     SWConfig,
     compress,
     compress_blocks,
+    compress_file,
     decompress,
     decompress_blocks,
+    decompress_file,
     error_bound,
     sw_config,
     sw_decode,

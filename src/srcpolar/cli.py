@@ -15,8 +15,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import codec, duality, spectrum as spec_mod
 from .errors import FormatError, SrcPolarError, UnsupportedAlphabetError
 from .sources import JointSource, parse_preset
@@ -100,61 +98,19 @@ def _load_manifest(path: str) -> tuple[HighEntropySet, JointSource]:
         raise FormatError(f"manifest {path}: {type(exc).__name__}: {exc}") from None
 
 
-_PAD_TRAILER = 4  # u32 LE count of zero pad bits appended before encoding
-# Input bits that compress reads and transforms per compress_blocks call,
-# rounded to whole blocks and whole bytes; bounds its memory whatever the
-# file size.
-COMPRESS_BITS = 1 << 20
-
-
 def cmd_compress(args) -> int:
     hset, source = _load_manifest(args.manifest)
     if not source.field.is_binary:
         raise UnsupportedAlphabetError("compression requires a binary source")
-    N = hset.N
-    unit = max(N, 8)  # a whole number of blocks and of bytes
-    chunk_bytes = unit * max(1, COMPRESS_BITS // unit) // 8
-    out = bytearray()
-    pad = 0
     with open(args.infile, "rb") as fh:
-        while raw := fh.read(chunk_bytes):
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-            pad = -bits.size % N  # nonzero only in the last, short chunk
-            if pad:
-                bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-            for blk in codec.compress_blocks(bits.reshape(-1, N), hset, args.checksum):
-                out += blk.to_bytes()
-    out += pad.to_bytes(_PAD_TRAILER, "little")
-    _atomic_write(args.out, out)
+        _atomic_write(args.out, codec.compress_file(fh, hset, args.checksum))
     return 0
 
 
 def cmd_decompress(args) -> int:
     hset, source = _load_manifest(args.manifest)
-    N = hset.N
-    buf = Path(args.infile).read_bytes()
-    if len(buf) < _PAD_TRAILER:
-        raise SrcPolarError("truncated container")
-    pad = int.from_bytes(buf[-_PAD_TRAILER:], "little")
-    body, pos = buf[:-_PAD_TRAILER], 0
-    blocks = []
-    while pos < len(body):
-        blk, pos = codec.CompressedBlock.from_bytes(body, pos)
-        blocks.append(blk)
-    if pad >= N or pad > len(blocks) * N:
-        raise FormatError(f"pad trailer {pad} does not fit {len(blocks)} blocks of {N} bits")
-    side = None
-    if args.side:
-        side = np.frombuffer(Path(args.side).read_bytes(), dtype=np.uint8)
-        if side.shape[0] != len(blocks) * N:
-            raise SrcPolarError("side-information length does not match the container")
-        side = side.reshape(len(blocks), N)
-    elif source.y_size != 1:
-        raise SrcPolarError("--side is required: the source has side information")
-    all_bits = codec.decompress_blocks(blocks, side, hset, source).reshape(-1)
-    if pad:
-        all_bits = all_bits[:-pad]
-    _atomic_write(args.out, np.packbits(all_bits).tobytes())
+    side = Path(args.side).read_bytes() if args.side else None
+    _atomic_write(args.out, codec.decompress_file(Path(args.infile).read_bytes(), side, hset, source))
     return 0
 
 

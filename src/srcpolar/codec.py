@@ -10,7 +10,8 @@ Wire format of one compressed block:
     [crc32  u32 LE]        version 2 only
     payload                bits in increasing index order, MSB-first
 
-Bits travel as uint8 arrays, one bit per byte.
+A container is a file's blocks, then a u32 LE count of its zero pad bits, whole
+bytes fewer than N.  Bits travel as uint8, one bit per byte, payloads as (blocks, k) arrays.
 """
 
 import zlib
@@ -30,6 +31,10 @@ _GF2 = FieldSpec.binary()
 MAGIC = b"PLSC"
 VERSION_PLAIN = 1
 VERSION_CRC = 2
+_PAD_TRAILER = 4  # u32 LE count of zero pad bits appended before encoding
+# Input bits compress_file reads per compress_blocks call, rounded to whole
+# blocks and bytes; bounds its memory whatever the file size.
+COMPRESS_BITS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,70 +90,110 @@ def compress(x: SymbolBlock, hset: HighEntropySet, checksum: bool = False) -> Co
     """u = x G_N; emit u restricted to the high-entropy indices."""
     if not x.field.is_binary:
         raise UnsupportedAlphabetError("compression requires a binary source")
-    return compress_blocks(x.data.reshape(1, -1), hset, checksum)[0]
+    return _wire(x.data.reshape(1, -1), hset, checksum)[0]
 
 
-def compress_blocks(X, hset: HighEntropySet, checksum: bool = False) -> list[CompressedBlock]:
-    """Compress every row of a (blocks, N) array of bits with one transform call.
+def compress_blocks(X, hset: HighEntropySet) -> np.ndarray:
+    """Payloads of every row of a (blocks, N) array of bits, with one transform call.
 
     X holds 0/1 symbols of the binary field; a uint8 array is used as it
     is, any other integer array is checked and then copied to uint8.  Row
-    b gives what compress gives for that block alone.
+    b of the (blocks, k) uint8 result is the payload of block b alone.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != hset.N:
         raise DomainError(f"blocks of shape {X.shape} do not have length {hset.N}")
     if X.dtype.kind not in "biu" or (X.size and (X.min() < 0 or X.max() > 1)):
         raise DomainError("compression takes bits: 0/1 symbols of the binary field")
-    X = X.astype(np.uint8, copy=False)
     # .compress keeps the rows contiguous; [:, mask] returns a column-major
     # array, on which each row's packbits in to_bytes is about 30x slower.
-    payloads = _forward_rows(_GF2, X).compress(hset.mask, axis=1)
-    version = VERSION_CRC if checksum else VERSION_PLAIN
-    n = hset.N.bit_length() - 1
-    return [
-        CompressedBlock(version, n, hset.fingerprint, p, _crc(x) if checksum else None)
-        for p, x in zip(payloads, X)
-    ]
+    return _forward_rows(_GF2, X.astype(np.uint8, copy=False)).compress(hset.mask, axis=1)
 
 
-def decompress(
-    block: CompressedBlock,
-    y,
-    hset: HighEntropySet,
-    source: JointSource,
-) -> SymbolBlock:
+def _wire(X, hset: HighEntropySet, checksum: bool) -> list[CompressedBlock]:
+    """The wire blocks of the rows of X, each with its crc32 if checksum."""
+    version, n = (VERSION_CRC if checksum else VERSION_PLAIN), hset.N.bit_length() - 1
+    return [CompressedBlock(version, n, hset.fingerprint, p, _crc(x) if checksum else None)
+            for p, x in zip(compress_blocks(X, hset), X)]
+
+
+def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray:
+    """The container of the bytes read from the binary file fh, COMPRESS_BITS at a time."""
+    unit = max(hset.N, 8)  # a whole number of blocks and of bytes
+    chunk_bytes = unit * max(1, COMPRESS_BITS // unit) // 8
+    out, pad = bytearray(), 0
+    while raw := fh.read(chunk_bytes):
+        if pad:  # a short read before the end: padding it would insert zero bits
+            raise DomainError("file read returned a partial block before its end")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        pad = -bits.size % hset.N  # nonzero only in the last, short chunk
+        if pad:
+            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+        for blk in _wire(bits.reshape(-1, hset.N), hset, checksum):
+            out += blk.to_bytes()
+    out += pad.to_bytes(_PAD_TRAILER, "little")  # in place: a copy would raise the peak
+    return out
+
+
+def decompress(block: CompressedBlock, y, hset: HighEntropySet, source: JointSource) -> SymbolBlock:
     """Reconstruction of x from one block's payload and side block y."""
     Y = None if y is None else np.asarray(y).reshape(1, -1)
-    return SymbolBlock(source.field, decompress_blocks([block], Y, hset, source)[0])
+    (x_hat,) = _decode_checked(lambda P: [decompress_blocks(P, Y, hset, source)], ([block], hset))
+    return SymbolBlock(source.field, x_hat[0])
 
 
-def decompress_blocks(blocks, Y, hset: HighEntropySet, source: JointSource) -> np.ndarray:
-    """Reconstruct every block at once; returns x as a (blocks, N) uint8 array.
+def decompress_file(container: bytes, side, hset: HighEntropySet, source: JointSource) -> bytes:
+    """The file's bytes from its container and its side symbols, one per byte, or None."""
+    N = hset.N
+    if len(container) < _PAD_TRAILER:
+        raise FormatError("truncated container")
+    pad = int.from_bytes(container[-_PAD_TRAILER:], "little")
+    body, pos, blocks = container[:-_PAD_TRAILER], 0, []
+    while pos < len(body):
+        blk, pos = CompressedBlock.from_bytes(body, pos)
+        blocks.append(blk)
+    if pad % 8 or pad >= N or pad > len(blocks) * N:
+        raise FormatError(f"pad trailer {pad} does not fit {len(blocks)} blocks of {N} bits")
+    if side is not None and len(side) != len(blocks) * N:
+        raise FormatError("side-information length does not match the container")
+    Y = None if side is None else np.frombuffer(side, dtype=np.uint8).reshape(len(blocks), N)
+    x = _decode_checked(lambda P: [decompress_blocks(P, Y, hset, source)], (blocks, hset))[0].ravel()
+    if x[x.size - pad :].any():
+        raise FormatError(f"pad trailer {pad} drops bits that are not zero padding")
+    return np.packbits(x[: x.size - pad]).tobytes()
 
-    Y is the (blocks, N) array of side symbols, or None for a source
-    without side information.  Each block must match the index set, and a
-    version 2 block must match its crc32 after decoding.  The payloads go
-    to one decode_batch call as uint8 known bits, with Y in its own dtype;
-    it returns x itself, so no transform runs.
+
+def decompress_blocks(P, Y, hset: HighEntropySet, source: JointSource) -> np.ndarray:
+    """Reconstruct every block from its payload; returns x as a (blocks, N) uint8 array.
+
+    P is the (blocks, k) array of payload bits and Y the (blocks, N) array of side
+    symbols, or None without side information.  One decode_batch call takes P as known
+    bits and Y, each in its own dtype, and returns x itself, so no transform runs.
     """
-    for blk in blocks:
-        if blk.fingerprint != hset.fingerprint:
-            raise FingerprintMismatchError(
-                f"block fingerprint {blk.fingerprint} != set {hset.fingerprint}"
-            )
-        if blk.N != hset.N:
-            raise FormatError("block length disagrees with index set")
-        if len(blk.payload) != len(hset.indices):
-            raise FormatError("payload bit count disagrees with index set size")
-    known = np.zeros((len(blocks), hset.N), dtype=np.uint8)
-    payloads = [blk.payload for blk in blocks]
-    known[:, hset.mask] = np.reshape(payloads, (len(blocks), len(hset.indices)))
-    x_hat = decode_batch(source, Y, hset.mask, known)
-    for blk, x in zip(blocks, x_hat):
-        if blk.version == VERSION_CRC and _crc(x) != blk.crc:
-            raise FormatError("checksum mismatch after decompression")
-    return x_hat
+    P = np.asarray(P)
+    if P.ndim != 2 or P.shape[1] != len(hset.indices):
+        raise DomainError(f"payloads of shape {P.shape} do not have {len(hset.indices)} bits")
+    known = np.zeros((len(P), hset.N), dtype=P.dtype)
+    known[:, hset.mask] = P
+    return decode_batch(source, Y, hset.mask, known)
+
+
+def _decode_checked(decode, *streams):
+    """decode(P, ...) on the payload arrays of (blocks, hset) streams, with the block checks:
+    fingerprint, N and payload size before, and a version 2 block's crc32 on its decoded row."""
+    for blocks, hset in streams:
+        for blk in blocks:
+            if blk.fingerprint != hset.fingerprint:
+                raise FingerprintMismatchError(f"fingerprint {blk.fingerprint} != {hset.fingerprint}")
+            if blk.N != hset.N or len(blk.payload) != len(hset.indices):
+                raise FormatError(f"block (N={blk.N}, {len(blk.payload)} bits) does not fit the set")
+    decoded = decode(*[np.reshape([b.payload for b in blocks], (len(blocks), len(hset.indices)))
+                       for blocks, hset in streams])
+    for (blocks, _), x_hat in zip(streams, decoded):
+        for blk, x in zip(blocks, x_hat):
+            if blk.version == VERSION_CRC and _crc(x) != blk.crc:
+                raise FormatError("checksum mismatch after decompression")
+    return decoded
 
 
 def _crc(bits: np.ndarray) -> int:
@@ -221,18 +266,19 @@ def sw_encode_y(y: SymbolBlock, cfg: SWConfig) -> CompressedBlock:
 
 def sw_decode(cx: CompressedBlock, cy: CompressedBlock, cfg: SWConfig):
     """Two-stage joint decoding; returns (x_hat, y_hat)."""
-    x_hat, y_hat = sw_decode_blocks([cx], [cy], cfg)
+    streams = ([cx], cfg.set_x), ([cy], cfg.set_y)
+    x_hat, y_hat = _decode_checked(lambda PX, PY: sw_decode_blocks(PX, PY, cfg), *streams)
     return SymbolBlock(cfg.joint.field, x_hat[0]), SymbolBlock(cfg.y_marginal.field, y_hat[0])
 
 
-def sw_decode_blocks(cxs, cys, cfg: SWConfig):
-    """Two-stage joint decoding of many block pairs; returns (x_hat, y_hat) arrays.
+def sw_decode_blocks(PX, PY, cfg: SWConfig):
+    """Two-stage joint decoding of the (blocks, k) payloads PX and PY; returns (x_hat, y_hat).
 
     Every Y block is decoded alone first, then every X block given its Y
     estimate; both results are (blocks, N) uint8 arrays.
     """
-    y_hat = decompress_blocks(cys, None, cfg.set_y, cfg.y_marginal)
-    x_hat = decompress_blocks(cxs, y_hat, cfg.set_x, cfg.joint)
+    y_hat = decompress_blocks(PY, None, cfg.set_y, cfg.y_marginal)
+    x_hat = decompress_blocks(PX, y_hat, cfg.set_x, cfg.joint)
     return x_hat, y_hat
 
 

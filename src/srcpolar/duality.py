@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SWConfig, compress_blocks, error_bound, sw_decode_blocks, sw_error_bound
+from .codec import (SWConfig, compress_blocks, decompress_blocks, error_bound, sw_decode_blocks,
+                    sw_error_bound)
 from .errors import DomainError
 from .field import FieldSpec
-from .scdec import batch_rows, decode_batch
+from .scdec import batch_rows
 from .sources import JointSource, _parse_spec, conditional_entropy
 from .spectrum import HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
 from .transform import SymbolBlock, _check_count, _forward_rows
@@ -34,6 +35,8 @@ class ChannelModel:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[0] != 2 or t.shape[1] < 1 or (t < 0).any():
             raise DomainError("channel table must be 2 x m with nonnegative entries")
+        if not np.isfinite(t).all():
+            raise DomainError("channel table has a non-finite entry")
         if np.abs(t.sum(axis=1) - 1.0).max() > _ROW_TOL:
             raise DomainError("channel rows must each sum to 1")
         t.setflags(write=False)
@@ -96,7 +99,7 @@ class DualityCode:
     channel: ChannelModel
     source: JointSource  # induced source
     frozen_set: HighEntropySet  # high-entropy set of rate 1-R
-    frozen_pattern: np.ndarray  # bits on the frozen positions
+    frozen_pattern: np.ndarray  # uint8 bits on the frozen positions
     pattern_seed: int
     spectrum: PolarSpectrum  # certified z bounds used for the set
 
@@ -121,7 +124,7 @@ def make_duality_code(w: ChannelModel, N: int, rate: float, pattern_seed: int) -
     spec = zbound_spectrum(src, N)
     frozen = build_high_entropy_set(spec, 1.0 - rate)
     rng = np.random.default_rng(_check_count(pattern_seed, "seed", 0))
-    pattern = rng.integers(0, 2, size=len(frozen.indices), dtype=np.int64)
+    pattern = rng.integers(0, 2, size=len(frozen.indices), dtype=np.int64).astype(np.uint8)
     return DualityCode(
         N=N,
         rate=rate,
@@ -163,11 +166,10 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[1] != code.N:
         raise DomainError(f"received blocks of shape {Y.shape} are not (blocks, N={code.N})")
-    frozen = code.frozen_set.mask
-    pattern = np.zeros(code.N, dtype=np.uint8)
-    pattern[frozen] = code.frozen_pattern
-    x_hat = decode_batch(code.source, Y, frozen, np.broadcast_to(pattern, Y.shape))
-    return _forward_rows(code.source.field, x_hat)[:, ~frozen]
+    frozen = code.frozen_set
+    P = np.broadcast_to(code.frozen_pattern, (len(Y), len(frozen.indices)))
+    x_hat = decompress_blocks(P, Y, frozen, code.source)
+    return _forward_rows(code.source.field, x_hat)[:, ~frozen.mask]
 
 
 def _trial_batches(trials: int, seed: int, N: int):
@@ -214,7 +216,7 @@ def sw_simulate(cfg: SWConfig, trials: int, seed: int) -> dict:
     for rngs in _trial_batches(trials, seed, N):
         draws = np.array([rng.choice(flat.size, size=N, p=flat) for rng in rngs], dtype=np.uint8)
         xs, ys = np.divmod(draws, cfg.joint.y_size)
-        cxs, cys = compress_blocks(xs, cfg.set_x), compress_blocks(ys, cfg.set_y)
-        x_hat, y_hat = sw_decode_blocks(cxs, cys, cfg)
+        PX, PY = compress_blocks(xs, cfg.set_x), compress_blocks(ys, cfg.set_y)
+        x_hat, y_hat = sw_decode_blocks(PX, PY, cfg)
         errors += int(((x_hat != xs).any(axis=1) | (y_hat != ys).any(axis=1)).sum())
     return {"joint_error_rate": errors / trials, "bound": sw_error_bound(cfg), "trials": trials}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srcpolar import HighEntropySet, JointSource, SymbolBlock, binary_entropy, cli, compress
+from srcpolar import HighEntropySet, JointSource, SymbolBlock, binary_entropy, codec, compress
 from srcpolar.cli import main
 
 from conftest import BAD_MANIFESTS
@@ -186,7 +186,7 @@ class TestCompressPipeline:
             assert (tmp_path / "out.bin").read_bytes() == data
 
     @pytest.mark.parametrize(
-        "N, chunk_bits", [(64, 1), (64, 192), (64, cli.COMPRESS_BITS), (4, 12), (2, 1)]
+        "N, chunk_bits", [(64, 1), (64, 192), (64, codec.COMPRESS_BITS), (4, 12), (2, 1)]
     )
     def test_chunked_container_matches_per_block_compress(self, tmp_path, monkeypatch, N, chunk_bits):
         # 1001 bytes: many chunks, and the last block is partial for every N here
@@ -201,7 +201,7 @@ class TestCompressPipeline:
             compress(SymbolBlock(JointSource.bernoulli(0.11).field, x), hset, checksum=True).to_bytes()
             for x in blocks
         ) + pad.to_bytes(4, "little")
-        monkeypatch.setattr(cli, "COMPRESS_BITS", chunk_bits)
+        monkeypatch.setattr(codec, "COMPRESS_BITS", chunk_bits)
         assert run(
             "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
             "--out", str(tmp_path / "c.plsc"), "--checksum",
@@ -300,6 +300,26 @@ class TestCompressPipeline:
         assert run(
             "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
             "--out", str(tmp_path / "c.plsc"),
+        ) == 0
+        raw = (tmp_path / "c.plsc").read_bytes()
+        (tmp_path / "c.plsc").write_bytes(raw[:-4] + pad.to_bytes(4, "little"))
+        assert run(
+            "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
+            "--out", str(tmp_path / "out.bin"),
+        ) == 1
+        assert "pad trailer" in capsys.readouterr().err
+        assert not (tmp_path / "out.bin").exists()
+
+    @pytest.mark.parametrize("pad", [3, 8])
+    def test_pad_trailer_that_drops_data_fails(self, tmp_path, capsys, pad):
+        # compress pads with whole zero bytes: 3 is not whole bytes, and 8 would
+        # drop the file's nonzero last byte.  Both are below N, and a crc32
+        # covers a block, not the trailer.
+        m = self._freeze(tmp_path, N=16)
+        (tmp_path / "in.bin").write_bytes(b"ab")
+        assert run(
+            "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+            "--out", str(tmp_path / "c.plsc"), "--checksum",
         ) == 0
         raw = (tmp_path / "c.plsc").read_bytes()
         (tmp_path / "c.plsc").write_bytes(raw[:-4] + pad.to_bytes(4, "little"))

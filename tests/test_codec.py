@@ -1,3 +1,4 @@
+import io
 import math
 import zlib
 
@@ -12,15 +13,18 @@ from srcpolar import (
     FormatError,
     HighEntropySet,
     JointSource,
+    SrcPolarError,
     SymbolBlock,
     UnsupportedAlphabetError,
     build_high_entropy_set,
     codec,
     compress,
     compress_blocks,
+    compress_file,
     conditional_entropy,
     decompress,
     decompress_blocks,
+    decompress_file,
     error_bound,
     exact_spectrum,
     montecarlo_spectrum,
@@ -93,15 +97,15 @@ class TestCompressBlocks:
         hset = HighEntropySet(N, rate, tuple(kept), "0123456789abcdef", "zbound", None, None)
         X = rng.integers(0, 2, (B, N), dtype=np.uint8)
         U = X.astype(np.int64) @ dense_transform_matrix(2, N) % 2
-        blocks = compress_blocks(X, hset, checksum)
-        assert len(blocks) == B
-        for x, u, blk in zip(X, U, blocks):
+        P = compress_blocks(X, hset)
+        assert P.shape == (B, len(kept)) and P.dtype == np.uint8
+        for x, u, p in zip(X, U, P):
+            assert np.array_equal(p, u[np.array(kept) - 1])
+            blk = compress(bits(x), hset, checksum)
             assert blk.payload.dtype == np.uint8
-            assert np.array_equal(blk.payload, u[np.array(kept) - 1])
+            assert np.array_equal(blk.payload, p)
             assert (blk.version, blk.N, blk.fingerprint) == (2 if checksum else 1, N, hset.fingerprint)
             assert blk.crc == (zlib.crc32(np.packbits(x).tobytes()) if checksum else None)
-        one = compress(bits(X[0]), hset, checksum)
-        assert one.to_bytes() == blocks[0].to_bytes()
 
     @pytest.mark.parametrize(
         "X",
@@ -121,9 +125,9 @@ class TestCompressBlocks:
     def test_int_and_bool_blocks_accepted(self, rng):
         hset = build_high_entropy_set(zbound_spectrum(BER011, 8), 0.5)
         X = rng.integers(0, 2, (3, 8), dtype=np.uint8)
-        want = [blk.to_bytes() for blk in compress_blocks(X, hset, True)]
+        want = compress_blocks(X, hset)
         for other in (X.astype(np.int64), X.astype(bool)):
-            assert [blk.to_bytes() for blk in compress_blocks(other, hset, True)] == want
+            assert np.array_equal(compress_blocks(other, hset), want)
 
 
 class TestDecompress:
@@ -172,16 +176,17 @@ class TestDecompress:
         X = rng.integers(0, 2, (5, 32), dtype=np.uint8)
         hset = build_high_entropy_set(zbound_spectrum(BSC011, 32), 0.8)
         Y = X ^ (rng.random(X.shape) < 0.01)
-        x_hat = decompress_blocks(compress_blocks(X, hset, True), Y, hset, BSC011)
+        x_hat = decompress_blocks(compress_blocks(X, hset), Y, hset, BSC011)
         assert x_hat.dtype == np.uint8 and np.array_equal(x_hat, X)
 
     def test_read_path_runs_no_transform(self, rng, monkeypatch):
         # decode_batch returns x itself, so neither decompress_blocks nor
-        # sw_decode_blocks may need a transform to restore the bits.
+        # sw_decode_blocks, nor the crc32 check, may need a transform.
         X = rng.integers(0, 2, (4, 64), dtype=np.uint8)
         Y = X ^ (rng.random((4, 64)) < 0.02)
         hset = build_high_entropy_set(zbound_spectrum(BSC011, 64), 0.6)
-        blocks = compress_blocks(X, hset, checksum=True)
+        blocks = compress_blocks(X, hset)
+        one = compress(bits(X[0]), hset, checksum=True)
         cfg = sw_config(TestSlepianWolf._joint(), 16, 1.0, 1.0)
         cxs, cys = compress_blocks(X[:, :16], cfg.set_x), compress_blocks(Y[:, :16], cfg.set_y)
 
@@ -193,6 +198,7 @@ class TestDecompress:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, boom)
         assert np.array_equal(decompress_blocks(blocks, Y, hset, BSC011), X)
+        assert np.array_equal(decompress(one, Y[0], hset, BSC011).data, X[0])
         x_hat, y_hat = sw_decode_blocks(cxs, cys, cfg)
         assert np.array_equal(x_hat, X[:, :16]) and np.array_equal(y_hat, Y[:, :16])
 
@@ -201,6 +207,94 @@ class TestDecompress:
         x = bits(rng.integers(0, 2, 16))
         blk = compress(x, hset, checksum=True)
         assert decompress(blk, None, hset, BER011) == x
+
+
+FULL_RATE = {N: build_high_entropy_set(zbound_spectrum(BER011, N), 1.0) for N in (1, 2, 8, 16, 64)}
+
+
+class TestContainer:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.binary(max_size=300), N=st.sampled_from([1, 2, 8, 64]), checksum=st.booleans())
+    def test_round_trip(self, data, N, checksum):
+        hset = FULL_RATE[N]
+        container = compress_file(io.BytesIO(data), hset, checksum)
+        assert decompress_file(container, None, hset, BER011) == data
+
+    @pytest.mark.parametrize("checksum", [False, True])
+    @pytest.mark.parametrize("N", [4, 64])
+    def test_container_is_the_block_stream_and_pad_trailer(self, rng, N, checksum):
+        hset = build_high_entropy_set(zbound_spectrum(BER011, N), 0.75)
+        data = rng.integers(0, 256, 101, dtype=np.uint8)
+        flat = np.unpackbits(data)
+        pad = -flat.size % N
+        X = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
+        want = b"".join(compress(bits(x), hset, checksum).to_bytes() for x in X)
+        assert compress_file(io.BytesIO(data.tobytes()), hset, checksum) == want + pad.to_bytes(4, "little")
+
+    def test_short_reads_never_pad_inside_the_file(self):
+        class ShortReads(io.RawIOBase):
+            def __init__(self, data, most):
+                self.buf, self.most = io.BytesIO(data), most
+
+            def readable(self):
+                return True
+
+            def read(self, n=-1):
+                return self.buf.read(min(n, self.most))
+
+        hset, data = FULL_RATE[16], bytes(range(1, 12))
+        container = compress_file(ShortReads(data, 2), hset)  # whole blocks per read
+        assert container == compress_file(io.BytesIO(data), hset)
+        with pytest.raises(DomainError):
+            compress_file(ShortReads(data, 3), hset)  # the first read ends inside a block
+
+    def test_truncated_container_rejected(self):
+        hset = FULL_RATE[16]
+        container = bytes(compress_file(io.BytesIO(b"three"), hset, checksum=True))
+        for cut in range(len(container)):
+            with pytest.raises(FormatError):
+                decompress_file(container[:cut], None, hset, BER011)
+
+    def test_side_length_checked(self, rng):
+        hset = build_high_entropy_set(zbound_spectrum(BSC011, 16), 0.75)
+        data = rng.integers(0, 256, 4, dtype=np.uint8)
+        side = np.unpackbits(data)  # y = x, one symbol per byte
+        container = compress_file(io.BytesIO(data.tobytes()), hset)
+        assert decompress_file(container, side.tobytes(), hset, BSC011) == data.tobytes()
+        for bad in (side[:-1], side[:16], np.concatenate([side, side[:16]])):
+            with pytest.raises(FormatError):
+                decompress_file(container, bad.tobytes(), hset, BSC011)
+
+
+class TestReaderFuzz:
+    """Every input to decompress_file raises SrcPolarError or restores its file exactly."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(blob=st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(codec.MAGIC.__add__)))
+    def test_arbitrary_bytes(self, blob):
+        try:
+            out = decompress_file(blob, None, FULL_RATE[16], BER011)
+        except SrcPolarError:
+            return
+        assert decompress_file(compress_file(io.BytesIO(out), FULL_RATE[16]), None, FULL_RATE[16],
+                               BER011) == out
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        data=st.binary(min_size=1, max_size=16),
+        N=st.sampled_from([1, 8, 16, 64]),
+        flip=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_flip_in_a_checksum_block(self, data, N, flip):
+        # The pad trailer is left out: no checksum covers it.
+        container = compress_file(io.BytesIO(data), FULL_RATE[N], checksum=True)
+        pos = flip % (8 * (len(container) - 4))
+        container[pos // 8] ^= 1 << pos % 8
+        try:
+            out = decompress_file(container, None, FULL_RATE[N], BER011)
+        except SrcPolarError:
+            return
+        assert out == data
 
 
 class TestSerialization:

@@ -40,6 +40,12 @@ class TestChannelModel:
         with pytest.raises(DomainError):
             ChannelModel.bsc(1.5)
 
+    @pytest.mark.parametrize("table", [[[np.nan, 0.5], [0.5, 0.5]], [[0.5, 0.5], [np.nan, np.nan]]])
+    def test_non_finite_table_rejected(self, table):
+        # NaN passes both the sign test and the row-sum test
+        with pytest.raises(DomainError, match="non-finite"):
+            ChannelModel.dmc(table)
+
     def test_sampling_noiseless(self, rng):
         w = ChannelModel.bsc(0.0)
         x = rng.integers(0, 2, 1000)
