@@ -6,7 +6,7 @@ many blocks at once on numpy arrays, BATCH_LLRS = 2^16 llrs per chunk.
 Because G_N = F^(kron n) B_N, it works on the channel llrs in
 bit-reversed order: a node splits its llrs into halves a and b, decodes
 its first half of u from f(a, b), then its second half from g = b +- a,
-signed by the first half's partial sums.  Three node kinds are decided
+signed by the first half's partial sums.  These node kinds are decided
 without that split, each giving SC's bits (see _decode_node):
 
 - Rate 0, every u position known: no llr math, so no f over a known left
@@ -14,6 +14,13 @@ without that split, each giving SC's bits (see _decode_node):
 - Rep, only the last position unknown: SC's chain of g steps to it.
 - Rate 1, every position unknown, behind a guard on min |llr|: the hard
   decisions of its llrs.
+- Mixed, known and unknown positions: the hard decisions of its llrs,
+  behind the same guard and a check that the u they give equals the known
+  bits in every row.
+
+A rate-1 or mixed node that misses its guard or its check splits.  The
+node tree, with each node's kind, guard and known positions, is compiled
+once per known mask (_schedule).
 
 The root's partial sums are u F^(kron n), the decoded block x = u G_N in
 bit-reversed order, so `decode_batch` returns x without a transform.
@@ -25,6 +32,8 @@ the same bits.
 """
 
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,17 +220,17 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
         raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
     table = _llr_table(source, Y)
     perm = bit_reverse_indices(n)
-    unknown_before = [0, *np.cumsum(~known_mask).tolist()]
+    root = _schedule(known_mask.tobytes())
     x = np.empty((B, N), dtype=np.uint8)
     step = batch_rows(N)
     for s in range(0, B, step):
         rows = slice(s, s + step)
         known = np.ascontiguousarray(known_vals[rows].T, dtype=np.uint8) & known_mask[:, None]
         sums = _known_sums(source.field, known)
-        if unknown_before[N] == 0:
+        if root is None:
             beta = sums[-1]
         else:
-            beta = _decode_node(table[Y[rows].T[perm]], 0, unknown_before, sums)
+            beta = _decode_node(table[Y[rows].T[perm]], root, sums)
         x[rows] = beta[perm].T  # the root's partial sums, x in bit-reversed order
     return x
 
@@ -237,9 +246,56 @@ def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
     return np.array([base_llr(source, y) if seen[y] else 0.0 for y in range(source.y_size)])
 
 
-# A rate-1 node of size 2^d whose llrs all exceed RATE1_GUARD * d + 2 SC_TIE
-# in magnitude decides their hard decisions; see _decode_node.
+# A node of size 2^d whose llrs all exceed RATE1_GUARD * d + 2 SC_TIE in
+# magnitude decides their hard decisions, if its known bits allow them; see
+# _decode_node.
 RATE1_GUARD = math.log(2) + 1e-12
+
+# Node kinds of a compiled schedule (see _schedule): one unknown position, every
+# position unknown, only the last unknown, and any other mix.
+_LEAF, _RATE1, _REP, _MIXED = range(4)
+_GF2 = FieldSpec.binary()
+
+
+class _Node(NamedTuple):
+    """One node of a compiled SC schedule: positions lo..hi-1 of u, hi - lo = 2^d."""
+
+    kind: int
+    lo: int
+    hi: int
+    d: int
+    guard: float  # RATE1_GUARD d + 2 SC_TIE, the bound min |L| must exceed
+    known: np.ndarray | None  # a mixed node's part of the known mask, a read-only view
+    left: "_Node | None"  # None for a half with no unknown position (rate 0)
+    right: "_Node | None"
+
+
+@lru_cache(maxsize=8)
+def _schedule(mask: bytes) -> _Node | None:
+    """The node tree of decode_batch for a known mask given as bool bytes; None if all known.
+
+    Compiled once per mask, so a visit reads its node's kind, guard and known
+    positions instead of counting unknown positions.  A tree holds up to 2N
+    nodes, so only the few masks a caller decodes with are kept.
+    """
+    known = np.frombuffer(mask, dtype=bool)
+    before = [0, *np.cumsum(~known).tolist()]  # unknown positions below i
+
+    def node(lo: int, hi: int) -> _Node | None:
+        unknown = before[hi] - before[lo]
+        m = hi - lo
+        d = m.bit_length() - 1
+        if unknown == 0:
+            return None
+        if m == 1:
+            return _Node(_LEAF, lo, hi, 0, 0.0, None, None, None)
+        if unknown == 1 and before[hi - 1] == before[lo]:
+            return _Node(_REP, lo, hi, d, 0.0, None, None, None)
+        mid = lo + m // 2
+        kind, pos = (_RATE1, None) if unknown == m else (_MIXED, known[lo:hi])
+        return _Node(kind, lo, hi, d, RATE1_GUARD * d + 2 * SC_TIE, pos, node(lo, mid), node(mid, hi))
+
+    return node(0, known.size)
 
 
 def _known_sums(field: FieldSpec, known: np.ndarray) -> list:
@@ -257,15 +313,15 @@ def _known_sums(field: FieldSpec, known: np.ndarray) -> list:
     return sums
 
 
-def _decode_node(L, lo, unknown_before, sums):
-    """Decode u[lo:lo+m] from the node's llrs L (m, B); returns its (m, B) partial sums.
+def _decode_node(L, node, sums):
+    """Decode u[lo:hi] from the node's llrs L (m, B); returns its (m, B) partial sums.
 
-    The partial sums are u[lo:lo+m] F^(kron m), the node's part of the
-    re-encoded block, which its parent needs for g.  unknown_before[i]
-    counts the unknown positions below i, and sums (see _known_sums) holds
-    the partial sums of the known bits with the unknown ones set to 0.
-    The node has at least one unknown position.  Besides the plain SC
-    split it knows three node kinds, each deciding the bits SC decides:
+    node is the node's entry in the compiled _schedule.  The partial sums
+    are u[lo:hi] F^(kron m), the node's part of the re-encoded block, which
+    its parent needs for g.  sums (see _known_sums) holds the partial sums
+    of the known bits with the unknown ones set to 0.  The node has at
+    least one unknown position.  Besides the plain SC split it knows these
+    node kinds, each deciding the bits SC decides:
 
     - A child with no unknown position (rate 0) takes its partial sums from
       sums, and its llrs (f for a left child, g for a right one) are never
@@ -276,7 +332,7 @@ def _decode_node(L, lo, unknown_before, sums):
       sum, since the last row of F^(kron m) is all ones.
     - Rate 1: every position is unknown, m = 2^d, and every |L| exceeds
       d (ln 2 + 1e-12) + 2 SC_TIE.  Then the partial sums are the hard
-      decisions L < 0.  Proof: the correction log1p(e^-|a+b|) -
+      decisions HD(L) = (L < 0).  Proof: the correction log1p(e^-|a+b|) -
       log1p(e^-|a-b|) in f lies in [-ln 2, ln 2] and float error adds
       under 2e-13 for |a|, |b| <= L_MAX, so |f(a, b)| >= min(|a|, |b|) -
       ln 2 - 2e-13 and sign f = sign a sign b once that minimum exceeds
@@ -289,31 +345,55 @@ def _decode_node(L, lo, unknown_before, sums):
       Without the guard this fails: for llrs (0, b) from a g that
       cancelled, f(0, b) = 0 is a tie that decides 0, so SC's partial
       sums are (HD(b), HD(b)) where the hard decisions are (0, HD(b)).
-      A node that misses the guard splits as plain SC does.
+    - Mixed: known and unknown positions, the same guard on min |L| over
+      the batch, and in every row u_hd = HD(L) F^(kron d) equals the
+      known bits at the node's known positions (F^(kron d) is its own
+      inverse over GF(2), so u_hd is the u whose partial sums are HD(L)).
+      Then the partial sums are HD(L).  Proof: run SC on the node as if
+      every position were unknown.  That is the rate-1 case, so it
+      decides u_hd.  The real run agrees with it leaf by leaf, since a
+      leaf's llr depends only on the decisions before it: an unknown leaf
+      decides the same hard decision, and a known leaf is forced to its
+      known bit, which the check made equal to u_hd's.
+    A rate-1 or mixed node that misses the guard or the check, in any row,
+    splits as plain SC does.
     """
-    m = L.shape[0]
-    d = m.bit_length() - 1
-    hi = lo + m
-    unknown = unknown_before[hi] - unknown_before[lo]
-    if unknown == m and (m == 1 or np.abs(L).min() > RATE1_GUARD * d + 2 * SC_TIE):
+    kind, lo, hi, d, guard, known, left, right = node
+    if kind == _LEAF:
         return (L < -SC_TIE).view(np.uint8)
-    if unknown == 1 and unknown_before[hi - 1] == unknown_before[lo]:
+    if kind == _REP:
         for k in range(d - 1, -1, -1):
             h = 1 << k
             L = _g(L[:h], L[h:], sums[k][hi - 2 * h : hi - h])
         return sums[d][lo:hi] ^ (L < -SC_TIE).view(np.uint8)
-    h = m >> 1
-    mid = lo + h
+    if np.abs(L).min() > guard:
+        hard = (L < -SC_TIE).view(np.uint8)
+        if kind == _RATE1 or _parity_holds(hard, known, sums[d][lo:hi]):
+            return hard
+    h = 1 << (d - 1)
     a, b = L[:h], L[h:]
-    if unknown_before[mid] == unknown_before[lo]:
-        left = sums[d - 1][lo:mid]
+    if left is None:
+        left_sums = sums[d - 1][lo : lo + h]
     else:
-        left = _decode_node(_combine_odd_vec(a, b), lo, unknown_before, sums)
-    if unknown_before[hi] == unknown_before[mid]:
-        right = sums[d - 1][mid:hi]
+        left_sums = _decode_node(_combine_odd_vec(a, b), left, sums)
+    if right is None:
+        right_sums = sums[d - 1][lo + h : hi]
     else:
-        right = _decode_node(_g(a, b, left), mid, unknown_before, sums)
-    return np.concatenate((left ^ right, right))
+        right_sums = _decode_node(_g(a, b, left_sums), right, sums)
+    return np.concatenate((left_sums ^ right_sums, right_sums))
+
+
+def _parity_holds(hard: np.ndarray, known: np.ndarray, sums: np.ndarray) -> bool:
+    """Whether u_hd = hard F^(kron d) equals the known bits at the known positions in every row.
+
+    sums is the node's partial sums of its known bits, unknown ones set to 0.  F^(kron d) is
+    its own inverse over GF(2), so (hard xor sums) F^(kron d) is u_hd xor the known bits.
+    """
+    v = hard ^ sums
+    m, B = v.shape
+    for k in range(m.bit_length() - 1):
+        _stage(_GF2, v.reshape(-1), B << k)
+    return not v[known].any()
 
 
 def _g(a: np.ndarray, b: np.ndarray, left: np.ndarray) -> np.ndarray:
