@@ -138,7 +138,8 @@ def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray
 def decompress(block: CompressedBlock, y, hset: HighEntropySet, source: JointSource) -> SymbolBlock:
     """Reconstruction of x from one block's payload and side block y."""
     Y = None if y is None else np.asarray(y).reshape(1, -1)
-    (x_hat,) = _decode_checked(lambda P: [decompress_blocks(P, Y, hset, source)], ([block], hset))
+    x_hat = decompress_blocks(_payloads([block], hset), Y, hset, source)
+    _check_crcs([block], x_hat)
     return SymbolBlock(source.field, x_hat[0])
 
 
@@ -157,7 +158,9 @@ def decompress_file(container: bytes, side, hset: HighEntropySet, source: JointS
     if side is not None and len(side) != len(blocks) * N:
         raise FormatError("side-information length does not match the container")
     Y = None if side is None else np.frombuffer(side, dtype=np.uint8).reshape(len(blocks), N)
-    x = _decode_checked(lambda P: [decompress_blocks(P, Y, hset, source)], (blocks, hset))[0].ravel()
+    x_hat = decompress_blocks(_payloads(blocks, hset), Y, hset, source)
+    _check_crcs(blocks, x_hat)
+    x = x_hat.ravel()
     if x[x.size - pad :].any():
         raise FormatError(f"pad trailer {pad} drops bits that are not zero padding")
     return np.packbits(x[: x.size - pad]).tobytes()
@@ -178,22 +181,21 @@ def decompress_blocks(P, Y, hset: HighEntropySet, source: JointSource) -> np.nda
     return decode_batch(source, Y, hset.mask, known)
 
 
-def _decode_checked(decode, *streams):
-    """decode(P, ...) on the payload arrays of (blocks, hset) streams, with the block checks:
-    fingerprint, N and payload size before, and a version 2 block's crc32 on its decoded row."""
-    for blocks, hset in streams:
-        for blk in blocks:
-            if blk.fingerprint != hset.fingerprint:
-                raise FingerprintMismatchError(f"fingerprint {blk.fingerprint} != {hset.fingerprint}")
-            if blk.N != hset.N or len(blk.payload) != len(hset.indices):
-                raise FormatError(f"block (N={blk.N}, {len(blk.payload)} bits) does not fit the set")
-    decoded = decode(*[np.reshape([b.payload for b in blocks], (len(blocks), len(hset.indices)))
-                       for blocks, hset in streams])
-    for (blocks, _), x_hat in zip(streams, decoded):
-        for blk, x in zip(blocks, x_hat):
-            if blk.version == VERSION_CRC and _crc(x) != blk.crc:
-                raise FormatError("checksum mismatch after decompression")
-    return decoded
+def _payloads(blocks, hset: HighEntropySet) -> np.ndarray:
+    """The (blocks, k) payloads of wire blocks, each checked against hset's fingerprint, N and k."""
+    for blk in blocks:
+        if blk.fingerprint != hset.fingerprint:
+            raise FingerprintMismatchError(f"fingerprint {blk.fingerprint} != {hset.fingerprint}")
+        if blk.N != hset.N or len(blk.payload) != len(hset.indices):
+            raise FormatError(f"block (N={blk.N}, {len(blk.payload)} bits) does not fit the set")
+    return np.reshape([b.payload for b in blocks], (len(blocks), len(hset.indices)))
+
+
+def _check_crcs(blocks, x_hat: np.ndarray) -> None:
+    """Check each version 2 block's crc32 against its decoded row of x_hat."""
+    for blk, x in zip(blocks, x_hat):
+        if blk.version == VERSION_CRC and _crc(x) != blk.crc:
+            raise FormatError("checksum mismatch after decompression")
 
 
 def _crc(bits: np.ndarray) -> int:
@@ -266,8 +268,9 @@ def sw_encode_y(y: SymbolBlock, cfg: SWConfig) -> CompressedBlock:
 
 def sw_decode(cx: CompressedBlock, cy: CompressedBlock, cfg: SWConfig):
     """Two-stage joint decoding; returns (x_hat, y_hat)."""
-    streams = ([cx], cfg.set_x), ([cy], cfg.set_y)
-    x_hat, y_hat = _decode_checked(lambda PX, PY: sw_decode_blocks(PX, PY, cfg), *streams)
+    x_hat, y_hat = sw_decode_blocks(_payloads([cx], cfg.set_x), _payloads([cy], cfg.set_y), cfg)
+    _check_crcs([cx], x_hat)
+    _check_crcs([cy], y_hat)
     return SymbolBlock(cfg.joint.field, x_hat[0]), SymbolBlock(cfg.y_marginal.field, y_hat[0])
 
 

@@ -6,24 +6,22 @@ many blocks at once on numpy arrays, BATCH_LLRS = 2^16 llrs per chunk.
 Because G_N = F^(kron n) B_N, it works on the channel llrs in
 bit-reversed order: a node splits its llrs into halves a and b, decodes
 its first half of u from f(a, b), then its second half from g = b +- a,
-signed by the first half's partial sums.  These node kinds are decided
-without that split, each giving SC's bits (see _decode_node):
+signed by the first half's partial sums.  A node with every position
+known (rate 0) needs no llr math: its partial sums are the known bits'.
+Two rules decide a node without the split, each giving SC's bits (see
+_decode_node):
 
-- Rate 0, every u position known: no llr math, so no f over a known left
-  half; its partial sums come from the known bits.
 - Rep, only the last position unknown: SC's chain of g steps to it.
-- Rate 1, every position unknown, behind a guard on min |llr|: the hard
-  decisions of its llrs.
-- Mixed, known and unknown positions: the hard decisions of its llrs,
-  behind the same guard and a check that the u they give equals the known
-  bits in every row.
+- Any other node: the hard decisions of its llrs, behind a guard on
+  min |llr| (none at a leaf) and, where it has known positions, a check
+  that the u they give equals the known bits in every row.  A node that
+  misses the guard or the check splits.
 
-A rate-1 or mixed node that misses its guard or its check splits.  The
-node tree, with each node's kind, guard and known positions, is compiled
-once per known mask (_schedule).
-
-The root's partial sums are u F^(kron n), the decoded block x = u G_N in
-bit-reversed order, so `decode_batch` returns x without a transform.
+The node tree, with each node's Rep flag, guard and known positions, is
+compiled once per known mask (_schedule).  Every node writes its partial
+sums in place, into its rows of one (N, B) array.  The root's partial
+sums are u F^(kron n), the decoded block x = u G_N in bit-reversed
+order, so `decode_batch` returns x without a transform.
 
 `SequentialDecoder` is the step-by-step reference: it yields one
 decision llr per index and performs N log2 N combine operations per
@@ -226,11 +224,10 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     for s in range(0, B, step):
         rows = slice(s, s + step)
         known = np.ascontiguousarray(known_vals[rows].T, dtype=np.uint8) & known_mask[:, None]
-        sums = _known_sums(source.field, known)
-        if root is None:
-            beta = sums[-1]
-        else:
-            beta = _decode_node(table[Y[rows].T[perm]], root, sums)
+        sums = _known_sums(known)
+        beta = sums[-1]  # only the root reads this level, before it writes it
+        if root is not None:
+            _decode_node(table[Y[rows].T[perm]], root, sums, beta)
         x[rows] = beta[perm].T  # the root's partial sums, x in bit-reversed order
     return x
 
@@ -251,21 +248,18 @@ def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
 # _decode_node.
 RATE1_GUARD = math.log(2) + 1e-12
 
-# Node kinds of a compiled schedule (see _schedule): one unknown position, every
-# position unknown, only the last unknown, and any other mix.
-_LEAF, _RATE1, _REP, _MIXED = range(4)
 _GF2 = FieldSpec.binary()
 
 
 class _Node(NamedTuple):
     """One node of a compiled SC schedule: positions lo..hi-1 of u, hi - lo = 2^d."""
 
-    kind: int
+    rep: bool  # only the last position unknown
     lo: int
     hi: int
     d: int
     guard: float  # RATE1_GUARD d + 2 SC_TIE, the bound min |L| must exceed
-    known: np.ndarray | None  # a mixed node's part of the known mask, a read-only view
+    known: np.ndarray | None  # the node's part of the known mask, a read-only view; None if rate 1
     left: "_Node | None"  # None for a half with no unknown position (rate 0)
     right: "_Node | None"
 
@@ -274,7 +268,7 @@ class _Node(NamedTuple):
 def _schedule(mask: bytes) -> _Node | None:
     """The node tree of decode_batch for a known mask given as bool bytes; None if all known.
 
-    Compiled once per mask, so a visit reads its node's kind, guard and known
+    Compiled once per mask, so a visit reads its node's Rep flag, guard and known
     positions instead of counting unknown positions.  A tree holds up to 2N
     nodes, so only the few masks a caller decodes with are kept.
     """
@@ -287,18 +281,16 @@ def _schedule(mask: bytes) -> _Node | None:
         d = m.bit_length() - 1
         if unknown == 0:
             return None
-        if m == 1:
-            return _Node(_LEAF, lo, hi, 0, 0.0, None, None, None)
-        if unknown == 1 and before[hi - 1] == before[lo]:
-            return _Node(_REP, lo, hi, d, 0.0, None, None, None)
-        mid = lo + m // 2
-        kind, pos = (_RATE1, None) if unknown == m else (_MIXED, known[lo:hi])
-        return _Node(kind, lo, hi, d, RATE1_GUARD * d + 2 * SC_TIE, pos, node(lo, mid), node(mid, hi))
+        if d and unknown == 1 and before[hi - 1] == before[lo]:  # a leaf is rate 1, not Rep
+            return _Node(True, lo, hi, d, 0.0, None, None, None)
+        pos = None if unknown == m else known[lo:hi]
+        children = (node(lo, lo + m // 2), node(lo + m // 2, hi)) if d else (None, None)
+        return _Node(False, lo, hi, d, RATE1_GUARD * d + 2 * SC_TIE, pos, *children)
 
     return node(0, known.size)
 
 
-def _known_sums(field: FieldSpec, known: np.ndarray) -> list:
+def _known_sums(known: np.ndarray) -> list:
     """sums[d][lo:lo+2^d] = F^(kron 2^d) applied to known[lo:lo+2^d] for every aligned block.
 
     known is (N, B), positions major like every SC tree array, so a stage over halves of h
@@ -309,78 +301,82 @@ def _known_sums(field: FieldSpec, known: np.ndarray) -> list:
     sums = [known]
     for d in range(N.bit_length() - 1):
         sums.append(sums[-1].copy())
-        _stage(field, sums[-1].reshape(-1), B << d)
+        _stage(_GF2, sums[-1].reshape(-1), B << d)
     return sums
 
 
-def _decode_node(L, node, sums):
-    """Decode u[lo:hi] from the node's llrs L (m, B); returns its (m, B) partial sums.
+def _decode_node(L, node, sums, beta):
+    """Decode u[lo:hi] from the node's llrs L (m, B) into beta[lo:hi], its partial sums.
 
-    node is the node's entry in the compiled _schedule.  The partial sums
-    are u[lo:hi] F^(kron m), the node's part of the re-encoded block, which
-    its parent needs for g.  sums (see _known_sums) holds the partial sums
-    of the known bits with the unknown ones set to 0.  The node has at
-    least one unknown position.  Besides the plain SC split it knows these
-    node kinds, each deciding the bits SC decides:
+    node is its entry in the compiled _schedule; it has an unknown position.
+    The partial sums u[lo:hi] F^(kron m) are the node's part of the
+    re-encoded block, which its parent needs for g; sums (see _known_sums)
+    holds those of the known bits, unknown ones set to 0.  beta is the
+    tree's one (N, B) partial-sum array: a split node reads its left half's
+    sums there for g, then XORs its right half's into them.  Besides the
+    plain SC split these rules apply, each deciding the bits SC decides:
 
-    - A child with no unknown position (rate 0) takes its partial sums from
-      sums, and its llrs (f for a left child, g for a right one) are never
-      computed.
+    - A child with no unknown position (rate 0) copies its partial sums
+      from sums, and its llrs (f for a left child, g for a right one) are
+      never computed.
     - Rep: only the last position is unknown.  Its llr is the chain of g
       steps SC takes, each against a rate-0 left half, in the same order
       and with the same clamps.  Its decision then flips every partial
       sum, since the last row of F^(kron m) is all ones.
-    - Rate 1: every position is unknown, m = 2^d, and every |L| exceeds
-      d (ln 2 + 1e-12) + 2 SC_TIE.  Then the partial sums are the hard
-      decisions HD(L) = (L < 0).  Proof: the correction log1p(e^-|a+b|) -
-      log1p(e^-|a-b|) in f lies in [-ln 2, ln 2] and float error adds
-      under 2e-13 for |a|, |b| <= L_MAX, so |f(a, b)| >= min(|a|, |b|) -
-      ln 2 - 2e-13 and sign f = sign a sign b once that minimum exceeds
-      ln 2.  f thus meets the bound for d - 1.  If the left half decides
-      the hard decisions of f, HD(a) xor HD(b), then g adds a and b with
-      equal signs, so |g| >= |b| (clamping only lowers values above
-      L_MAX >= |b|) and sign g = sign b.  By induction every leaf llr
-      lies beyond 2 SC_TIE of zero and decides its hard decision, and the
-      node's partial sums (HD(a) xor HD(b) xor HD(b), HD(b)) are HD(L).
-      Without the guard this fails: for llrs (0, b) from a g that
-      cancelled, f(0, b) = 0 is a tie that decides 0, so SC's partial
-      sums are (HD(b), HD(b)) where the hard decisions are (0, HD(b)).
-    - Mixed: known and unknown positions, the same guard on min |L| over
-      the batch, and in every row u_hd = HD(L) F^(kron d) equals the
-      known bits at the node's known positions (F^(kron d) is its own
-      inverse over GF(2), so u_hd is the u whose partial sums are HD(L)).
-      Then the partial sums are HD(L).  Proof: run SC on the node as if
-      every position were unknown.  That is the rate-1 case, so it
-      decides u_hd.  The real run agrees with it leaf by leaf, since a
-      leaf's llr depends only on the decisions before it: an unknown leaf
-      decides the same hard decision, and a known leaf is forced to its
-      known bit, which the check made equal to u_hd's.
-    A rate-1 or mixed node that misses the guard or the check, in any row,
-    splits as plain SC does.
+    - Guarded, every other node: if every |L| exceeds d (ln 2 + 1e-12) +
+      2 SC_TIE and, in every row, u_hd = HD(L) F^(kron d) equals the known
+      bits at the node's known positions (F^(kron d) is its own inverse over
+      GF(2), so u_hd is the u whose partial sums are HD(L)), its partial
+      sums are the hard decisions HD(L) = (L < 0).  A leaf (d = 0) is a
+      rate-1 node of size 1; its hard decision is SC's, with no guard.
+      Proof with no known position (rate 1): the correction log1p(e^-|a+b|) -
+      log1p(e^-|a-b|) in f lies in [-ln 2, ln 2] and float error adds under
+      2e-13 for |a|, |b| <= L_MAX, so |f(a, b)| >= min(|a|, |b|) - ln 2 - 2e-13
+      and sign f = sign a sign b once that minimum exceeds ln 2.  f thus meets
+      the bound for d - 1.  If the left half decides the hard decisions of f,
+      HD(a) xor HD(b), then g adds a and b with equal signs, so |g| >= |b|
+      (clamping only lowers values above L_MAX >= |b|) and sign g = sign b.  By
+      induction every leaf llr lies beyond 2 SC_TIE of zero and decides its
+      hard decision, and the node's partial sums (HD(a) xor HD(b) xor HD(b),
+      HD(b)) are HD(L).  Without the guard this fails: for llrs (0, b) from a g
+      that cancelled, f(0, b) = 0 is a tie that decides 0, so SC's partial sums
+      are (HD(b), HD(b)) where the hard decisions are (0, HD(b)).
+      The 2 SC_TIE margin is not what keeps leaves off a tie: for |a|, |b| >=
+      x, |f(a, b)| >= phi(x) = x - ln 2 + log1p(e^-2x), with equality at |a| =
+      |b| = x.  So a guard up to 1e-7 lower holds for both halves by the same
+      induction and leaves every leaf llr beyond phi(ln 2 - 1e-7) - 2e-13 >
+      0.223: it decides the same bits, and no test can tell it from this one.
+      Proof with known positions (mixed): run SC on the node as if every
+      position were unknown.  That is the rate-1 case, so it decides u_hd.  The
+      real run agrees with it leaf by leaf, since a leaf's llr depends only on
+      the decisions before it: an unknown leaf decides the same hard decision,
+      and a known leaf is forced to its known bit, which the check made equal
+      to u_hd's.
+    A node that misses the guard or the check in any row splits as SC does.
     """
-    kind, lo, hi, d, guard, known, left, right = node
-    if kind == _LEAF:
-        return (L < -SC_TIE).view(np.uint8)
-    if kind == _REP:
+    rep, lo, hi, d, guard, known, left, right = node
+    if rep:
         for k in range(d - 1, -1, -1):
             h = 1 << k
             L = _g(L[:h], L[h:], sums[k][hi - 2 * h : hi - h])
-        return sums[d][lo:hi] ^ (L < -SC_TIE).view(np.uint8)
-    if np.abs(L).min() > guard:
+        beta[lo:hi] = sums[d][lo:hi] ^ (L < -SC_TIE).view(np.uint8)
+        return
+    if d == 0 or np.abs(L).min() > guard:
         hard = (L < -SC_TIE).view(np.uint8)
-        if kind == _RATE1 or _parity_holds(hard, known, sums[d][lo:hi]):
-            return hard
+        if known is None or _parity_holds(hard, known, sums[d][lo:hi]):
+            beta[lo:hi] = hard
+            return
     h = 1 << (d - 1)
     a, b = L[:h], L[h:]
     if left is None:
-        left_sums = sums[d - 1][lo : lo + h]
+        beta[lo : lo + h] = sums[d - 1][lo : lo + h]
     else:
-        left_sums = _decode_node(_combine_odd_vec(a, b), left, sums)
+        _decode_node(_combine_odd_vec(a, b), left, sums, beta)
     if right is None:
-        right_sums = sums[d - 1][lo + h : hi]
+        beta[lo + h : hi] = sums[d - 1][lo + h : hi]
     else:
-        right_sums = _decode_node(_g(a, b, left_sums), right, sums)
-    return np.concatenate((left_sums ^ right_sums, right_sums))
+        _decode_node(_g(a, b, beta[lo : lo + h]), right, sums, beta)
+    beta[lo : lo + h] ^= beta[lo + h : hi]
 
 
 def _parity_holds(hard: np.ndarray, known: np.ndarray, sums: np.ndarray) -> bool:
@@ -408,7 +404,7 @@ def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     decision llrs a sequential decoder would see given the true u prefix.
     """
     L = chan_llr[:, bit_reverse_indices(chan_llr.shape[1].bit_length() - 1)].T
-    return _genie_llrs(L, _known_sums(FieldSpec.binary(), np.asarray(u_true, dtype=np.uint8).T)).T
+    return _genie_llrs(L, _known_sums(np.asarray(u_true, dtype=np.uint8).T)).T
 
 
 def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:

@@ -339,7 +339,7 @@ def _genie_terms(s: JointSource, draws: np.ndarray, perm: np.ndarray) -> tuple:
     """
     x, y = np.divmod(draws, s.y_size)
     u = _forward_rows(s.field, x.astype(np.uint8))
-    llrs = _genie_llrs(_llr_table(s, y)[y.T[perm]], _known_sums(s.field, u.T))
+    llrs = _genie_llrs(_llr_table(s, y)[y.T[perm]], _known_sums(u.T))
     llrs = np.ascontiguousarray(llrs.T)
     return np.logaddexp(0.0, np.where(u == 0, -llrs, llrs)), 1.0 / np.cosh(0.5 * llrs)
 

@@ -94,6 +94,19 @@ class TestCombines:
         assert got == pytest.approx(want, rel=0, abs=1e-12)
         assert np.array_equal(np.sign(got), np.sign(want))
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.0, 100.0), da=st.floats(0.0, 100.0), db=st.floats(0.0, 100.0),
+           sa=st.sampled_from([-1.0, 1.0]), sb=st.sampled_from([-1.0, 1.0]))
+    def test_odd_magnitude_lower_bound(self, x, da, db, sa, sb):
+        # For |a|, |b| >= x, |f(a, b)| >= phi(x) = x - ln 2 + log1p(e^-2x), with
+        # equality at |a| = |b| = x: the lemma behind the guard's margin in
+        # _decode_node.  Float error is under 2e-13 here.
+        phi = x - math.log(2) + math.log1p(math.exp(-2 * x))
+        a, b = np.array([sa * (x + da), sa * x]), np.array([sb * (x + db), sb * x])
+        f = scdec._combine_odd_vec(a, b)
+        assert abs(f[0]) >= phi - 2e-13
+        assert abs(f[1]) == pytest.approx(phi, rel=0, abs=2e-13)
+
     def test_even_branch(self):
         assert llr_combine_even(1.5, 2.0, 0) == pytest.approx(3.5)
         assert llr_combine_even(1.5, 2.0, 1) == pytest.approx(0.5)
@@ -274,6 +287,20 @@ class TestDecodeBatch:
         got = decode_batch(s, Y.astype(np.uint8), mask, known8)
         assert want.dtype == got.dtype == np.uint8
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [1, 1024])
+    def test_never_writes_its_inputs(self, N):
+        # The tree writes its partial sums in place, starting from the known
+        # bits; at one row the transposed chunk of known_vals is a view, so
+        # only the known mask's & keeps those writes off the caller's array.
+        # Known bits of 1 where y = 0 decides 0: a write would show.
+        s = JointSource.bsc_pair(0.11)
+        mask = np.arange(N) % 2 == 1
+        known_vals, Y = np.ones((1, N), dtype=np.uint8), np.zeros((1, N), dtype=np.uint8)
+        given_vals, given_y = known_vals.copy(), Y.copy()
+        got = decode_batch(s, Y, mask, known_vals)
+        assert np.array_equal(known_vals, given_vals) and np.array_equal(Y, given_y)
+        assert not np.shares_memory(got, known_vals) and not np.shares_memory(got, Y)
 
     def test_exact_tie_in_g(self):
         # y = (0, 0) gives a = b; with u_1 = 1 known, g = b - a is exactly 0
