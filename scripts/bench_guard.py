@@ -10,11 +10,12 @@ P and C are source checkouts (each with perfbench/ and src/).  `pairs` runs
 `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` in both,
 once per seed, swapping which runs first from one seed to the next, and
 appends one JSON line per run to the log.  `decoder` prints one JSON object
-about `decode_batch` in checkout C: direct timings at 1, 16 and 64 rows,
-node visits by kind, and the tracemalloc peak per call.  `write` summarises
-the logged runs per workload and end-to-end metric of BENCHMARK.json
-(medians, quartiles, wins per pair, each against its bound), runs `decoder`
-three times in each checkout, alternating, and writes the evidence file.
+about `decode_batch` in checkout C: direct timings at 1, 4, 8, 16 and 64
+rows, node visits by kind, kernel calls and clamps, and the tracemalloc
+peak per call.  `write` summarises the logged runs per workload and
+end-to-end metric of BENCHMARK.json (medians, quartiles, wins per pair,
+each against its bound), runs `decoder` three times in each checkout,
+alternating, and writes the evidence file.
 TEXT says what the change does; --claim names the one workload and metric
 it claims a gain on, if any.  Every measurement runs in a child process.
 """
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-ROWS = (1, 16, 64)
+ROWS = (1, 4, 8, 16, 64)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -115,16 +116,21 @@ def _decoder_probe() -> dict:
 
 
 def _census(scdec, decode_batch, case) -> dict:
-    """Node visits by kind, and how many rate-1 and mixed nodes were decided without a split.
+    """Node visits by kind, how many rate-1 and mixed nodes were decided without a split, and clamps.
 
     A visit's kind is read off the known mask: a leaf, rate 1 (no known
     position), Rep (only the last position unknown) or mixed.  A rate-1 or
     mixed visit that makes no child visit was decided by its hard decisions.
+    f_calls and g_calls count calls of the two kernels.  A Rep visit of size
+    2^d makes d halvings (rep_halvings), whether as g calls or as sums.  Each
+    f call, each g call outside a Rep visit and each halving may clamp;
+    clamps_run counts the clamps made and clamps_skipped the rest.
     """
     mask = case[2]
-    counts = {"node_visits": 0, "f_calls": 0, "g_calls": 0}
-    stack = []
-    node, f, g = scdec._decode_node, scdec._combine_odd_vec, scdec._g
+    counts = {"node_visits": 0, "f_calls": 0, "g_calls": 0, "rep_halvings": 0, "clamps_run": 0}
+    stack = []  # [kind, child visits] of each visit in progress
+    g_in_rep = 0
+    node, f, g, clamp = scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec
 
     def visit(L, at, *rest):
         lo, m = at.lo, L.shape[0]
@@ -133,27 +139,34 @@ def _census(scdec, decode_batch, case) -> dict:
                 else "rep" if known[:-1].all() and not known[-1] else "mixed")
         counts["node_visits"] += 1
         counts[f"{kind}_visits"] = counts.get(f"{kind}_visits", 0) + 1
+        if kind == "rep":
+            counts["rep_halvings"] += m.bit_length() - 1
         if stack:
-            stack[-1] += 1
-        stack.append(0)
+            stack[-1][1] += 1
+        stack.append([kind, 0])
         try:
             return node(L, at, *rest)
         finally:
-            if kind in ("rate1", "mixed") and stack[-1] == 0:
+            if kind in ("rate1", "mixed") and stack[-1][1] == 0:
                 counts[f"{kind}_decided"] = counts.get(f"{kind}_decided", 0) + 1
             stack.pop()
 
     def count(name, fn):
         def wrapped(*a):
+            nonlocal g_in_rep
             counts[name] += 1
+            g_in_rep += name == "g_calls" and stack[-1][0] == "rep"
             return fn(*a)
         return wrapped
 
-    scdec._decode_node, scdec._combine_odd_vec, scdec._g = visit, count("f_calls", f), count("g_calls", g)
+    hooks = visit, count("f_calls", f), count("g_calls", g), count("clamps_run", clamp)
+    scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec = hooks
     try:
         decode_batch(*case)
     finally:
-        scdec._decode_node, scdec._combine_odd_vec, scdec._g = node, f, g
+        scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec = node, f, g, clamp
+    sites = counts["f_calls"] + counts["g_calls"] - g_in_rep + counts["rep_halvings"]
+    counts["clamps_skipped"] = sites - counts["clamps_run"]
     return counts
 
 
@@ -250,7 +263,8 @@ def cmd_write(args) -> None:
             "change": [d["decode_batch_ms"] for d in decoder["change"]]},
         "node_census": {
             "what": ("_decode_node visits by node kind, rate-1 and mixed nodes decided without a "
-                     "split, and _combine_odd_vec (f) and _g calls in one decode_batch call"),
+                     "split, _combine_odd_vec (f) and _g calls, Rep halvings, and clamps run and "
+                     "skipped in one decode_batch call"),
             "parent": decoder["parent"][0]["node_census"],
             "change": decoder["change"][0]["node_census"]},
     }

@@ -11,17 +11,22 @@ known (rate 0) needs no llr math: its partial sums are the known bits'.
 Two rules decide a node without the split, each giving SC's bits (see
 _decode_node):
 
-- Rep, only the last position unknown: SC's chain of g steps to it.
+- Rep, only the last position unknown: one signed sum of its llrs,
+  equal to SC's chain of g steps to that position.
 - Any other node: the hard decisions of its llrs, behind a guard on
   min |llr| (none at a leaf) and, where it has known positions, a check
   that the u they give equals the known bits in every row.  A node that
   misses the guard or the check splits.
 
-The node tree, with each node's Rep flag, guard and known positions, is
-compiled once per known mask (_schedule).  Every node writes its partial
-sums in place, into its rows of one (N, B) array.  The root's partial
-sums are u F^(kron n), the decoded block x = u G_N in bit-reversed
-order, so `decode_batch` returns x without a transform.
+The node tree, with each node's Rep flag, guard, known positions and
+g-depth (the g steps from the channel to its llrs), is compiled once per
+known mask (_schedule).  The clamp to +-L_MAX runs only where it can act:
+llrs at g-depth j are bounded by M 2^j, M the largest |llr| of the side
+symbols seen, so a call skips the clamps up to the g-depth its M allows
+(_clamp_depth).  Every node writes its partial sums in place, into its
+rows of one (N, B) array.  The root's partial sums are u F^(kron n), the
+decoded block x = u G_N in bit-reversed order, so `decode_batch` returns
+x without a transform.
 
 `SequentialDecoder` is the step-by-step reference: it yields one
 decision llr per index and performs N log2 N combine operations per
@@ -217,6 +222,7 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     if Y.shape != (B, N):
         raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
     table = _llr_table(source, Y)
+    J = _clamp_depth(table, n)
     perm = bit_reverse_indices(n)
     root = _schedule(known_mask.tobytes())
     x = np.empty((B, N), dtype=np.uint8)
@@ -227,7 +233,7 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
         sums = _known_sums(known)
         beta = sums[-1]  # only the root reads this level, before it writes it
         if root is not None:
-            _decode_node(table[Y[rows].T[perm]], root, sums, beta)
+            _decode_node(table[Y[rows].T[perm]], root, sums, beta, J)
         x[rows] = beta[perm].T  # the root's partial sums, x in bit-reversed order
     return x
 
@@ -241,6 +247,19 @@ def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
     seen = np.zeros(source.y_size, dtype=bool)
     seen[Y] = True
     return np.array([base_llr(source, y) if seen[y] else 0.0 for y in range(source.y_size)])
+
+
+def _clamp_depth(table: np.ndarray, n: int) -> int:
+    """The largest g-depth j <= n whose llrs no clamp can change, for channel llrs from table; -1 if none.
+
+    With M = max |table|, llrs at g-depth j are at most M 2^j + 1 in magnitude
+    (see _decode_node), so their clamps are idle while M 2^j + 1 <= L_MAX.
+    """
+    M = float(np.abs(table).max())
+    j = -1
+    while j < n and M * 2.0 ** (j + 1) + 1.0 <= L_MAX:
+        j += 1
+    return j
 
 
 # A node of size 2^d whose llrs all exceed RATE1_GUARD * d + 2 SC_TIE in
@@ -258,6 +277,7 @@ class _Node(NamedTuple):
     lo: int
     hi: int
     d: int
+    j: int  # g-depth: the g steps from the channel to the node's llrs
     guard: float  # RATE1_GUARD d + 2 SC_TIE, the bound min |L| must exceed
     known: np.ndarray | None  # the node's part of the known mask, a read-only view; None if rate 1
     left: "_Node | None"  # None for a half with no unknown position (rate 0)
@@ -268,8 +288,8 @@ class _Node(NamedTuple):
 def _schedule(mask: bytes) -> _Node | None:
     """The node tree of decode_batch for a known mask given as bool bytes; None if all known.
 
-    Compiled once per mask, so a visit reads its node's Rep flag, guard and known
-    positions instead of counting unknown positions.  A tree holds up to 2N
+    Compiled once per mask, so a visit reads its node's Rep flag, guard, known
+    positions and g-depth instead of deriving them.  A tree holds up to 2N
     nodes, so only the few masks a caller decodes with are kept.
     """
     known = np.frombuffer(mask, dtype=bool)
@@ -281,11 +301,12 @@ def _schedule(mask: bytes) -> _Node | None:
         d = m.bit_length() - 1
         if unknown == 0:
             return None
+        j = (lo >> d).bit_count()  # one g step for every right half on the path from the root
         if d and unknown == 1 and before[hi - 1] == before[lo]:  # a leaf is rate 1, not Rep
-            return _Node(True, lo, hi, d, 0.0, None, None, None)
+            return _Node(True, lo, hi, d, j, 0.0, None, None, None)
         pos = None if unknown == m else known[lo:hi]
         children = (node(lo, lo + m // 2), node(lo + m // 2, hi)) if d else (None, None)
-        return _Node(False, lo, hi, d, RATE1_GUARD * d + 2 * SC_TIE, pos, *children)
+        return _Node(False, lo, hi, d, j, RATE1_GUARD * d + 2 * SC_TIE, pos, *children)
 
     return node(0, known.size)
 
@@ -305,7 +326,7 @@ def _known_sums(known: np.ndarray) -> list:
     return sums
 
 
-def _decode_node(L, node, sums, beta):
+def _decode_node(L, node, sums, beta, J):
     """Decode u[lo:hi] from the node's llrs L (m, B) into beta[lo:hi], its partial sums.
 
     node is its entry in the compiled _schedule; it has an unknown position.
@@ -313,16 +334,28 @@ def _decode_node(L, node, sums, beta):
     re-encoded block, which its parent needs for g; sums (see _known_sums)
     holds those of the known bits, unknown ones set to 0.  beta is the
     tree's one (N, B) partial-sum array: a split node reads its left half's
-    sums there for g, then XORs its right half's into them.  Besides the
-    plain SC split these rules apply, each deciding the bits SC decides:
+    sums there for g, then XORs its right half's into them.  J is the
+    call's _clamp_depth: llrs at a g-depth up to J are not clamped.  Besides
+    the plain SC split these rules apply, each deciding the bits SC decides:
 
     - A child with no unknown position (rate 0) copies its partial sums
       from sums, and its llrs (f for a left child, g for a right one) are
       never computed.
-    - Rep: only the last position is unknown.  Its llr is the chain of g
-      steps SC takes, each against a rate-0 left half, in the same order
-      and with the same clamps.  Its decision then flips every partial
-      sum, since the last row of F^(kron m) is all ones.
+    - Rep: only the last position is unknown.  With c = sums[d][lo:hi], its
+      llr is the signed sum of (-1)^c L, halved d times as L[:h] + L[h:],
+      each halving clamped unless its g-depth is at most J.  Its decision
+      then flips every partial sum, since the last row of F^(kron m) is all
+      ones.  Proof that the sum is SC's chain of g steps, each against a
+      rate-0 left half: write c = (c_L xor c_R, c_R) for the partial sums
+      c_L of the left half and c_R of the right half, as F^(kron m) builds
+      them.  SC's first step gives the right half b + (-1)^c_L a, and the
+      halving gives (-1)^(c_L xor c_R) a + (-1)^c_R b = (-1)^c_R (b +
+      (-1)^c_L a): negation is exact and commutes with rounding and with the
+      clamp, an odd function.  So by induction on d the halvings carry SC's
+      llrs with the signs (-1)^c_R pushed onto them, and the last one carries
+      the sign of the unknown position's partial sum, which sums holds as 0.
+      Only a zero's sign can differ (x + -x is +0 either way), and a zero
+      decides 0 whatever its sign.
     - Guarded, every other node: if every |L| exceeds d (ln 2 + 1e-12) +
       2 SC_TIE and, in every row, u_hd = HD(L) F^(kron d) equals the known
       bits at the node's known positions (F^(kron d) is its own inverse over
@@ -353,30 +386,56 @@ def _decode_node(L, node, sums, beta):
       and a known leaf is forced to its known bit, which the check made equal
       to u_hd's.
     A node that misses the guard or the check in any row splits as SC does.
+
+    The clamps skipped up to g-depth J are idle, so every llr is SC's.  With
+    M = max |channel llr|, an llr at g-depth j has |L| <= M 2^j + 1: |g| <=
+    |a| + |b| (a float sum of two values at most X is at most 2X), and |f| <=
+    min(|a|, |b|) + 2e-13, where the 2e-13 of at most n f steps, doubled by
+    at most n g steps, stays under 1 for N <= 2^30.  _clamp_depth picks J so
+    that M 2^J + 1 <= L_MAX: no llr up to g-depth J exceeds L_MAX, and a
+    clamp acts only above it.
     """
-    rep, lo, hi, d, guard, known, left, right = node
+    rep, lo, hi, d, j, guard, known, left, right = node
     if rep:
-        for k in range(d - 1, -1, -1):
-            h = 1 << k
-            L = _g(L[:h], L[h:], sums[k][hi - 2 * h : hi - h])
-        beta[lo:hi] = sums[d][lo:hi] ^ (L < -SC_TIE).view(np.uint8)
+        c = sums[d][lo:hi]
+        beta[lo:hi] = c ^ (_rep_llr(L, c, j, J) < -SC_TIE).view(np.uint8)
         return
-    if d == 0 or np.abs(L).min() > guard:
+    if d:
+        h = 1 << (d - 1)
+        mag = np.abs(L)
+        mag = np.minimum(mag[:h], mag[h:])  # min(|a|, |b|): the guard's min |L|, and f's
+    if d == 0 or mag.min() > guard:
         hard = (L < -SC_TIE).view(np.uint8)
         if known is None or _parity_holds(hard, known, sums[d][lo:hi]):
             beta[lo:hi] = hard
             return
-    h = 1 << (d - 1)
     a, b = L[:h], L[h:]
     if left is None:
         beta[lo : lo + h] = sums[d - 1][lo : lo + h]
     else:
-        _decode_node(_combine_odd_vec(a, b), left, sums, beta)
+        _decode_node(_combine_odd_vec(a, b, mag, j > J), left, sums, beta, J)
+    del mag  # f, the left child's llrs: not held while the right child runs
     if right is None:
         beta[lo + h : hi] = sums[d - 1][lo + h : hi]
     else:
-        _decode_node(_g(a, b, beta[lo : lo + h]), right, sums, beta)
+        _decode_node(_g(a, b, beta[lo : lo + h], j + 1 > J), right, sums, beta, J)
     beta[lo : lo + h] ^= beta[lo + h : hi]
+
+
+def _rep_llr(L: np.ndarray, c: np.ndarray, j: int, J: int) -> np.ndarray:
+    """The (1, B) llr of a Rep node's last position: (-1)^c L summed by halving, as SC's g chain.
+
+    L (m, B) holds the node's llrs at g-depth j and c its partial sums; a halving
+    to a g-depth above J is clamped.  See _decode_node for why this is SC's llr.
+    """
+    L = np.where(c, -L, L)
+    while L.shape[0] > 1:
+        h = L.shape[0] >> 1
+        L = L[:h] + L[h:]
+        j += 1
+        if j > J:
+            _clamp_vec(L)
+    return L
 
 
 def _parity_holds(hard: np.ndarray, known: np.ndarray, sums: np.ndarray) -> bool:
@@ -392,9 +451,10 @@ def _parity_holds(hard: np.ndarray, known: np.ndarray, sums: np.ndarray) -> bool
     return not v[known].any()
 
 
-def _g(a: np.ndarray, b: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """b + a where the left half's partial sum is 0, b - a where it is 1, clamped."""
-    return _clamp_vec(b + np.where(left == 0, a, -a))
+def _g(a: np.ndarray, b: np.ndarray, left: np.ndarray, clamp: bool = True) -> np.ndarray:
+    """b + a where the left half's partial sum is 0, b - a where it is 1; clamped if clamp."""
+    v = b + np.where(left, -a, a)
+    return _clamp_vec(v) if clamp else v
 
 
 def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
@@ -432,17 +492,19 @@ def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:
     return flat.reshape(N, B)
 
 
-def _combine_odd_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """llr_combine_odd elementwise, computed in place in two buffers.
+def _combine_odd_vec(a: np.ndarray, b: np.ndarray, mag: np.ndarray | None = None,
+                     clamp: bool = True) -> np.ndarray:
+    """llr_combine_odd elementwise, computed in place in two buffers; clamped if clamp.
 
+    mag, if given, is min(|a|, |b|) as a fresh array, which becomes the result.
     copysign(min, a b) is sign(a) sign(b) min: |a b| <= L_MAX^2 cannot
     overflow, an underflow keeps its sign, and min is 0 when a or b is.
     """
-    m = np.minimum(np.abs(a), np.abs(b))
+    m = np.minimum(np.abs(a), np.abs(b)) if mag is None else mag
     np.copysign(m, a * b, out=m)
     m += _log1p_exp_neg_abs(np.add(a, b))
     m -= _log1p_exp_neg_abs(np.subtract(a, b))
-    return _clamp_vec(m)
+    return _clamp_vec(m) if clamp else m
 
 
 def _log1p_exp_neg_abs(v: np.ndarray) -> np.ndarray:

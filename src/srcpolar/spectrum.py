@@ -371,7 +371,7 @@ def build_high_entropy_set(spec: PolarSpectrum, R: float) -> HighEntropySet:
     return HighEntropySet(
         N=spec.N,
         rate=R,
-        indices=tuple(int(i) + 1 for i in chosen),
+        indices=tuple((chosen + 1).tolist()),
         fingerprint=spectrum_fingerprint(spec.source_desc, spec.N, spec.method, spec.seed),
         method=spec.method,
         seed=spec.seed,

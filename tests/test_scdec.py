@@ -520,7 +520,7 @@ class TestNodeKinds:
         calls, visits = [], []
         combine, node = scdec._combine_odd_vec, scdec._decode_node
         monkeypatch.setattr(scdec, "_combine_odd_vec",
-                            lambda a, b: calls.append(1) or combine(a, b))
+                            lambda *a: calls.append(1) or combine(*a))
         monkeypatch.setattr(scdec, "_decode_node", lambda *a: visits.append(1) or node(*a))
         s = JointSource.bernoulli(1e-4)
         mask, known_vals = np.zeros(1024, dtype=bool), np.zeros((2, 1024), dtype=np.int64)
@@ -543,3 +543,108 @@ class TestNodeKinds:
         # 17 with guarded mixed nodes, 188 with guarded rate-1 nodes alone; the
         # plain SC split visits 905 nodes
         assert 0 < len(visits) <= 17
+
+
+def _llr_source(llrs) -> JointSource:
+    """Equally likely side symbols with the given llrs, up to float rounding.
+
+    p0 = 1 / (1 + e^-v) and p1 = 1 / (1 + e^v) keep both probabilities off an
+    underflow to zero for |v| up to L_MAX.
+    """
+    v = np.asarray(llrs, dtype=float)
+    return JointSource(FieldSpec.binary(), np.array([1 / (1 + np.exp(-v)), 1 / (1 + np.exp(v))]) / v.size)
+
+
+class TestExactShortcuts:
+    """The Rep sum and the skipped clamps give SC's llrs and bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        N=st.sampled_from([2, 4, 8, 16, 32, 64]),
+        B=st.sampled_from([1, 4]),
+        j=st.integers(0, 3),
+        side=st.sampled_from(["below", "above", "saturated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_sequential_decoder_near_the_clamp_bound(self, N, B, j, side, seed):
+        # M = max |llr| sits just below or just above (L_MAX - 1) / 2^j, where the
+        # clamp at g-depth j starts to be needed, or a symbol's llr is L_MAX.  The
+        # other symbols' llrs are fractions of M of either sign, so sums of them
+        # pass L_MAX one g step further down, and a clamp skipped there changes bits.
+        rng = np.random.default_rng(seed)
+        M = (L_MAX - 1) / 2**j + (1e-3 if side == "above" else -1e-3)
+        llrs = np.concatenate([[M, -M], M * rng.uniform(0.5, 1, 4) * rng.choice([-1, 1], 4)])
+        s = _llr_source(llrs)
+        if side == "saturated":
+            s = JointSource(FieldSpec.binary(), np.column_stack([s.probs, [0.1, 0.0]]) / 1.1)
+        table = scdec._llr_table(s, np.arange(s.y_size))
+        want_J = {"below": j, "above": j - 1, "saturated": -1}[side]
+        assert scdec._clamp_depth(table, 6) == want_J
+        mask = rng.random(N) < rng.random()
+        known_vals = rng.integers(0, 2, (B, N))
+        Y = rng.integers(0, s.y_size, (B, N))
+        assert np.array_equal(decode_batch(s, Y, mask, known_vals), _row_by_row(s, Y, mask, known_vals))
+
+    def test_clamp_depth(self):
+        assert scdec._clamp_depth(np.array([math.log(0.89 / 0.11)]), 10) == 8  # 2.09 * 2^8 = 535
+        assert scdec._clamp_depth(np.array([0.0, -0.0]), 10) == 10  # capped at n
+        assert scdec._clamp_depth(np.array([-L_MAX, 1.0]), 10) == -1
+        assert scdec._clamp_depth(np.array([L_MAX - 1]), 10) == 0
+        assert scdec._clamp_depth(np.array([np.nextafter(L_MAX - 1, L_MAX)]), 10) == -1
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 6), B=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_rep_sum_is_the_g_chain(self, d, B, seed):
+        # SC's chain of g steps, each against a rate-0 left half and clamped,
+        # against _rep_llr with every clamp kept, bit for bit on the float64
+        # values.  Adding +0.0 makes -0.0 into 0.0: a zero's sign can differ
+        # where a sum cancels, and a zero decides as a tie either way.
+        rng = np.random.default_rng(seed)
+        m = 1 << d
+        pool = np.array([L_MAX, L_MAX - 1e-9, 699.5, 350.0, 0.0, 2.09])
+        L = np.where(rng.random((m, B)) < 0.5, rng.choice(pool, (m, B)), rng.normal(0, 300, (m, B)))
+        L *= rng.choice([-1.0, 1.0], (m, B))
+        L = np.clip(L, -L_MAX, L_MAX)
+        known = rng.integers(0, 2, (m, B), dtype=np.uint8)
+        known[-1] = 0  # the unknown last position
+        sums = scdec._known_sums(known)
+        chain = L
+        for k in range(d - 1, -1, -1):
+            h = 1 << k
+            chain = scdec._g(chain[:h], chain[h:], sums[k][m - 2 * h : m - h])
+        got = scdec._rep_llr(L, sums[d], 0, -1)
+        assert got.shape == (1, B)
+        assert np.array_equal((got + 0.0).view(np.int64), (chain + 0.0).view(np.int64))
+
+    @pytest.mark.parametrize("p", [1e-200, 1e-30, 0.11])
+    def test_kernels_match_their_clamped_two_argument_forms(self, p, monkeypatch):
+        # Every f the decoder computes from the guard's |L|, with or without its
+        # clamp, equals the clamped f(a, b) bit for bit, and so does every g.
+        # bsc_pair(1e-200) has llrs of 460, so clamps act below g-depth 0.
+        combine, g = scdec._combine_odd_vec, scdec._g
+        seen = {"f": 0, "g": 0}
+
+        def checked_f(a, b, mag, clamp):
+            want = combine(a, b)
+            assert np.array_equal(mag, np.minimum(np.abs(a), np.abs(b)))
+            got = combine(a, b, mag, clamp)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            seen["f"] += 1
+            return got
+
+        def checked_g(a, b, left, clamp):
+            want, got = g(a, b, left), g(a, b, left, clamp)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            seen["g"] += 1
+            return got
+
+        monkeypatch.setattr(scdec, "_combine_odd_vec", checked_f)
+        monkeypatch.setattr(scdec, "_g", checked_g)
+        s = JointSource.bsc_pair(p)
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 2, (4, 256), dtype=np.uint8)
+        Y = X ^ (rng.random(X.shape) < 0.3)
+        mask = rng.random(256) < 0.5
+        U = _forward_rows(s.field, X)
+        assert np.array_equal(decode_batch(s, Y, mask, U), _row_by_row(s, Y, mask, U))
+        assert seen["f"] > 0 and seen["g"] > 0
