@@ -3,6 +3,7 @@
     python3 scripts/bench_guard.py pairs --parent P --change C --workload W --seeds S... \
         --log runs.jsonl [--seconds 20]
     python3 scripts/bench_guard.py decoder --checkout C
+    python3 scripts/bench_guard.py ab --parent P --change C
     python3 scripts/bench_guard.py write --parent P --change C --log runs.jsonl --out BENCH.json \
         --note TEXT [--claim WORKLOAD METRIC]
 
@@ -10,25 +11,38 @@ P and C are source checkouts (each with perfbench/ and src/).  `pairs` runs
 `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` in both,
 once per seed, swapping which runs first from one seed to the next, and
 appends one JSON line per run to the log.  `decoder` prints one JSON object
-about `decode_batch` in checkout C: direct timings at 1, 4, 8, 16 and 64
-rows, node visits by kind, kernel calls and clamps, and the tracemalloc
-peak per call.  `write` summarises the logged runs per workload and
-end-to-end metric of BENCHMARK.json (medians, quartiles, wins per pair,
-each against its bound), runs `decoder` three times in each checkout,
-alternating, and writes the evidence file.
+about `decode_batch` in checkout C: node visits by kind, kernel calls,
+clamps and parity checks, and the tracemalloc peak per call, at 1, 4, 8,
+16 and 64 rows.  `ab` imports both checkouts' packages into one process
+under two names and times them interleaved, case by case: `decode_batch`
+at those row counts and on two chansim codes, and the Monte-Carlo
+spectrum.  It prints the parent/change time ratio per case, with its
+quartiles over the rounds, after asserting that both give equal outputs.
+Host speed drifts between processes by more than the changes it
+measures; in one process both sides see the same drift.  `write`
+summarises the logged runs per workload and end-to-end metric of
+BENCHMARK.json (medians, quartiles, wins per pair, each against its
+bound), runs `decoder` once in each checkout and `ab` once, and writes
+the evidence file.
 TEXT says what the change does; --claim names the one workload and metric
 it claims a gain on, if any.  Every measurement runs in a child process.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 ROWS = (1, 4, 8, 16, 64)
+# ab: interleaved rounds per decode case and per Monte-Carlo spectrum, and the
+# least time one side's sample of a decode case takes (calls are repeated to reach it)
+ROUNDS, MC_ROUNDS, SAMPLE_S = 25, 8, 0.05
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -55,68 +69,70 @@ def cmd_pairs(args) -> None:
                 print(json.dumps(rec), flush=True)
 
 
-def _decoder_probe() -> dict:
-    """Runs inside a child whose sys.path starts with the checkout's src."""
-    import time
-    import tracemalloc
+def _load(checkout: Path, name: str):
+    """Import checkout's src/srcpolar as the package `name`, so that two checkouts can share a process."""
+    pkg = Path(checkout).resolve() / "src" / "srcpolar"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("duality", "scdec", "spectrum", "transform"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
 
+
+def _decode_cases(sp) -> dict:
+    """decode_batch arguments by case name, built with the package sp.
+
+    The sideinfo_codec set (bsc_pair(0.11), N=1024, R=0.8, Monte-Carlo 10^4
+    samples seed 5) at each of ROWS, and 8 frames of the chansim code
+    (bsc(0.11), N=1024, R=0.35), with the channel's noise and without.
+    """
     import numpy as np
 
-    from srcpolar import JointSource, decode_batch, scdec
-    from srcpolar.duality import ChannelModel, channel_encode, make_duality_code
-    from srcpolar.spectrum import build_high_entropy_set, montecarlo_spectrum
-    from srcpolar.transform import _forward_rows
-
-    s = JointSource.bsc_pair(0.11)
-    mask = build_high_entropy_set(montecarlo_spectrum(s, 1024, 10000, 5), 0.8).mask
-
-    def sideinfo(B):
+    s = sp.JointSource.bsc_pair(0.11)
+    mask = sp.spectrum.build_high_entropy_set(sp.spectrum.montecarlo_spectrum(s, 1024, 10000, 5), 0.8).mask
+    cases = {}
+    for B in ROWS:
         rng = np.random.default_rng([7, B])
         X = rng.integers(0, 2, (B, 1024), dtype=np.uint8)
-        return s, X ^ (rng.random((B, 1024)) < 0.11), mask, _forward_rows(s.field, X)
-
-    def chansim(noisy):
-        code = make_duality_code(ChannelModel.bsc(0.11), 1024, 0.35, 1)
+        cases[f"sideinfo set, {B} rows"] = (s, X ^ (rng.random((B, 1024)) < 0.11), mask,
+                                            sp.transform._forward_rows(s.field, X))
+    code = sp.duality.make_duality_code(sp.duality.ChannelModel.bsc(0.11), 1024, 0.35, 1)
+    for name, noisy in (("chansim code (bsc(0.11), N=1024, R=0.35)", True),
+                        ("chansim code, noise-free Y", False)):
         rng = np.random.default_rng(5)
-        Y = np.array([channel_encode(d, code).data for d in rng.integers(0, 2, (8, code.data_size))])
+        Y = np.array([sp.duality.channel_encode(d, code).data for d in rng.integers(0, 2, (8, code.data_size))])
         if noisy:
             Y ^= (rng.random(Y.shape) < 0.11).astype(Y.dtype)
         known = np.zeros(Y.shape, dtype=np.uint8)
         known[:, code.frozen_set.mask] = code.frozen_pattern
-        return code.source, Y, code.frozen_set.mask, known
+        cases[name] = (code.source, Y, code.frozen_set.mask, known)
+    return cases
 
-    timings = {}
-    for B in ROWS:
-        case = sideinfo(B)
-        for _ in range(3):
-            decode_batch(*case)
-        ts = []
-        for _ in range(31):
-            t = time.perf_counter()
-            decode_batch(*case)
-            ts.append(time.perf_counter() - t)
-        timings[str(B)] = statistics.median(ts) * 1e3
 
+def _decoder_probe(checkout: Path) -> dict:
+    import tracemalloc
+
+    sp = _load(checkout, "srcpolar")
+    cases = _decode_cases(sp)
     peaks = {}
     for B in ROWS:
-        case = sideinfo(B)
+        case = cases[f"sideinfo set, {B} rows"]
+        sp.decode_batch(*case)
         tracemalloc.start()
         base = tracemalloc.get_traced_memory()[0]
-        decode_batch(*case)
+        sp.decode_batch(*case)
         peaks[str(B)] = (tracemalloc.get_traced_memory()[1] - base) / 1024
         tracemalloc.stop()
-
-    census = []
-    cases = [(f"sideinfo set (bsc_pair(0.11), N=1024, R=0.8, mc)", sideinfo(B)) for B in ROWS]
-    cases += [("chansim code (bsc(0.11), N=1024, R=0.35)", chansim(True)),
-              ("chansim code, noise-free Y", chansim(False))]
-    for name, case in cases:
-        census.append({"code": name, "B": case[1].shape[0], **_census(scdec, decode_batch, case)})
-    return {"decode_batch_ms": timings, "tracemalloc_peak_kb": peaks, "node_census": census}
+    census = [{"code": name, "B": case[1].shape[0], **_census(sp.scdec, sp.decode_batch, case)}
+              for name, case in cases.items()]
+    return {"tracemalloc_peak_kb": peaks, "node_census": census}
 
 
 def _census(scdec, decode_batch, case) -> dict:
-    """Node visits by kind, how many rate-1 and mixed nodes were decided without a split, and clamps.
+    """Node visits by kind, how many rate-1 and mixed nodes were decided without a split, clamps and parity checks.
 
     A visit's kind is read off the known mask: a leaf, rate 1 (no known
     position), Rep (only the last position unknown) or mixed.  A rate-1 or
@@ -125,12 +141,17 @@ def _census(scdec, decode_batch, case) -> dict:
     2^d makes d halvings (rep_halvings), whether as g calls or as sums.  Each
     f call, each g call outside a Rep visit and each halving may clamp;
     clamps_run counts the clamps made and clamps_skipped the rest.
+    parity_checks counts the checks of _parity_holds per node size 2^d,
+    passed and failed, and for each failed check how many of its rows pass
+    the same check alone.
     """
     mask = case[2]
     counts = {"node_visits": 0, "f_calls": 0, "g_calls": 0, "rep_halvings": 0, "clamps_run": 0}
+    checks = {}
     stack = []  # [kind, child visits] of each visit in progress
     g_in_rep = 0
     node, f, g, clamp = scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec
+    parity = scdec._parity_holds
 
     def visit(L, at, *rest):
         lo, m = at.lo, L.shape[0]
@@ -159,20 +180,69 @@ def _census(scdec, decode_batch, case) -> dict:
             return fn(*a)
         return wrapped
 
-    hooks = visit, count("f_calls", f), count("g_calls", g), count("clamps_run", clamp)
-    scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec = hooks
+    def checked(hard, check, sums):
+        holds = parity(hard, check, sums)
+        d = hard.shape[0].bit_length() - 1
+        entry = checks.setdefault(d, {"passed": 0, "failed": 0, "rows_passing_alone": []})
+        entry["passed" if holds else "failed"] += 1
+        if not holds:
+            entry["rows_passing_alone"].append(sum(parity(hard[:, r:r + 1], check, sums[:, r:r + 1])
+                                                   for r in range(hard.shape[1])))
+        return holds
+
+    hooks = visit, count("f_calls", f), count("g_calls", g), count("clamps_run", clamp), checked
+    scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec, scdec._parity_holds = hooks
     try:
         decode_batch(*case)
     finally:
-        scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec = node, f, g, clamp
+        scdec._decode_node, scdec._combine_odd_vec, scdec._g, scdec._clamp_vec, scdec._parity_holds = (
+            node, f, g, clamp, parity)
     sites = counts["f_calls"] + counts["g_calls"] - g_in_rep + counts["rep_halvings"]
     counts["clamps_skipped"] = sites - counts["clamps_run"]
+    counts["parity_checks"] = {str(d): checks[d] for d in sorted(checks)}
     return counts
 
 
-def run_decoder(checkout: Path) -> dict:
-    out = subprocess.run([sys.executable, __file__, "decoder", "--checkout", str(checkout)],
-                         capture_output=True, text=True, check=True)
+def _ab(parent: Path, change: Path) -> dict:
+    """Parent/change time ratios of each case, interleaved in this process; outputs must be equal."""
+    import numpy as np
+
+    sides = {"parent": _load(parent, "parent_srcpolar"), "change": _load(change, "change_srcpolar")}
+    calls = {}
+    for side, sp in sides.items():
+        calls[side] = {name: (lambda sp=sp, case=case: sp.decode_batch(*case))
+                       for name, case in _decode_cases(sp).items()}
+        calls[side]["montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"] = (
+            lambda sp=sp: sp.spectrum.montecarlo_spectrum(sp.JointSource.bsc_pair(0.11), 1024, 10**4, 5))
+    out = {}
+    for name, change_call in calls["change"].items():
+        want, got = calls["parent"][name](), change_call()
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(want, got), f"{name}: outputs differ"
+        else:
+            assert (want.h.tobytes(), want.z.tobytes()) == (got.h.tobytes(), got.z.tobytes()), \
+                f"{name}: spectra differ"
+        t = time.perf_counter()
+        change_call()
+        reps = max(1, round(SAMPLE_S / (time.perf_counter() - t)))
+        rounds = ROUNDS if isinstance(want, np.ndarray) else MC_ROUNDS
+        times = {"parent": [], "change": []}
+        for k in range(rounds):
+            for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+                call = calls[side][name]
+                t = time.perf_counter()
+                for _ in range(reps):
+                    call()
+                times[side].append((time.perf_counter() - t) / reps)
+        ratios = [p / c for p, c in zip(times["parent"], times["change"])]
+        out[name] = {"ratio_parent_over_change": _quartiles(ratios), "rounds": rounds, "calls_per_sample": reps,
+                     "parent_ms": statistics.median(times["parent"]) * 1e3,
+                     "change_ms": statistics.median(times["change"]) * 1e3, "outputs_equal": True}
+    return out
+
+
+def run_child(*args: str) -> dict:
+    out = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
@@ -216,10 +286,8 @@ def summarise(runs: list) -> dict:
 def cmd_write(args) -> None:
     runs = [json.loads(line) for line in open(args.log) if line.strip()]
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    decoder = {"parent": [], "change": []}
-    for k in range(3):
-        for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
-            decoder[side].append(run_decoder(sides[side]))
+    decoder = {side: run_child("decoder", "--checkout", str(path)) for side, path in sides.items()}
+    ab = run_child("ab", "--parent", str(sides["parent"]), "--change", str(sides["change"]))
     env = json.loads(subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, 'perfbench'); import run, json; "
          "print(json.dumps(run.environment()))"],
@@ -253,20 +321,21 @@ def cmd_write(args) -> None:
                                 "above the traced memory before the call, per row count; tracemalloc "
                                 "records live blocks and their peak, not how many blocks a call "
                                 "allocates and frees, so no allocation count is given",
-                        "parent_kib": decoder["parent"][0]["tracemalloc_peak_kb"],
-                        "change_kib": decoder["change"][0]["tracemalloc_peak_kb"]},
-        "decode_batch_ms": {
-            "what": ("median of 31 decode_batch calls at N=1024 on the sideinfo set (bsc_pair(0.11), "
-                     "R=0.8, Monte-Carlo 10^4 samples seed 5), per row count; three alternating "
-                     "child processes per side (python3 scripts/bench_guard.py decoder)"),
-            "parent": [d["decode_batch_ms"] for d in decoder["parent"]],
-            "change": [d["decode_batch_ms"] for d in decoder["change"]]},
+                        "parent_kib": decoder["parent"]["tracemalloc_peak_kb"],
+                        "change_kib": decoder["change"]["tracemalloc_peak_kb"]},
+        "ab": {
+            "what": (f"parent/change time ratio per case, median and quartiles over interleaved rounds "
+                     f"({ROUNDS} per decode case, {MC_ROUNDS} for the spectrum) alternating which side "
+                     f"runs first, both packages imported into one process; a sample repeats its call "
+                     f"to last at least {SAMPLE_S * 1e3:.0f} ms; parent_ms and change_ms are median "
+                     f"times per call; outputs asserted equal (python3 scripts/bench_guard.py ab)"),
+            "cases": ab},
         "node_census": {
             "what": ("_decode_node visits by node kind, rate-1 and mixed nodes decided without a "
-                     "split, _combine_odd_vec (f) and _g calls, Rep halvings, and clamps run and "
-                     "skipped in one decode_batch call"),
-            "parent": decoder["parent"][0]["node_census"],
-            "change": decoder["change"][0]["node_census"]},
+                     "split, _combine_odd_vec (f) and _g calls, Rep halvings, clamps run and "
+                     "skipped, and _parity_holds checks per node size 2^d in one decode_batch call"),
+            "parent": decoder["parent"]["node_census"],
+            "change": decoder["change"]["node_census"]},
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -283,6 +352,9 @@ def main() -> None:
     p.add_argument("--log", required=True)
     d = sub.add_parser("decoder")
     d.add_argument("--checkout", required=True)
+    a = sub.add_parser("ab")
+    a.add_argument("--parent", required=True)
+    a.add_argument("--change", required=True)
     w = sub.add_parser("write")
     w.add_argument("--parent", required=True)
     w.add_argument("--change", required=True)
@@ -294,8 +366,9 @@ def main() -> None:
     if args.cmd == "pairs":
         cmd_pairs(args)
     elif args.cmd == "decoder":
-        sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
-        print(json.dumps(_decoder_probe()))
+        print(json.dumps(_decoder_probe(args.checkout)))
+    elif args.cmd == "ab":
+        print(json.dumps(_ab(args.parent, args.change)))
     else:
         cmd_write(args)
 

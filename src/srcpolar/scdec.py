@@ -18,9 +18,13 @@ _decode_node):
   that the u they give equals the known bits in every row.  A node that
   misses the guard or the check splits.
 
-The node tree, with each node's Rep flag, guard, known positions and
+The node tree, with each node's Rep flag, guard, parity check matrix and
 g-depth (the g steps from the channel to its llrs), is compiled once per
-known mask (_schedule).  The clamp to +-L_MAX runs only where it can act:
+known mask (_schedule).  A check is one float32 matmul of the node's bits
+with its matrix, exact because every sum is a small integer
+(_parity_holds).  A sign set by partial sums, in g and the Rep sum, is
+XORed into the float64 sign bit: exact negation, with no branch on the
+bits (_signed).  The clamp to +-L_MAX runs only where it can act:
 llrs at g-depth j are bounded by M 2^j, M the largest |llr| of the side
 symbols seen, so a call skips the clamps up to the g-depth its M allows
 (_clamp_depth).  Every node writes its partial sums in place, into its
@@ -279,7 +283,7 @@ class _Node(NamedTuple):
     d: int
     j: int  # g-depth: the g steps from the channel to the node's llrs
     guard: float  # RATE1_GUARD d + 2 SC_TIE, the bound min |L| must exceed
-    known: np.ndarray | None  # the node's part of the known mask, a read-only view; None if rate 1
+    check: tuple | None  # _parity_check of the node's known positions; None if rate 1
     left: "_Node | None"  # None for a half with no unknown position (rate 0)
     right: "_Node | None"
 
@@ -288,8 +292,8 @@ class _Node(NamedTuple):
 def _schedule(mask: bytes) -> _Node | None:
     """The node tree of decode_batch for a known mask given as bool bytes; None if all known.
 
-    Compiled once per mask, so a visit reads its node's Rep flag, guard, known
-    positions and g-depth instead of deriving them.  A tree holds up to 2N
+    Compiled once per mask, so a visit reads its node's Rep flag, guard, parity
+    check matrix and g-depth instead of deriving them.  A tree holds up to 2N
     nodes, so only the few masks a caller decodes with are kept.
     """
     known = np.frombuffer(mask, dtype=bool)
@@ -304,11 +308,43 @@ def _schedule(mask: bytes) -> _Node | None:
         j = (lo >> d).bit_count()  # one g step for every right half on the path from the root
         if d and unknown == 1 and before[hi - 1] == before[lo]:  # a leaf is rate 1, not Rep
             return _Node(True, lo, hi, d, j, 0.0, None, None, None)
-        pos = None if unknown == m else known[lo:hi]
+        check = None if unknown == m else _parity_check(known[lo:hi])
         children = (node(lo, lo + m // 2), node(lo + m // 2, hi)) if d else (None, None)
-        return _Node(False, lo, hi, d, j, RATE1_GUARD * d + 2 * SC_TIE, pos, *children)
+        return _Node(False, lo, hi, d, j, RATE1_GUARD * d + 2 * SC_TIE, check, *children)
 
     return node(0, known.size)
+
+
+# Positions one check matrix spans.  A node up to this size holds its own (k, m)
+# matrix, at most 16 KiB; a larger one, which rarely passes its guard, shares
+# the full matrix of this size.
+_CHECK_SPAN = 64
+
+
+def _parity_check(known: np.ndarray) -> tuple:
+    """A mixed node's parity check (C, rows) for _parity_holds, from its part of the known mask.
+
+    A node of m <= _CHECK_SPAN positions gets its own read-only float32 (k, m) matrix
+    C = F^(kron d)[:, known]^T, which maps the node's partial sums to u at its k known
+    positions, and rows = Ellipsis.  A larger node shares the full (_CHECK_SPAN,
+    _CHECK_SPAN) matrix, and rows is its known mask in spans of _CHECK_SPAN positions.
+    """
+    if known.size > _CHECK_SPAN:
+        return _polar_matrix(_CHECK_SPAN), known.reshape(-1, _CHECK_SPAN)
+    C = _polar_matrix(known.size)[known]
+    C.flags.writeable = False
+    return C, ...
+
+
+@lru_cache(maxsize=None)
+def _polar_matrix(m: int) -> np.ndarray:
+    """F^(kron log2 m)^T as a read-only float32 (m, m) array: u = T v for partial sums v, positions major."""
+    T = np.eye(m, dtype=np.uint8)
+    for k in range(m.bit_length() - 1):
+        _stage(_GF2, T.reshape(-1), m << k)
+    T = T.astype(np.float32)
+    T.flags.writeable = False
+    return T
 
 
 def _known_sums(known: np.ndarray) -> list:
@@ -342,8 +378,9 @@ def _decode_node(L, node, sums, beta, J):
       from sums, and its llrs (f for a left child, g for a right one) are
       never computed.
     - Rep: only the last position is unknown.  With c = sums[d][lo:hi], its
-      llr is the signed sum of (-1)^c L, halved d times as L[:h] + L[h:],
-      each halving clamped unless its g-depth is at most J.  Its decision
+      llr is the signed sum of (-1)^c L (a sign-bit flip, _signed), halved
+      d times as L[:h] + L[h:], each halving clamped unless its g-depth is
+      at most J.  Its decision
       then flips every partial sum, since the last row of F^(kron m) is all
       ones.  Proof that the sum is SC's chain of g steps, each against a
       rate-0 left half: write c = (c_L xor c_R, c_R) for the partial sums
@@ -359,9 +396,10 @@ def _decode_node(L, node, sums, beta, J):
     - Guarded, every other node: if every |L| exceeds d (ln 2 + 1e-12) +
       2 SC_TIE and, in every row, u_hd = HD(L) F^(kron d) equals the known
       bits at the node's known positions (F^(kron d) is its own inverse over
-      GF(2), so u_hd is the u whose partial sums are HD(L)), its partial
-      sums are the hard decisions HD(L) = (L < 0).  A leaf (d = 0) is a
-      rate-1 node of size 1; its hard decision is SC's, with no guard.
+      GF(2), so u_hd is the u whose partial sums are HD(L); _parity_holds
+      checks it with the node's compiled matrix), its partial sums are the
+      hard decisions HD(L) = (L < 0).  A leaf (d = 0) is a rate-1 node of
+      size 1; its hard decision is SC's, with no guard.
       Proof with no known position (rate 1): the correction log1p(e^-|a+b|) -
       log1p(e^-|a-b|) in f lies in [-ln 2, ln 2] and float error adds under
       2e-13 for |a|, |b| <= L_MAX, so |f(a, b)| >= min(|a|, |b|) - ln 2 - 2e-13
@@ -395,7 +433,7 @@ def _decode_node(L, node, sums, beta, J):
     that M 2^J + 1 <= L_MAX: no llr up to g-depth J exceeds L_MAX, and a
     clamp acts only above it.
     """
-    rep, lo, hi, d, j, guard, known, left, right = node
+    rep, lo, hi, d, j, guard, check, left, right = node
     if rep:
         c = sums[d][lo:hi]
         beta[lo:hi] = c ^ (_rep_llr(L, c, j, J) < -SC_TIE).view(np.uint8)
@@ -406,7 +444,7 @@ def _decode_node(L, node, sums, beta, J):
         mag = np.minimum(mag[:h], mag[h:])  # min(|a|, |b|): the guard's min |L|, and f's
     if d == 0 or mag.min() > guard:
         hard = (L < -SC_TIE).view(np.uint8)
-        if known is None or _parity_holds(hard, known, sums[d][lo:hi]):
+        if check is None or _parity_holds(hard, check, sums[d][lo:hi]):
             beta[lo:hi] = hard
             return
     a, b = L[:h], L[h:]
@@ -425,10 +463,11 @@ def _decode_node(L, node, sums, beta, J):
 def _rep_llr(L: np.ndarray, c: np.ndarray, j: int, J: int) -> np.ndarray:
     """The (1, B) llr of a Rep node's last position: (-1)^c L summed by halving, as SC's g chain.
 
-    L (m, B) holds the node's llrs at g-depth j and c its partial sums; a halving
-    to a g-depth above J is clamped.  See _decode_node for why this is SC's llr.
+    L (m, B) holds the node's llrs at g-depth j and c its partial sums, whose signs
+    _signed applies exactly; a halving to a g-depth above J is clamped.  See
+    _decode_node for why this is SC's llr.
     """
-    L = np.where(c, -L, L)
+    L = _signed(L, c)
     while L.shape[0] > 1:
         h = L.shape[0] >> 1
         L = L[:h] + L[h:]
@@ -438,22 +477,48 @@ def _rep_llr(L: np.ndarray, c: np.ndarray, j: int, J: int) -> np.ndarray:
     return L
 
 
-def _parity_holds(hard: np.ndarray, known: np.ndarray, sums: np.ndarray) -> bool:
+def _parity_holds(hard: np.ndarray, check: tuple, sums: np.ndarray) -> bool:
     """Whether u_hd = hard F^(kron d) equals the known bits at the known positions in every row.
 
-    sums is the node's partial sums of its known bits, unknown ones set to 0.  F^(kron d) is
-    its own inverse over GF(2), so (hard xor sums) F^(kron d) is u_hd xor the known bits.
+    check is the node's _parity_check (C, rows), and sums its partial sums of its known bits,
+    unknown ones set to 0.  F^(kron d) is its own inverse over GF(2), so (hard xor sums)
+    F^(kron d) is u_hd xor the known bits, and C (hard xor sums) holds its known positions as
+    integers whose parity is the mismatch.  A node of more than _CHECK_SPAN positions first
+    runs the butterfly stages over halves of _CHECK_SPAN positions or more; they commute with
+    the rest, which the shared matrix applies to each span.  The float32 matmul is exact: an
+    entry sums at most _CHECK_SPAN products of zeros and ones, an integer far below 2^24, in
+    any order of summation and on any number of threads.
     """
+    C, rows = check
     v = hard ^ sums
     m, B = v.shape
-    for k in range(m.bit_length() - 1):
+    span = C.shape[1]
+    for k in range(span.bit_length() - 1, m.bit_length() - 1):
         _stage(_GF2, v.reshape(-1), B << k)
-    return not v[known].any()
+    u = np.matmul(C, v.reshape(-1, span, B), dtype=np.float32)[rows]
+    return not np.fmod(u, 2).any()
+
+
+def _signed(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(-1)^c a as a fresh float64 array, for 0/1 c of a's shape: c shifted into a's sign bit.
+
+    Flipping the sign bit is exact negation, signed zeros and subnormals included, so this
+    is np.where(c, -a, a) bit for bit, without a branch on c.
+    """
+    s = c.astype(np.uint64)
+    s <<= 63
+    s ^= a.view(np.uint64)
+    return s.view(np.float64)
 
 
 def _g(a: np.ndarray, b: np.ndarray, left: np.ndarray, clamp: bool = True) -> np.ndarray:
-    """b + a where the left half's partial sum is 0, b - a where it is 1; clamped if clamp."""
-    v = b + np.where(left, -a, a)
+    """b + a where the left half's partial sum is 0, b - a where it is 1; clamped if clamp.
+
+    Computed as (-1)^left a + b: IEEE addition commutes and _signed negates exactly, so
+    this is b +- a bit for bit.
+    """
+    v = _signed(a, left)
+    v += b
     return _clamp_vec(v) if clamp else v
 
 

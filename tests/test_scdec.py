@@ -29,7 +29,7 @@ from srcpolar import (
 
 from srcpolar.duality import ChannelModel, channel_decode_batch, channel_encode, make_duality_code
 from srcpolar.spectrum import build_high_entropy_set, montecarlo_spectrum, zbound_spectrum
-from srcpolar.transform import _forward_rows
+from srcpolar.transform import _forward_rows, _stage
 
 from conftest import random_binary_source, successive_map_oracle
 
@@ -493,16 +493,33 @@ class TestNodeKinds:
         assert checks == [False]
         assert len(visits) == 5
 
-    def test_schedule_compiled_once_per_mask(self, rng):
+    def test_schedule_compiled_once_per_mask(self, rng, monkeypatch):
+        # N = 256 has mixed nodes above the 64 positions a check matrix spans
         s = JointSource.bsc_pair(0.11)
-        mask = rng.random(64) < 0.5
-        Y = rng.integers(0, 2, (3, 64))
-        known_vals = rng.integers(0, 2, (3, 64))
+        mask = rng.random(256) < 0.5
+        Y = rng.integers(0, 2, (3, 256))
+        known_vals = rng.integers(0, 2, (3, 256))
+        compiled = []
+        parity_check = scdec._parity_check
+        monkeypatch.setattr(scdec, "_parity_check", lambda k: compiled.append(parity_check(k)) or compiled[-1])
         scdec._schedule.cache_clear()
         first = decode_batch(s, Y, mask, known_vals)
+        built = len(compiled)
         assert np.array_equal(decode_batch(s, Y, mask.copy(), known_vals), first)
         info = scdec._schedule.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+        # one check per mixed node, built with the schedule and read-only
+        stack, checks = [scdec._schedule(mask.tobytes())], []
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                checks += [node.check] if node.check is not None else []
+                stack += [node.left, node.right]
+        assert built == len(compiled) == len(checks) and any(rows is not ... for _, rows in checks)
+        assert {id(c) for c in compiled} == {id(c) for c in checks}
+        for C, rows in checks:
+            assert C.dtype == np.float32 and not C.flags.writeable
+            assert rows is ... or not rows.flags.writeable
 
     def test_guard_keeps_a_tie_from_g(self):
         # u_1 known as 1 and y = (0, 0, 1, 1): g hands llrs (0, -2b) to the rate-1
@@ -555,8 +572,20 @@ def _llr_source(llrs) -> JointSource:
     return JointSource(FieldSpec.binary(), np.array([1 / (1 + np.exp(-v)), 1 / (1 + np.exp(v))]) / v.size)
 
 
+def _parity_reference(hard, known, sums) -> bool:
+    """_parity_holds by d butterfly stages over the node's bits, then a look at its known positions."""
+    v = hard ^ sums
+    m, B = v.shape
+    for k in range(m.bit_length() - 1):
+        _stage(FieldSpec.binary(), v.reshape(-1), B << k)
+    return not v[known].any()
+
+
+_SIGN_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, L_MAX, -L_MAX, np.nextafter(L_MAX, 0), 1.0, -2.09]
+
+
 class TestExactShortcuts:
-    """The Rep sum and the skipped clamps give SC's llrs and bits."""
+    """The Rep sum, the skipped clamps, the sign-bit flips and the compiled check give SC's llrs and bits."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -615,6 +644,50 @@ class TestExactShortcuts:
         got = scdec._rep_llr(L, sums[d], 0, -1)
         assert got.shape == (1, B)
         assert np.array_equal((got + 0.0).view(np.int64), (chain + 0.0).view(np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.lists(st.one_of(st.sampled_from(_SIGN_POOL), st.floats(-L_MAX, L_MAX)), min_size=8, max_size=8),
+        c=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+        strided=st.booleans(),
+    )
+    def test_signed_is_where_negation(self, a, c, strided):
+        # _signed(a, c) against np.where(c, -a, a), bit for bit on the float64
+        # values; strided views are the halves the genie passes, (nodes, 2, h B)[:, 0]
+        a = np.array(a).reshape(2, 4)
+        c = np.array(c, dtype=np.uint8).reshape(2, 4)
+        if strided:
+            a = np.stack([a, -a], axis=1)[:, 0]
+            c = np.stack([c, 1 - c], axis=1)[:, 0]
+            assert not (a.flags.c_contiguous or c.flags.c_contiguous)
+        got = scdec._signed(a, c)
+        assert np.array_equal(got.view(np.uint64), np.where(c, -a, a).view(np.uint64))
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.integers(1, 8), B=st.sampled_from([1, 5, 16]), seed=st.integers(0, 2**32 - 1))
+    def test_parity_check_is_the_butterfly_reference(self, d, B, seed):
+        # Hard decisions whose u is known except for a few flipped known bits:
+        # row 0 flips none, odd rows one to three, even rows some of one to
+        # three.  The compiled check must agree with the butterfly stages row
+        # by row, and pass the batch exactly when every row passes; d = 7 and
+        # 8 cross the 64 positions one matrix spans.
+        rng = np.random.default_rng(seed)
+        m = 1 << d
+        known = rng.random(m) < rng.uniform(0.1, 0.9)
+        known[rng.integers(m)] = True
+        u = rng.integers(0, 2, (m, B), dtype=np.uint8)
+        flips = np.zeros((m, B), dtype=np.uint8)
+        idx = np.flatnonzero(known)
+        for r in range(1, B):
+            picked = rng.choice(idx, size=int(rng.integers(1, min(idx.size, 3) + 1)), replace=False)
+            flips[picked, r] = 1 if r % 2 else rng.integers(0, 2, picked.size)
+        hard = scdec._known_sums(u)[d]
+        sums = scdec._known_sums((u ^ flips) * known[:, None].astype(np.uint8))[d]
+        check = scdec._parity_check(known)
+        rows = [scdec._parity_holds(hard[:, r:r + 1], check, sums[:, r:r + 1]) for r in range(B)]
+        assert rows == [_parity_reference(hard[:, r:r + 1], known, sums[:, r:r + 1]) for r in range(B)]
+        assert rows[0]
+        assert scdec._parity_holds(hard, check, sums) == all(rows)
 
     @pytest.mark.parametrize("p", [1e-200, 1e-30, 0.11])
     def test_kernels_match_their_clamped_two_argument_forms(self, p, monkeypatch):
