@@ -1,4 +1,4 @@
-"""Measure a change to the SC decoder against a checkout of its parent commit.
+"""Measure a change to the SC decoder or the write path against a checkout of its parent commit.
 
     python3 scripts/bench_guard.py pairs --parent P --change C --workload W --seeds S... \
         --log runs.jsonl [--seconds 20]
@@ -15,9 +15,11 @@ about `decode_batch` in checkout C: node visits by kind, kernel calls,
 clamps and parity checks, and the tracemalloc peak per call, at 1, 4, 8,
 16 and 64 rows.  `ab` imports both checkouts' packages into one process
 under two names and times them interleaved, case by case: `decode_batch`
-at those row counts and on two chansim codes, and the Monte-Carlo
-spectrum.  It prints the parent/change time ratio per case, with its
-quartiles over the rounds, after asserting that both give equal outputs.
+at those row counts and on two chansim codes, the Monte-Carlo spectrum,
+`compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim
+sets, and `compress_file` of the bulk_compress input.  It prints the
+parent/change time ratio per case, with its quartiles over the rounds,
+after asserting that both give equal outputs.
 Host speed drifts between processes by more than the changes it
 measures; in one process both sides see the same drift.  `write`
 summarises the logged runs per workload and end-to-end metric of
@@ -29,6 +31,7 @@ it claims a gain on, if any.  Every measurement runs in a child process.
 """
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import json
@@ -40,8 +43,9 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 ROWS = (1, 4, 8, 16, 64)
-# ab: interleaved rounds per decode case and per Monte-Carlo spectrum, and the
-# least time one side's sample of a decode case takes (calls are repeated to reach it)
+WRITE_ROWS = (1, 4, 16)  # compress_blocks rows timed by ab
+# ab: interleaved rounds per decode or write case and per Monte-Carlo spectrum, and the
+# least time one side's sample of a case takes (calls are repeated to reach it)
 ROUNDS, MC_ROUNDS, SAMPLE_S = 25, 8, 0.05
 
 
@@ -82,6 +86,13 @@ def _load(checkout: Path, name: str):
     return module
 
 
+@functools.cache
+def _sideinfo_set(sp):
+    """The sideinfo_codec set: bsc_pair(0.11), N=1024, R=0.8, Monte-Carlo 10^4 samples seed 5."""
+    return sp.spectrum.build_high_entropy_set(
+        sp.spectrum.montecarlo_spectrum(sp.JointSource.bsc_pair(0.11), 1024, 10000, 5), 0.8)
+
+
 def _decode_cases(sp) -> dict:
     """decode_batch arguments by case name, built with the package sp.
 
@@ -92,7 +103,7 @@ def _decode_cases(sp) -> dict:
     import numpy as np
 
     s = sp.JointSource.bsc_pair(0.11)
-    mask = sp.spectrum.build_high_entropy_set(sp.spectrum.montecarlo_spectrum(s, 1024, 10000, 5), 0.8).mask
+    mask = _sideinfo_set(sp).mask
     cases = {}
     for B in ROWS:
         rng = np.random.default_rng([7, B])
@@ -109,6 +120,34 @@ def _decode_cases(sp) -> dict:
         known = np.zeros(Y.shape, dtype=np.uint8)
         known[:, code.frozen_set.mask] = code.frozen_pattern
         cases[name] = (code.source, Y, code.frozen_set.mask, known)
+    return cases
+
+
+def _write_cases(sp) -> dict:
+    """Write-path calls by case name, built with the package sp.
+
+    compress_blocks at 1, 4 and 16 rows on the sideinfo_codec set and on
+    the two swsim sets (joint [0.76, 0.01, 0.04, 0.19], N=1024, R_x=0.5,
+    R_y=0.85), and compress_file of the bulk_compress input: 2 MiB of
+    Ber(0.11) at N=2^16, R=0.75 (zbound), with checksum.
+    """
+    import io
+
+    import numpy as np
+
+    sw = sp.sw_config(sp.JointSource(sp.FieldSpec.binary(), np.array([[0.76, 0.01], [0.04, 0.19]])),
+                      1024, 0.5, 0.85)
+    sets = {"sideinfo set": _sideinfo_set(sp), "swsim set_x": sw.set_x, "swsim set_y": sw.set_y}
+    cases = {}
+    for set_name, hset in sets.items():
+        for B in WRITE_ROWS:
+            X = np.random.default_rng([11, B]).integers(0, 2, (B, 1024), dtype=np.uint8)
+            cases[f"compress_blocks, {set_name}, {B} rows"] = (
+                lambda X=X, hset=hset: sp.compress_blocks(X, hset))
+    bulk = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), 1 << 16), 0.75)
+    raw = np.packbits(np.random.default_rng(13).random(8 << 21) < 0.11).tobytes()
+    cases["compress_file, 2 MiB Ber(0.11), N=2^16, R=0.75, checksum"] = (
+        lambda: sp.compress_file(io.BytesIO(raw), bulk, True))
     return cases
 
 
@@ -214,18 +253,20 @@ def _ab(parent: Path, change: Path) -> dict:
                        for name, case in _decode_cases(sp).items()}
         calls[side]["montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"] = (
             lambda sp=sp: sp.spectrum.montecarlo_spectrum(sp.JointSource.bsc_pair(0.11), 1024, 10**4, 5))
+        calls[side].update(_write_cases(sp))
     out = {}
     for name, change_call in calls["change"].items():
         want, got = calls["parent"][name](), change_call()
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(want, got), f"{name}: outputs differ"
-        else:
+        spectrum = isinstance(want, sides["parent"].PolarSpectrum)
+        if spectrum:
             assert (want.h.tobytes(), want.z.tobytes()) == (got.h.tobytes(), got.z.tobytes()), \
                 f"{name}: spectra differ"
+        else:  # bits, or a container's bytes
+            assert np.array_equal(want, got), f"{name}: outputs differ"
         t = time.perf_counter()
         change_call()
         reps = max(1, round(SAMPLE_S / (time.perf_counter() - t)))
-        rounds = ROUNDS if isinstance(want, np.ndarray) else MC_ROUNDS
+        rounds = MC_ROUNDS if spectrum else ROUNDS
         times = {"parent": [], "change": []}
         for k in range(rounds):
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
@@ -325,8 +366,8 @@ def cmd_write(args) -> None:
                         "change_kib": decoder["change"]["tracemalloc_peak_kb"]},
         "ab": {
             "what": (f"parent/change time ratio per case, median and quartiles over interleaved rounds "
-                     f"({ROUNDS} per decode case, {MC_ROUNDS} for the spectrum) alternating which side "
-                     f"runs first, both packages imported into one process; a sample repeats its call "
+                     f"({ROUNDS} per decode or write case, {MC_ROUNDS} for the spectrum) alternating which "
+                     f"side runs first, both packages imported into one process; a sample repeats its call "
                      f"to last at least {SAMPLE_S * 1e3:.0f} ms; parent_ms and change_ms are median "
                      f"times per call; outputs asserted equal (python3 scripts/bench_guard.py ab)"),
             "cases": ab},

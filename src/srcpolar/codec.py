@@ -12,6 +12,12 @@ Wire format of one compressed block:
 
 A container is a file's blocks, then a u32 LE count of its zero pad bits, whole
 bytes fewer than N.  Bits travel as uint8, one bit per byte, payloads as (blocks, k) arrays.
+
+The write path lays blocks out positions-major, (N, blocks), always in a
+copy of the input, and transform._forward_take runs the butterflies in
+place and takes the payloads at the bit-reversed kept positions.
+compress_file writes a chunk's headers and payloads straight from those
+arrays, packed once per chunk, without building a CompressedBlock.
 """
 
 import zlib
@@ -24,7 +30,7 @@ from .field import FieldSpec
 from .scdec import decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import METHOD_MC, HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, _forward_rows
+from .transform import SymbolBlock, _forward_take
 
 _GF2 = FieldSpec.binary()
 
@@ -50,15 +56,8 @@ class CompressedBlock:
         return 1 << self.n
 
     def to_bytes(self) -> bytes:
-        head = bytearray()
-        head += MAGIC
-        head.append(self.version)
-        head.append(self.n)
-        head += bytes.fromhex(self.fingerprint)
-        head += len(self.payload).to_bytes(4, "little")
-        if self.version == VERSION_CRC:
-            head += int(self.crc).to_bytes(4, "little")
-        return bytes(head) + np.packbits(self.payload).tobytes()
+        head = _header(self.version, self.n, self.fingerprint, len(self.payload), self.crc)
+        return head + np.packbits(self.payload).tobytes()
 
     @staticmethod
     def from_bytes(buf: bytes, offset: int = 0) -> tuple["CompressedBlock", int]:
@@ -86,18 +85,28 @@ class CompressedBlock:
         return CompressedBlock(version, n, fingerprint, bits, crc), pos + nbytes
 
 
+def _header(version: int, n: int, fingerprint: str, nbits: int, crc: int | None) -> bytes:
+    """A block's wire header: magic, version, n, fingerprint, payload bit count, crc32 if version 2."""
+    head = MAGIC + bytes((version, n)) + bytes.fromhex(fingerprint) + nbits.to_bytes(4, "little")
+    return head + int(crc).to_bytes(4, "little") if version == VERSION_CRC else head
+
+
 def compress(x: SymbolBlock, hset: HighEntropySet, checksum: bool = False) -> CompressedBlock:
     """u = x G_N; emit u restricted to the high-entropy indices."""
     if not x.field.is_binary:
         raise UnsupportedAlphabetError("compression requires a binary source")
-    return _wire(x.data.reshape(1, -1), hset, checksum)[0]
+    version = VERSION_CRC if checksum else VERSION_PLAIN
+    return CompressedBlock(version, hset.N.bit_length() - 1, hset.fingerprint,
+                           compress_blocks(x.data.reshape(1, -1), hset)[0],
+                           _crc(x.data) if checksum else None)
 
 
 def compress_blocks(X, hset: HighEntropySet) -> np.ndarray:
     """Payloads of every row of a (blocks, N) array of bits, with one transform call.
 
-    X holds 0/1 symbols of the binary field; a uint8 array is used as it
-    is, any other integer array is checked and then copied to uint8.  Row
+    X holds 0/1 symbols of the binary field, of any integer or bool dtype
+    and memory order.  It is always copied, positions-major, to an (N,
+    blocks) uint8 array for the in-place stages, so X is never written.  Row
     b of the (blocks, k) uint8 result is the payload of block b alone.
     """
     X = np.asarray(X)
@@ -105,32 +114,40 @@ def compress_blocks(X, hset: HighEntropySet) -> np.ndarray:
         raise DomainError(f"blocks of shape {X.shape} do not have length {hset.N}")
     if X.dtype.kind not in "biu" or (X.size and (X.min() < 0 or X.max() > 1)):
         raise DomainError("compression takes bits: 0/1 symbols of the binary field")
-    # .compress keeps the rows contiguous; [:, mask] returns a column-major
-    # array, on which each row's packbits in to_bytes is about 30x slower.
-    return _forward_rows(_GF2, X.astype(np.uint8, copy=False)).compress(hset.mask, axis=1)
-
-
-def _wire(X, hset: HighEntropySet, checksum: bool) -> list[CompressedBlock]:
-    """The wire blocks of the rows of X, each with its crc32 if checksum."""
-    version, n = (VERSION_CRC if checksum else VERSION_PLAIN), hset.N.bit_length() - 1
-    return [CompressedBlock(version, n, hset.fingerprint, p, _crc(x) if checksum else None)
-            for p, x in zip(compress_blocks(X, hset), X)]
+    # np.array copies even where X.T is already C-ordered (one row, or X in Fortran order).
+    return _forward_take(_GF2, np.array(X.T, dtype=np.uint8, order="C"), hset.mask)
 
 
 def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray:
-    """The container of the bytes read from the binary file fh, COMPRESS_BITS at a time."""
-    unit = max(hset.N, 8)  # a whole number of blocks and of bytes
+    """The container of the bytes read from the binary file fh, COMPRESS_BITS at a time.
+
+    Each chunk is laid out positions-major, (N, blocks), transformed in one
+    call, and its payloads packed with one packbits; a block's crc32 is taken
+    from its source bytes, which are packbits of its bits.
+    """
+    N = hset.N
+    unit = max(N, 8)  # a whole number of blocks and of bytes
     chunk_bytes = unit * max(1, COMPRESS_BITS // unit) // 8
+    version, n, k = (VERSION_CRC if checksum else VERSION_PLAIN), N.bit_length() - 1, len(hset.indices)
     out, pad = bytearray(), 0
     while raw := fh.read(chunk_bytes):
         if pad:  # a short read before the end: padding it would insert zero bits
             raise DomainError("file read returned a partial block before its end")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        pad = -bits.size % hset.N  # nonzero only in the last, short chunk
-        if pad:
-            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        for blk in _wire(bits.reshape(-1, hset.N), hset, checksum):
-            out += blk.to_bytes()
+        data = np.frombuffer(raw, dtype=np.uint8)
+        pad = -8 * data.size % N  # nonzero only in the last, short chunk
+        if N >= 8:  # whole bytes per block: unpack the transposed bytes, no bit gather
+            if pad:
+                data = np.concatenate([data, np.zeros(pad // 8, dtype=np.uint8)])
+            source = data.reshape(-1, N // 8)
+            V = np.unpackbits(np.ascontiguousarray(source.T), axis=0)
+        else:
+            X = np.concatenate([np.unpackbits(data), np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
+            source, V = np.packbits(X, axis=1), np.ascontiguousarray(X.T)
+        # packbits along a row-major copy: along the (blocks, k) view itself it is about 5x slower
+        payloads = np.packbits(np.ascontiguousarray(_forward_take(_GF2, V, hset.mask)), axis=1)
+        for src, payload in zip(source, payloads):
+            out += _header(version, n, hset.fingerprint, k, zlib.crc32(src) if checksum else None)
+            out += payload.tobytes()
     out += pad.to_bytes(_PAD_TRAILER, "little")  # in place: a copy would raise the peak
     return out
 

@@ -18,7 +18,7 @@ from .field import FieldSpec
 from .scdec import batch_rows
 from .sources import JointSource, _parse_spec, conditional_entropy
 from .spectrum import HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, _check_count, _forward_rows
+from .transform import SymbolBlock, _check_count, _forward_rows, _forward_take
 
 _ROW_TOL = 1e-12
 
@@ -169,7 +169,8 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
     frozen = code.frozen_set
     P = np.broadcast_to(code.frozen_pattern, (len(Y), len(frozen.indices)))
     x_hat = decompress_blocks(P, Y, frozen, code.source)
-    return _forward_rows(code.source.field, x_hat)[:, ~frozen.mask]
+    # x_hat is ours to overwrite, so its positions-major layout may be a view of it
+    return _forward_take(code.source.field, np.ascontiguousarray(x_hat.T), ~frozen.mask)
 
 
 def _trial_batches(trials: int, seed: int, N: int):

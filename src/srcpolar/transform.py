@@ -2,7 +2,9 @@
 
 F = [[1,0],[1,1]].  B_N (bit reversal) commutes with the Kronecker power,
 so each pass permutes the input once and then runs n in-place butterfly
-stages (see _stage); total work is (N/2) log2 N field operations.
+stages (see _stage); total work is (N/2) log2 N field operations.  Where
+only some positions of u are wanted (_forward_take), the stages run first
+and the bit reversal is applied to the wanted positions alone.
 """
 
 from dataclasses import dataclass
@@ -123,6 +125,17 @@ def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = No
     # per position are adjacent, so even the stages with short halves run long
     # inner loops; a row-major copy made the transform about 3x slower.
     return _kron_rows(field, rows[..., bit_reverse_indices(n)], ops)
+
+
+def _forward_take(field: FieldSpec, V: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """u = x G_N at the positions mask keeps, for each column x of the positions-major (N, B) V.
+
+    The stages run in place on V in natural order, v = x F^(kron n), and
+    G_N = F^(kron n) B_N makes u_i = v[rev(i)], so the bit reversal is paid
+    only on the kept rows.  V is overwritten; returns the (B, k) payloads.
+    """
+    _kron_rows(field, V.T)  # the transposed view: _stage splits the last axis of any layout
+    return V.take(bit_reverse_indices(V.shape[0].bit_length() - 1)[mask], axis=0).T
 
 
 def _inverse_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:

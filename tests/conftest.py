@@ -112,6 +112,7 @@ BAD_MANIFESTS = {
         for key in ("N", "R", "indices", "fingerprint", "source")
     },
     "non_integer_index": _replace_indices(0, lambda doc: doc["indices"][0] + 0.5),
+    "bool_index": _replace_indices(0, lambda doc: True),  # JSON true: a bool, though True == 1
     "index_0": _replace_indices(0, lambda doc: 0),
     "index_N_plus_1": _replace_indices(-1, lambda doc: doc["N"] + 1),
     "index_beyond_int64": _replace_indices(-1, lambda doc: 2**70),

@@ -122,6 +122,22 @@ class TestCompressBlocks:
         with pytest.raises(DomainError):
             compress_blocks(X, hset)
 
+    @pytest.mark.parametrize("N", [1, 8, 1024])
+    def test_never_writes_its_input(self, rng, N):
+        # The stages run in place on a positions-major (N, blocks) chunk.  For one
+        # uint8 row, or rows in Fortran order, X.T is already that layout, so only
+        # the copy keeps the stages off the caller's array.
+        hset = build_high_entropy_set(zbound_spectrum(BER011, N), 0.75)
+        one = rng.integers(0, 2, (1, N), dtype=np.uint8)
+        fortran = np.asfortranarray(rng.integers(0, 2, (3, N), dtype=np.uint8))
+        for X in (one, fortran):
+            given = X.copy()
+            P = compress_blocks(X, hset)
+            assert np.array_equal(X, given) and not np.shares_memory(P, X)
+        x = bits(one[0])
+        blk = compress(x, hset, checksum=True)
+        assert np.array_equal(x.data, one[0]) and not np.shares_memory(blk.payload, x.data)
+
     def test_int_and_bool_blocks_accepted(self, rng):
         hset = build_high_entropy_set(zbound_spectrum(BER011, 8), 0.5)
         X = rng.integers(0, 2, (3, 8), dtype=np.uint8)
@@ -194,7 +210,7 @@ class TestDecompress:
             raise AssertionError("transform on the read path")
 
         for mod in (codec, scdec, transform):
-            for name in ("_forward_rows", "_inverse_rows", "_kron_rows"):
+            for name in ("_forward_rows", "_forward_take", "_inverse_rows", "_kron_rows"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, boom)
         assert np.array_equal(decompress_blocks(blocks, Y, hset, BSC011), X)
@@ -221,10 +237,14 @@ class TestContainer:
         assert decompress_file(container, None, hset, BER011) == data
 
     @pytest.mark.parametrize("checksum", [False, True])
-    @pytest.mark.parametrize("N", [4, 64])
-    def test_container_is_the_block_stream_and_pad_trailer(self, rng, N, checksum):
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64])
+    def test_container_is_the_block_stream_and_pad_trailer(self, rng, N, checksum, monkeypatch):
+        # Chunks of 4 blocks (4 bytes below N = 8): the file spans several chunks
+        # and ends with a short one, padded where N is more than 8.
+        monkeypatch.setattr(codec, "COMPRESS_BITS", 4 * max(N, 8))
         hset = build_high_entropy_set(zbound_spectrum(BER011, N), 0.75)
         data = rng.integers(0, 256, 101, dtype=np.uint8)
+        assert data.size % (codec.COMPRESS_BITS // 8)
         flat = np.unpackbits(data)
         pad = -flat.size % N
         X = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)

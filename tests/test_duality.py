@@ -155,8 +155,8 @@ class TestEncodeDecode:
         data = rng.integers(0, 2, (16, code.data_size))
         Y = np.array([channel_encode(d, code).data for d in data])
         calls = []
-        forward = duality._forward_rows
-        monkeypatch.setattr(duality, "_forward_rows", lambda *a: calls.append(1) or forward(*a))
+        forward = duality._forward_take
+        monkeypatch.setattr(duality, "_forward_take", lambda *a: calls.append(1) or forward(*a))
         assert np.array_equal(channel_decode_batch(Y, code), data)
         assert len(calls) == 1
 
