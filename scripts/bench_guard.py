@@ -1,7 +1,8 @@
-"""Measure a change to the SC decoder or the write path against a checkout of its parent commit.
+"""Measure a change to the SC decoder, the write path or construction against a checkout of its parent commit.
 
     python3 scripts/bench_guard.py pairs --parent P --change C --workload W --seeds S... \
         --log runs.jsonl [--seconds 20]
+    python3 scripts/bench_guard.py setup --parent P --change C --workload W [--rounds 10]
     python3 scripts/bench_guard.py decoder --checkout C
     python3 scripts/bench_guard.py ab --parent P --change C
     python3 scripts/bench_guard.py write --parent P --change C --log runs.jsonl --out BENCH.json \
@@ -10,22 +11,30 @@
 P and C are source checkouts (each with perfbench/ and src/).  `pairs` runs
 `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` in both,
 once per seed, swapping which runs first from one seed to the next, and
-appends one JSON line per run to the log.  `decoder` prints one JSON object
-about `decode_batch` in checkout C: node visits by kind, kernel calls,
-clamps and parity checks, and the tracemalloc peak per call, at 1, 4, 8,
-16 and 64 rows.  `ab` imports both checkouts' packages into one process
-under two names and times them interleaved, case by case: `decode_batch`
-at those row counts and on two chansim codes, the Monte-Carlo spectrum,
-`compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim
-sets, and `compress_file` of the bulk_compress input.  It prints the
+appends one JSON line per run to the log.  `setup` times workload W's
+construction (`perfbench/construct.py` with W's spec, the code build that
+`setup_s` times) in fresh interpreters, once per side and round, swapping
+which side runs first from one round to the next; round k builds with seed
+k + 1, and both sides must build the same digest.  It prints medians,
+quartiles and the rounds the change wins; `setup_s` is not normalised for
+host speed, so only interleaved rounds compare it.  `decoder` prints one
+JSON object about `decode_batch` in checkout C: node visits by kind, kernel
+calls, clamps and parity checks, and the tracemalloc peak per call, at 1,
+4, 8, 16 and 64 rows.  `ab` imports both checkouts' packages into one
+process under two names and times them interleaved, case by case:
+`decode_batch` at those row counts and on two chansim codes, the
+Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set,
+`compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim sets,
+and `compress_file` of the bulk_compress input.  It prints the
 parent/change time ratio per case, with its quartiles over the rounds,
-after asserting that both give equal outputs.
+after asserting that both give equal outputs (spectra, manifests, bits or
+containers).
 Host speed drifts between processes by more than the changes it
 measures; in one process both sides see the same drift.  `write`
 summarises the logged runs per workload and end-to-end metric of
 BENCHMARK.json (medians, quartiles, wins per pair, each against its
-bound), runs `decoder` once in each checkout and `ab` once, and writes
-the evidence file.
+bound), runs `decoder` once in each checkout, `ab` once and `setup` (10
+rounds) once per logged workload, and writes the evidence file.
 TEXT says what the change does; --claim names the one workload and metric
 it claims a gain on, if any.  Every measurement runs in a child process.
 """
@@ -38,15 +47,23 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 ROWS = (1, 4, 8, 16, 64)
 WRITE_ROWS = (1, 4, 16)  # compress_blocks rows timed by ab
-# ab: interleaved rounds per decode or write case and per Monte-Carlo spectrum, and the
+# ab: interleaved rounds per decode or write case and per Monte-Carlo case, and the
 # least time one side's sample of a case takes (calls are repeated to reach it)
 ROUNDS, MC_ROUNDS, SAMPLE_S = 25, 8, 0.05
+SETUP_ROUNDS = 10  # setup rounds that write runs per workload
+MC_SPECTRUM = "montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"
+MC_FREEZE = "freeze --method mc, bsc_pair(0.11), N=1024, R=0.8, 10^4 samples, seed 5"
+# prints workload argv[1]'s construct.py spec for seed argv[2] and work directory argv[3]
+SPEC_CODE = ("import json, pathlib, sys; sys.path[:0] = ['perfbench', 'src']; from workloads import WORKLOADS; "
+             "print(json.dumps(WORKLOADS[sys.argv[1]](int(sys.argv[2]), pathlib.Path(sys.argv[3]))"
+             ".construction('rep0')))")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -73,6 +90,29 @@ def cmd_pairs(args) -> None:
                 print(json.dumps(rec), flush=True)
 
 
+def _setup(parent: Path, change: Path, workload: str, rounds: int) -> dict:
+    """Interleaved fresh-interpreter set-up times of both sides; each round's digests must be equal."""
+    sides = {"parent": Path(parent).resolve(), "change": Path(change).resolve()}
+    times = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as work:
+        for k in range(rounds):
+            spec = subprocess.run([sys.executable, "-c", SPEC_CODE, workload, str(k + 1), work],
+                                  cwd=sides["change"], capture_output=True, text=True, check=True).stdout
+            digests = {}
+            for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+                proc = subprocess.run([sys.executable, "perfbench/construct.py", spec.strip()],
+                                      cwd=sides[side], capture_output=True, text=True, check=True)
+                doc = json.loads(proc.stdout.strip().splitlines()[-1])
+                times[side].append(doc["setup_s"])
+                digests[side] = doc["digest"]
+            assert digests["parent"] == digests["change"], f"{workload} seed {k + 1}: set-ups differ"
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    qp, qc = _quartiles(times["parent"]), _quartiles(times["change"])
+    return {"workload": workload, "seeds": f"1-{rounds}", "rounds": rounds,
+            "parent_s": qp, "change_s": qc, "ratio_change_over_parent": qc["median"] / qp["median"],
+            "change_wins": f"{wins} of {rounds}", "digests_equal": True, "times": times}
+
+
 def _load(checkout: Path, name: str):
     """Import checkout's src/srcpolar as the package `name`, so that two checkouts can share a process."""
     pkg = Path(checkout).resolve() / "src" / "srcpolar"
@@ -81,7 +121,7 @@ def _load(checkout: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("duality", "scdec", "spectrum", "transform"):
+    for sub in ("cli", "duality", "scdec", "spectrum", "transform"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -247,26 +287,27 @@ def _ab(parent: Path, change: Path) -> dict:
     import numpy as np
 
     sides = {"parent": _load(parent, "parent_srcpolar"), "change": _load(change, "change_srcpolar")}
+    work = tempfile.TemporaryDirectory()
     calls = {}
     for side, sp in sides.items():
         calls[side] = {name: (lambda sp=sp, case=case: sp.decode_batch(*case))
                        for name, case in _decode_cases(sp).items()}
-        calls[side]["montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"] = (
+        calls[side][MC_SPECTRUM] = (
             lambda sp=sp: sp.spectrum.montecarlo_spectrum(sp.JointSource.bsc_pair(0.11), 1024, 10**4, 5))
+        calls[side][MC_FREEZE] = lambda sp=sp, out=Path(work.name) / f"{side}.json": _freeze_mc(sp, out)
         calls[side].update(_write_cases(sp))
     out = {}
     for name, change_call in calls["change"].items():
         want, got = calls["parent"][name](), change_call()
-        spectrum = isinstance(want, sides["parent"].PolarSpectrum)
-        if spectrum:
+        if isinstance(want, sides["parent"].PolarSpectrum):
             assert (want.h.tobytes(), want.z.tobytes()) == (got.h.tobytes(), got.z.tobytes()), \
                 f"{name}: spectra differ"
-        else:  # bits, or a container's bytes
+        else:  # bits, a container's bytes or a manifest's
             assert np.array_equal(want, got), f"{name}: outputs differ"
         t = time.perf_counter()
         change_call()
         reps = max(1, round(SAMPLE_S / (time.perf_counter() - t)))
-        rounds = MC_ROUNDS if spectrum else ROUNDS
+        rounds = MC_ROUNDS if name in (MC_SPECTRUM, MC_FREEZE) else ROUNDS
         times = {"parent": [], "change": []}
         for k in range(rounds):
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
@@ -279,7 +320,16 @@ def _ab(parent: Path, change: Path) -> dict:
         out[name] = {"ratio_parent_over_change": _quartiles(ratios), "rounds": rounds, "calls_per_sample": reps,
                      "parent_ms": statistics.median(times["parent"]) * 1e3,
                      "change_ms": statistics.median(times["change"]) * 1e3, "outputs_equal": True}
+    work.cleanup()
     return out
+
+
+def _freeze_mc(sp, out: Path) -> bytes:
+    """CLI freeze of the sideinfo_codec set with the package sp, in process; returns the manifest's bytes."""
+    rc = sp.cli.main(["freeze", "--preset", "bsc_pair(0.11)", "-N", "1024", "-R", "0.8", "--method", "mc",
+                      "--samples", "10000", "--seed", "5", "--out", str(out)])
+    assert rc == 0, f"freeze exited with {rc}"
+    return out.read_bytes()
 
 
 def run_child(*args: str) -> dict:
@@ -329,6 +379,9 @@ def cmd_write(args) -> None:
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     decoder = {side: run_child("decoder", "--checkout", str(path)) for side, path in sides.items()}
     ab = run_child("ab", "--parent", str(sides["parent"]), "--change", str(sides["change"]))
+    setup = {wl: run_child("setup", "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                           "--workload", wl, "--rounds", str(SETUP_ROUNDS))
+             for wl in sorted({r["workload"] for r in runs})}
     env = json.loads(subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, 'perfbench'); import run, json; "
          "print(json.dumps(run.environment()))"],
@@ -366,11 +419,18 @@ def cmd_write(args) -> None:
                         "change_kib": decoder["change"]["tracemalloc_peak_kb"]},
         "ab": {
             "what": (f"parent/change time ratio per case, median and quartiles over interleaved rounds "
-                     f"({ROUNDS} per decode or write case, {MC_ROUNDS} for the spectrum) alternating which "
-                     f"side runs first, both packages imported into one process; a sample repeats its call "
-                     f"to last at least {SAMPLE_S * 1e3:.0f} ms; parent_ms and change_ms are median "
+                     f"({ROUNDS} per decode or write case, {MC_ROUNDS} for the spectrum and the mc freeze) "
+                     f"alternating which side runs first, both packages imported into one process; a "
+                     f"sample repeats its call to last at least {SAMPLE_S * 1e3:.0f} ms; parent_ms and "
+                     f"change_ms are median "
                      f"times per call; outputs asserted equal (python3 scripts/bench_guard.py ab)"),
             "cases": ab},
+        "setup": {
+            "what": ("set-up seconds per workload: perfbench/construct.py with the workload's spec in a "
+                     "fresh interpreter, once per side and round, alternating which side runs first, "
+                     f"seeds 1 to {SETUP_ROUNDS}, one per round; digests asserted equal every round; "
+                     "medians, quartiles and rounds the change wins (python3 scripts/bench_guard.py setup)"),
+            "workloads": setup},
         "node_census": {
             "what": ("_decode_node visits by node kind, rate-1 and mixed nodes decided without a "
                      "split, _combine_odd_vec (f) and _g calls, Rep halvings, clamps run and "
@@ -391,6 +451,11 @@ def main() -> None:
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--log", required=True)
+    s = sub.add_parser("setup")
+    s.add_argument("--parent", required=True)
+    s.add_argument("--change", required=True)
+    s.add_argument("--workload", required=True)
+    s.add_argument("--rounds", type=int, default=SETUP_ROUNDS)
     d = sub.add_parser("decoder")
     d.add_argument("--checkout", required=True)
     a = sub.add_parser("ab")
@@ -406,6 +471,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.cmd == "pairs":
         cmd_pairs(args)
+    elif args.cmd == "setup":
+        print(json.dumps(_setup(args.parent, args.change, args.workload, args.rounds)))
     elif args.cmd == "decoder":
         print(json.dumps(_decoder_probe(args.checkout)))
     elif args.cmd == "ab":

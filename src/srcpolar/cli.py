@@ -49,15 +49,18 @@ def _load_source(args) -> JointSource:
     raise SrcPolarError("one of --preset or --source is required")
 
 
-def _compute_spectrum(src, N, method, samples, seed):
+def _compute_spectrum(src, N, method, samples, seed, entropy=True):
     if method == "exact":
         return spec_mod.exact_spectrum(src, N)
     if method == "zbound":
         return spec_mod.zbound_spectrum(src, N)
-    return spec_mod.montecarlo_spectrum(src, N, samples, seed)  # argparse allows only "mc" here
+    # argparse allows only "mc" here; without entropy it estimates z alone
+    return spec_mod.montecarlo_spectrum(src, N, samples, seed, _entropy=entropy)
 
 
 def cmd_spectrum(args) -> int:
+    for delta in args.delta:
+        spec_mod._check_delta(delta)
     src = _load_source(args)
     rows = io.StringIO()
     rows.write("N,index,h,z,method\n")
@@ -81,8 +84,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_freeze(args) -> int:
+    spec_mod._check_rate(args.R)
     src = _load_source(args)
-    sp = _compute_spectrum(src, args.N, args.method, args.samples, args.seed)
+    sp = _compute_spectrum(src, args.N, args.method, args.samples, args.seed, entropy=False)
     hset = spec_mod.build_high_entropy_set(sp, args.R)
     doc = json.dumps(hset.to_manifest(), sort_keys=True, indent=2) + "\n"
     _atomic_write(args.out, doc.encode())

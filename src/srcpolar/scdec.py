@@ -362,6 +362,21 @@ def _known_sums(known: np.ndarray) -> list:
     return sums
 
 
+def _sums_from_x(xr: np.ndarray) -> list:
+    """_known_sums of u = x G_N for every column x, from xr = x in bit-reversed order, (N, B).
+
+    The root's partial sums u F^(kron n) are x B_N (see decode_batch), so sums[n] = xr.  Each
+    stage is its own inverse and the stages commute, so running them from the widest half
+    down takes away one block size at a time; the last level is u = sums[0].
+    """
+    N, B = xr.shape
+    sums = [xr]
+    for d in range(N.bit_length() - 2, -1, -1):
+        sums.append(sums[-1].copy())
+        _stage(_GF2, sums[-1].reshape(-1), B << d)
+    return sums[::-1]
+
+
 def _decode_node(L, node, sums, beta, J):
     """Decode u[lo:hi] from the node's llrs L (m, B) into beta[lo:hi], its partial sums.
 
@@ -529,10 +544,10 @@ def genie_llr_profile(chan_llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     decision llrs a sequential decoder would see given the true u prefix.
     """
     L = chan_llr[:, bit_reverse_indices(chan_llr.shape[1].bit_length() - 1)].T
-    return _genie_llrs(L, _known_sums(np.asarray(u_true, dtype=np.uint8).T)).T
+    return _genie_llrs(L, _known_sums(np.asarray(u_true, dtype=np.uint8).T), -1).T
 
 
-def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:
+def _genie_llrs(L: np.ndarray, sums: list, J: int) -> np.ndarray:
     """Every position's decision llrs given the true u, as an (N, B) array.
 
     L is the (N, B) array of channel llrs in bit-reversed order, one row
@@ -543,16 +558,20 @@ def _genie_llrs(L: np.ndarray, sums: list) -> np.ndarray:
     f(a, b) and its right child g(a, b) signed by the left child's true
     partial sums, as in _decode_node.  After log2 N levels row i holds
     u_i's llrs.  Positions major keeps every inner loop B llrs long, even
-    where the halves hold one position.
+    where the halves hold one position.  J is the call's _clamp_depth (-1
+    clamps everything): at level t the left children sit at g-depth at
+    most t and the right children at most t + 1, so a level's f or g
+    clamps are skipped when that depth is at most J, where _decode_node
+    proves them idle.
     """
     N, B = L.shape
+    n = N.bit_length() - 1
     flat = L.reshape(-1)
-    for k in range(N.bit_length() - 2, -1, -1):
-        h = 1 << k
-        nodes = flat.reshape(N // (2 * h), 2, h * B)
+    for t in range(n):
+        nodes = flat.reshape(1 << t, 2, -1)
         a, b = nodes[:, 0], nodes[:, 1]
-        right = _g(a, b, sums[k].reshape(N // (2 * h), 2, h * B)[:, 0])
-        nodes[:, 0] = _combine_odd_vec(a, b)
+        right = _g(a, b, sums[n - t - 1].reshape(1 << t, 2, -1)[:, 0], t + 1 > J)
+        nodes[:, 0] = _combine_odd_vec(a, b, clamp=t > J)
         nodes[:, 1] = right
     return flat.reshape(N, B)
 

@@ -10,7 +10,11 @@ Four ways to obtain per-index statistics of U^N = X^N G_N:
 * Monte-Carlo genie-aided estimation (estimates, never certificates).
   Samples are drawn and processed in chunks, on one thread per usable
   core, so memory does not grow with the sample count; the estimates are
-  the same, bit for bit, whatever the thread count.
+  the same, bit for bit, whatever the thread count.  The calling thread
+  draws only uniforms; the workers invert them into the cells
+  Generator.choice would draw, take the genie's partial sums straight
+  from x, and skip the clamps the side symbols' llrs prove idle.  `freeze`
+  reads only z, so it asks for no h terms.
 """
 
 import hashlib
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
-from .scdec import _genie_llrs, _known_sums, _llr_table, batch_rows
+from .scdec import _clamp_depth, _genie_llrs, _llr_table, _sums_from_x, batch_rows
 from .sources import JointSource, _entropy_nats, bhattacharyya
 from .transform import _check_block_length, _check_count, _forward_rows, bit_reverse_indices
 
@@ -278,17 +282,23 @@ def _tv_merge(a: np.ndarray, b: np.ndarray) -> tuple:
     return merged_a.reshape(rows, -1), merged_b.reshape(rows, -1)
 
 
-def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int) -> PolarSpectrum:
+def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int, *,
+                        _entropy: bool = True) -> PolarSpectrum:
     """Genie-aided Monte-Carlo estimates of the h and z spectra.
 
     Samples are drawn and processed in chunks of batch_rows(N) rows, and at
     most one chunk per thread, plus one, is held at a time, so memory does
-    not grow with the sample count.  The draws run in order in the calling
-    thread.  A pool with one thread per usable core computes each chunk's
-    genie llrs and its h and z terms; numpy releases the GIL in those
-    loops.  The terms are summed in sample order, so the estimates are the
-    same, bit for bit, as one pass over all samples, whatever the thread
-    count.
+    not grow with the sample count.  The calling thread draws only the
+    uniforms, rng.random((rows, N)), in order; a pool with one thread per
+    usable core inverts them against the cdf of s.probs (_cells), which
+    gives the cells rng.choice(p=...) would draw from the same stream, and
+    computes each chunk's genie llrs and its h and z terms; numpy releases
+    the GIL in those loops.  The partial sums come straight from x
+    (scdec._sums_from_x), and the genie skips the clamps that the side
+    symbols' largest |llr| proves idle (scdec._clamp_depth).  The terms are
+    summed in sample order, so the estimates are the same, bit for bit, as
+    one pass over all samples, whatever the thread count.  With _entropy
+    off, h is None and no h term is computed: `freeze` reads only z.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -297,24 +307,29 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int) -> Pola
         raise UnsupportedAlphabetError("Monte-Carlo estimation requires q = 2")
     _check_count(samples, "samples", 1)
     rng = np.random.default_rng(_check_count(seed, "seed", 0))
-    flat = s.probs.reshape(-1)
-    perm = bit_reverse_indices(n)
+    # rng.choice's own cdf; JointSource has checked p more strictly than choice does
+    cdf = s.probs.reshape(-1).cumsum()
+    cdf /= cdf[-1]
+    table = _llr_table(s, np.flatnonzero(s.p_y() > 0))  # every side symbol a draw can hold
+    cell_llrs = np.concatenate([table, table])  # cell x * y_size + y -> base_llr of y
+    shared = (cdf, cell_llrs, bit_reverse_indices(n), _clamp_depth(table, n), _entropy)
     step = batch_rows(N)
     workers = _workers()
-    h = z = None
+    totals = (None, None)
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
         for start in range(0, samples, step):
-            draws = rng.choice(flat.shape[0], size=(min(step, samples - start), N), p=flat)
-            pending.append(pool.submit(_genie_terms, s, draws, perm))
+            uniforms = rng.random((min(step, samples - start), N))
+            pending.append(pool.submit(_genie_terms, uniforms, *shared))
             if len(pending) > workers:
-                h, z = _add_terms(h, z, pending.popleft().result())
+                totals = _add_terms(totals, pending.popleft().result())
         while pending:
-            h, z = _add_terms(h, z, pending.popleft().result())
+            totals = _add_terms(totals, pending.popleft().result())
+    h, z = totals
     return PolarSpectrum(
         N=N,
         method=METHOD_MC,
-        h=h / samples / math.log(2.0),
+        h=None if h is None else h / samples / math.log(2.0),
         z=np.clip(z / samples, 0.0, 1.0),
         source_desc=s.description(),
         samples=samples,
@@ -330,39 +345,56 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _genie_terms(s: JointSource, draws: np.ndarray, perm: np.ndarray) -> tuple:
-    """Per-sample h and z terms of a (B, N) chunk of draws, each C-ordered (B, N).
+def _cells(uniforms: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(uniforms, side="right"), the cells rng.choice draws, in the smallest unsigned dtype.
 
-    A draw indexes s.probs flattened, x * y_size + y.  The h term is
-    -ln P(true bit) = logaddexp(0, -llr) for u = 0, logaddexp(0, llr) for
-    u = 1; the z term is sech(llr / 2).
+    That is the count of cdf entries <= u, one compare-and-add pass per entry.
+    The last entry is 1.0 and every u < 1, so it is never counted.
     """
-    x, y = np.divmod(draws, s.y_size)
-    u = _forward_rows(s.field, x.astype(np.uint8))
-    llrs = _genie_llrs(_llr_table(s, y)[y.T[perm]], _known_sums(u.T))
+    cells = np.zeros(uniforms.shape, np.min_scalar_type(cdf.size - 1))
+    hit = np.empty(uniforms.shape, dtype=bool)
+    for c in cdf[:-1]:
+        cells += np.greater_equal(uniforms, c, out=hit).view(np.uint8)
+    return cells
+
+
+def _genie_terms(uniforms, cdf, cell_llrs, perm, J, entropy) -> tuple:
+    """Per-sample h and z terms of a (B, N) chunk of uniforms, each C-ordered (B, N); h None without entropy.
+
+    A cell indexes s.probs flattened, x * y_size + y, so x is 1 from cell
+    y_size on.  The h term is -ln P(true bit) = logaddexp(0, -llr) for
+    u = 0, logaddexp(0, llr) for u = 1; the z term is sech(llr / 2).
+    """
+    cells = _cells(uniforms, cdf).T[perm]  # bit-reversed, positions major
+    sums = _sums_from_x(np.greater_equal(cells, cell_llrs.size // 2).view(np.uint8))
+    llrs = _genie_llrs(cell_llrs[cells], sums, J)
     llrs = np.ascontiguousarray(llrs.T)
-    return np.logaddexp(0.0, np.where(u == 0, -llrs, llrs)), 1.0 / np.cosh(0.5 * llrs)
+    z = 1.0 / np.cosh(0.5 * llrs)
+    if not entropy:
+        return None, z
+    u = np.ascontiguousarray(sums[0].T)
+    return np.logaddexp(0.0, np.where(u == 0, -llrs, llrs)), z
 
 
-def _add_terms(h, z, terms: tuple) -> tuple:
-    """h and z plus one chunk's terms, adding row after row.
+def _add_terms(totals: tuple, terms: tuple) -> tuple:
+    """The running sums (h, z) plus one chunk's terms, adding row after row; None stays None.
 
     A sum over axis 0 of a C-ordered array adds its rows in order, so each
     chunk continues the running sums exactly as one sum over every sample.
     (At N = 1 numpy sums a column pairwise, so there that holds only while
     every sample fits in one chunk.)
     """
-    h_terms, z_terms = terms
-    if h is not None:
-        h_terms[0] += h
-        z_terms[0] += z
-    return h_terms.sum(axis=0), z_terms.sum(axis=0)
+    out = []
+    for total, chunk in zip(totals, terms):
+        if chunk is not None and total is not None:
+            chunk[0] += total
+        out.append(None if chunk is None else chunk.sum(axis=0))
+    return tuple(out)
 
 
 def build_high_entropy_set(spec: PolarSpectrum, R: float) -> HighEntropySet:
     """Select the ceil(NR) largest-z indices; ties go to the smaller index."""
-    if not 0.0 < R <= 1.0:
-        raise DomainError(f"rate {R} outside (0, 1]")
+    _check_rate(R)
     if spec.z is None:
         raise DomainError("spectrum has no z values to select on")
     k = math.ceil(spec.N * R)
@@ -381,10 +413,21 @@ def build_high_entropy_set(spec: PolarSpectrum, R: float) -> HighEntropySet:
 
 def polarization_fractions(spec: PolarSpectrum, delta: float) -> dict:
     """Fractions of indices with h > 1-delta (high), h < delta (low), rest (mid)."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta {delta} outside (0, 1)")
+    _check_delta(delta)
     if spec.h is None:
         raise DomainError("spectrum has no h values")
     high = float((spec.h > 1.0 - delta).mean())
     low = float((spec.h < delta).mean())
     return {"high": high, "low": low, "mid": 1.0 - high - low}
+
+
+def _check_rate(R: float) -> None:
+    """A rate outside (0, 1] raises DomainError."""
+    if not 0.0 < R <= 1.0:
+        raise DomainError(f"rate {R} outside (0, 1]")
+
+
+def _check_delta(delta: float) -> None:
+    """A polarization threshold outside (0, 1) raises DomainError."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta {delta} outside (0, 1)")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srcpolar import HighEntropySet, JointSource, SymbolBlock, binary_entropy, codec, compress
+from srcpolar import HighEntropySet, JointSource, SymbolBlock, binary_entropy, codec, compress, spectrum
 from srcpolar.cli import main
 
 from conftest import BAD_MANIFESTS
@@ -473,6 +473,25 @@ def test_malformed_preset_number_fails(tmp_path, capsys, command, preset):
     out = tmp_path / "out"
     assert run(command, "--preset", preset, *SOURCE_COMMANDS[command], "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("srcpolar: error: unknown source preset")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["freeze", "-R", "1.5"], "rate 1.5 outside (0, 1]"),
+    (["freeze", "-R", "0"], "rate 0.0 outside (0, 1]"),
+    (["spectrum", "--delta", "0.1", "2"], "delta 2.0 outside (0, 1)"),
+    (["spectrum", "--delta", "0"], "delta 0.0 outside (0, 1)"),
+])
+def test_bad_rate_or_delta_fails_before_the_spectrum(tmp_path, capsys, monkeypatch, argv, message):
+    # a Monte-Carlo pass at N=1024 takes about a second; the argument is checked first
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectrum was built before the argument was checked")
+
+    monkeypatch.setattr(spectrum, "montecarlo_spectrum", refuse)
+    out = tmp_path / "out"
+    assert run(argv[0], "--preset", "bsc_pair(0.11)", "-N", "1024", "--method", "mc",
+               "--samples", "10000", "--seed", "1", *argv[1:], "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"srcpolar: error: {message}\n"
     assert not out.exists()
 
 

@@ -614,6 +614,39 @@ class TestExactShortcuts:
         Y = rng.integers(0, s.y_size, (B, N))
         assert np.array_equal(decode_batch(s, Y, mask, known_vals), _row_by_row(s, Y, mask, known_vals))
 
+    @pytest.mark.parametrize("s, J", [
+        (JointSource.bsc_pair(1e-3), 6),  # M = 6.91: a g at depth 7 reaches 884 and is clamped
+        (JointSource.bsc_pair(0.11), 8),
+        (JointSource.bec_pair(0.4), -1),  # M = L_MAX: every clamp runs
+    ])
+    @pytest.mark.parametrize("N", [1, 2, 1024])
+    def test_genie_clamp_skip_is_the_fully_clamped_genie(self, s, J, N):
+        # Rows 0 and 1 hold one side symbol and u = 0, so every g adds llrs of one sign and
+        # the llrs at g-depth j reach M 2^j: a clamp skipped one level too far changes them.
+        n = N.bit_length() - 1
+        table = scdec._llr_table(s, np.arange(s.y_size))
+        assert scdec._clamp_depth(table, n) == min(J, n)
+        rng = np.random.default_rng(N)
+        Y = rng.integers(0, s.y_size, (N, 8))
+        Y[:, 0], Y[:, 1] = 0, 1
+        u = rng.integers(0, 2, (N, 8), dtype=np.uint8)
+        u[:, :2] = 0
+        sums = scdec._known_sums(u)
+        got = scdec._genie_llrs(table[Y], sums, min(J, n))
+        want = scdec._genie_llrs(table[Y], sums, -1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("N", [1, 2, 8, 256])
+    def test_sums_from_x_are_the_known_sums_of_u(self, N):
+        # the genie's partial sums straight from x equal _known_sums of u = x G_N, level by level
+        n = N.bit_length() - 1
+        x = np.random.default_rng(N).integers(0, 2, (5, N), dtype=np.uint8)
+        want = scdec._known_sums(np.ascontiguousarray(_forward_rows(FieldSpec.binary(), x.copy()).T))
+        got = scdec._sums_from_x(np.ascontiguousarray(x.T[scdec.bit_reverse_indices(n)]))
+        assert len(got) == n + 1
+        for level_got, level_want in zip(got, want):
+            assert np.array_equal(level_got, level_want)
+
     def test_clamp_depth(self):
         assert scdec._clamp_depth(np.array([math.log(0.89 / 0.11)]), 10) == 8  # 2.09 * 2^8 = 535
         assert scdec._clamp_depth(np.array([0.0, -0.0]), 10) == 10  # capped at n

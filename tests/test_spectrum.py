@@ -17,12 +17,16 @@ from srcpolar import (
     build_high_entropy_set,
     conditional_entropy,
     exact_spectrum,
+    genie_llr_profile,
     montecarlo_spectrum,
     polarization_fractions,
+    scdec,
     tv_spectrum,
     spectrum,
     zbound_spectrum,
 )
+
+from srcpolar.transform import _forward_rows
 
 from conftest import BAD_MANIFESTS, random_binary_source
 
@@ -232,6 +236,86 @@ class TestMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+
+MC_SOURCES = {
+    "bsc_pair(0.11)": JointSource.bsc_pair(0.11),
+    "bec_pair(0.4)": JointSource.bec_pair(0.4),  # zero cells, M = L_MAX: every clamp runs
+    "bernoulli(0.11)": JointSource.bernoulli(0.11),  # y_size 1
+    "simulation joint": JointSource(FieldSpec.binary(), np.array([[0.76, 0.01], [0.04, 0.19]])),
+}
+
+
+def _choice_pipeline(s, N, samples, seed):
+    """montecarlo_spectrum the long way: choice draws, divmod, a full transform, _known_sums
+    of u and the fully clamped genie, summed chunk by chunk as the library sums them."""
+    rng = np.random.default_rng(seed)
+    flat = s.probs.reshape(-1)
+    x, y = np.divmod(rng.choice(flat.size, size=(samples, N), p=flat), s.y_size)
+    u = _forward_rows(s.field, x.astype(np.uint8))
+    table = scdec._llr_table(s, y)
+    llrs = np.ascontiguousarray(genie_llr_profile(table[y], u))
+    terms = (np.logaddexp(0.0, np.where(u == 0, -llrs, llrs)), 1.0 / np.cosh(0.5 * llrs))
+    totals = [None, None]
+    for lo in range(0, samples, scdec.batch_rows(N)):
+        for k, term in enumerate(terms):
+            chunk = np.array(term[lo : lo + scdec.batch_rows(N)])
+            if totals[k] is not None:
+                chunk[0] += totals[k]
+            totals[k] = chunk.sum(axis=0)
+    return totals[0] / samples / math.log(2.0), np.clip(totals[1] / samples, 0.0, 1.0)
+
+
+class TestMonteCarloExactness:
+    """The uniforms inverted in the workers, the partial sums from x, the skipped clamps and
+    the z-only path give the estimates of rng.choice's draws and the fully clamped genie."""
+
+    @pytest.mark.parametrize("workers", [1, None])
+    @pytest.mark.parametrize("N, samples", [(1, 65536 + 7), (2, 32768 + 3), (16, 4096 + 5), (256, 600)])
+    @pytest.mark.parametrize("name", sorted(MC_SOURCES))
+    def test_bit_equal_to_the_choice_pipeline(self, monkeypatch, name, N, samples, workers):
+        # every sample count is one partial chunk past whole chunks of batch_rows(N) rows
+        assert samples % scdec.batch_rows(N)
+        if workers is not None:
+            monkeypatch.setattr(spectrum, "_workers", lambda: workers)
+        s = MC_SOURCES[name]
+        full = montecarlo_spectrum(s, N, samples, 29)
+        z_only = montecarlo_spectrum(s, N, samples, 29, _entropy=False)
+        h, z = _choice_pipeline(s, N, samples, 29)
+        assert full.h.tobytes() == h.tobytes()
+        assert full.z.tobytes() == z.tobytes()
+        assert z_only.h is None
+        assert z_only.z.tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("probs", [
+        [0.0, 0.3, 0.2, 0.5],  # a zero cell at the start
+        [0.25, 0.0, 0.0, 0.25, 0.5, 0.0],  # zero cells in the middle and at the end
+        [0.0, 0.0, 0.7, 0.3],
+        [0.89, 0.11],
+    ])
+    def test_cells_are_choice_cells(self, probs):
+        flat = np.array(probs)
+        cdf = flat.cumsum()
+        cdf /= cdf[-1]
+        edges = cdf[cdf < 1.0]  # random() draws from [0, 1)
+        u = np.concatenate([np.random.default_rng(3).random(4000), [0.0, np.nextafter(1.0, 0.0)],
+                            edges, np.nextafter(edges, 0.0)])
+        got = spectrum._cells(u, cdf)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+        assert flat[got].min() > 0  # a zero cell is never drawn
+
+    def test_cells_widen_past_uint8(self):
+        # 2 y_size - 1 = 259 cells can be drawn, one more than uint8 holds
+        flat = np.random.default_rng(5).random(260)
+        flat[[0, 100, 259]] = 0.0
+        flat /= flat.sum()
+        cdf = flat.cumsum()
+        cdf /= cdf[-1]
+        u = np.random.default_rng(6).random((64, 32))
+        got = spectrum._cells(u, cdf)
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
 
 class TestHighEntropySet:
