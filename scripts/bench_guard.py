@@ -25,7 +25,8 @@ process under two names and times them interleaved, case by case:
 `decode_batch` at those row counts and on two chansim codes, the
 Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set,
 `compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim sets,
-and `compress_file` of the bulk_compress input.  It prints the
+and `compress_file` of 2 MiB of Ber(0.11) with crcs: the bulk_compress input
+(N=2^16, R=0.75) and the same bytes at N=1024, R=0.7.  It prints the
 parent/change time ratio per case, with its quartiles over the rounds,
 after asserting that both give equal outputs (spectra, manifests, bits or
 containers).
@@ -168,8 +169,9 @@ def _write_cases(sp) -> dict:
 
     compress_blocks at 1, 4 and 16 rows on the sideinfo_codec set and on
     the two swsim sets (joint [0.76, 0.01, 0.04, 0.19], N=1024, R_x=0.5,
-    R_y=0.85), and compress_file of the bulk_compress input: 2 MiB of
-    Ber(0.11) at N=2^16, R=0.75 (zbound), with checksum.
+    R_y=0.85), and compress_file with checksum of 2 MiB of Ber(0.11): at
+    N=2^16, R=0.75 (zbound), the bulk_compress input, and at N=1024, R=0.7
+    (zbound), where a chunk holds 1024 blocks and their headers.
     """
     import io
 
@@ -184,10 +186,11 @@ def _write_cases(sp) -> dict:
             X = np.random.default_rng([11, B]).integers(0, 2, (B, 1024), dtype=np.uint8)
             cases[f"compress_blocks, {set_name}, {B} rows"] = (
                 lambda X=X, hset=hset: sp.compress_blocks(X, hset))
-    bulk = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), 1 << 16), 0.75)
     raw = np.packbits(np.random.default_rng(13).random(8 << 21) < 0.11).tobytes()
-    cases["compress_file, 2 MiB Ber(0.11), N=2^16, R=0.75, checksum"] = (
-        lambda: sp.compress_file(io.BytesIO(raw), bulk, True))
+    for N, n_name, rate in ((1 << 16, "2^16", 0.75), (1024, "1024", 0.7)):
+        hset = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), N), rate)
+        cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum"] = (
+            lambda hset=hset: sp.compress_file(io.BytesIO(raw), hset, True))
     return cases
 
 

@@ -5,6 +5,16 @@ so each pass permutes the input once and then runs n in-place butterfly
 stages (see _stage); total work is (N/2) log2 N field operations.  Where
 only some positions of u are wanted (_forward_take), the stages run first
 and the bit reversal is applied to the wanted positions alone.
+
+Stage s (half-width h = 2^s) combines the positions that differ in index
+bit s alone, so stages on distinct bits commute and may run in any order.
+_forward_take uses that on a positions-major (N, B) chunk, where a stage's
+inner loops run over h*B adjacent bytes: it runs the stages of the top
+half of the index bits, copies the chunk once with those bits moved to
+the bottom (a transpose of whole rows, as in the "four-step" FFT), and
+runs the other half there, so no stage runs short loops.  _kron_rows
+keeps the natural order, h = N/2 down to 1, in place: the transposing
+copy would double the peak memory of _forward_rows and _inverse_rows.
 """
 
 from dataclasses import dataclass
@@ -104,18 +114,26 @@ def _stage(field: FieldSpec, w: np.ndarray, h: int, sub: bool = False) -> None:
     (field.sub_array if sub else field.add_array)(head, shaped[..., 1, :], out=head)
 
 
+def _stages(field: FieldSpec, w: np.ndarray, halves, ops: OpCounter | None = None, sub=False) -> np.ndarray:
+    """The butterfly stages of the given half-widths, in that order, in place on each row of w."""
+    for h in halves:
+        _stage(field, w, h, sub)
+        if ops is not None:
+            ops.add(w.size // 2)
+    return w
+
+
+def _halves(n: int, low: int) -> list:
+    """Half-widths 2^(n-1) down to 2^low: the stages of index bits n-1 .. low."""
+    return [1 << s for s in range(n - 1, low - 1, -1)]
+
+
 def _kron_rows(field: FieldSpec, w: np.ndarray, ops: OpCounter | None = None, sub=False) -> np.ndarray:
     """w F^(kron n), or with sub w times its inverse, for each row of a (..., N) array, in place.
 
     Returns w, in its dtype, so a uint8 array of bits stays one byte per bit.
     """
-    h = w.shape[-1] >> 1
-    while h >= 1:
-        _stage(field, w, h, sub)
-        if ops is not None:
-            ops.add(w.size // 2)
-        h >>= 1
-    return w
+    return _stages(field, w, _halves(w.shape[-1].bit_length() - 1, 0), ops, sub)
 
 
 def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
@@ -127,15 +145,45 @@ def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = No
     return _kron_rows(field, rows[..., bit_reverse_indices(n)], ops)
 
 
-def _forward_take(field: FieldSpec, V: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """u = x G_N at the positions mask keeps, for each column x of the positions-major (N, B) V.
+@lru_cache(maxsize=None)
+def _blocked_rows(n: int) -> np.ndarray:
+    """Row of _forward_take's transposed copy that holds v[rev(i)], for each position i of u.
 
-    The stages run in place on V in natural order, v = x F^(kron n), and
-    G_N = F^(kron n) B_N makes u_i = v[rev(i)], so the bit reversal is paid
-    only on the kept rows.  V is overwritten; returns the (B, k) payloads.
+    With a = n // 2 and b = n - a, the copy holds natural position p*2^b + q
+    at row q*2^a + p.  Write i = s*2^a + t: then rev(i) = rev_a(t)*2^b + rev_b(s),
+    at row rev_b(s)*2^a + rev_a(t).
     """
-    _kron_rows(field, V.T)  # the transposed view: _stage splits the last axis of any layout
-    return V.take(bit_reverse_indices(V.shape[0].bit_length() - 1)[mask], axis=0).T
+    a, b = n // 2, n - n // 2
+    rows = (bit_reverse_indices(b)[:, None] << a | bit_reverse_indices(a)).ravel()
+    rows.setflags(write=False)
+    return rows
+
+
+def _forward_take(field: FieldSpec, V: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """u = x G_N at the positions mask keeps, for each column x of the C-ordered, positions-major (N, B) V.
+
+    The stages compute v = x F^(kron n), and G_N = F^(kron n) B_N makes
+    u_i = v[rev(i)], so the bit reversal is paid only on the kept rows.
+    Stages on distinct index bits commute, so they run blocked: with
+    n = a + b and a = n // 2, the a stages of the top bits (h = N/2 down to
+    2^b) run in place on V, whose inner loops are then at least 2^b*B
+    elements long.  One copy then transposes V, read as a (2^a, 2^b) matrix
+    of whole rows, each moved as one np.void item; in the copy the b low
+    bits are on top, so the other b stages also run loops of at least
+    2^a*B elements.  The transpose is folded into the index of the one
+    take (_blocked_rows).  V is overwritten, and dropped once the copy
+    exists: a caller that passes V without keeping a name for it frees it
+    there.  Returns the (B, k) payloads.
+    """
+    N, B = V.shape
+    n = N.bit_length() - 1
+    a, b = n // 2, n - n // 2
+    _stages(field, V.T, _halves(n, b))  # the transposed view: _stage splits the last axis of any layout
+    if a and V.size:
+        item = np.dtype((np.void, B * V.itemsize))
+        V = V.view(item).reshape(1 << a, 1 << b).T.copy().view(V.dtype).reshape(N, B)
+    _stages(field, V.T, _halves(n, a))
+    return V.take(_blocked_rows(n)[mask], axis=0).T
 
 
 def _inverse_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -225,6 +226,50 @@ class TestDecompress:
         assert decompress(blk, None, hset, BER011) == x
 
 
+class TestFlipRepair:
+    """SC-Flip on version 2 blocks whose crc32 fails after SC decoding.
+
+    bsc_pair(0.11) at N=1024, the zbound set at R=0.7, rows drawn from seed 2:
+    SC decodes rows 15, 30 and 35 wrongly (test_scdec.py::TestPinnedScBytes).
+    """
+
+    ROWS = [15, 30, 35]
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        hset = build_high_entropy_set(zbound_spectrum(BSC011, 1024), 0.7)
+        rng = np.random.default_rng(2)
+        X = rng.integers(0, 2, (64, 1024), dtype=np.uint8)
+        Y = (X ^ (rng.random((64, 1024)) < 0.11)).astype(np.uint8)
+        rows = [0, *self.ROWS]  # row 0 SC decodes right
+        data = np.packbits(X[rows]).tobytes()
+        x_hat = decompress_blocks(compress_blocks(X[rows], hset), Y[rows], hset, BSC011)
+        assert (x_hat != X[rows]).any(axis=1).tolist() == [False, True, True, True]
+        return hset, X, Y, rows, data
+
+    def test_sc_misses_round_trip(self, case):
+        hset, X, Y, rows, data = case
+        container = bytes(compress_file(io.BytesIO(data), hset, checksum=True))
+        assert decompress_file(container, Y[rows].tobytes(), hset, BSC011) == data
+        for r in self.ROWS:
+            assert np.array_equal(decompress(compress(bits(X[r]), hset, True), Y[r], hset, BSC011).data, X[r])
+
+    def test_no_tries_fail_as_before(self, case, monkeypatch):
+        hset, X, Y, rows, data = case
+        monkeypatch.setattr(codec, "FLIP_TRIES", 0)
+        container = bytes(compress_file(io.BytesIO(data), hset, checksum=True))
+        with pytest.raises(FormatError, match="checksum mismatch"):
+            decompress_file(container, Y[rows].tobytes(), hset, BSC011)
+
+    def test_plain_blocks_untouched(self, case, monkeypatch):
+        hset, X, Y, rows, data = case
+        monkeypatch.setattr(codec, "_flip_repair", lambda *a: pytest.fail("repair without a crc"))
+        container = bytes(compress_file(io.BytesIO(data), hset))
+        out = np.unpackbits(np.frombuffer(decompress_file(container, Y[rows].tobytes(), hset, BSC011),
+                                          dtype=np.uint8)).reshape(len(rows), -1)
+        assert np.array_equal(out[0], X[0]) and all((out[1:] != X[self.ROWS]).any(axis=1))
+
+
 FULL_RATE = {N: build_high_entropy_set(zbound_spectrum(BER011, N), 1.0) for N in (1, 2, 8, 16, 64)}
 
 
@@ -250,6 +295,23 @@ class TestContainer:
         X = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
         want = b"".join(compress(bits(x), hset, checksum).to_bytes() for x in X)
         assert compress_file(io.BytesIO(data.tobytes()), hset, checksum) == want + pad.to_bytes(4, "little")
+
+    def test_chunk_freed_once_transposed(self):
+        # 2 MiB of Ber(0.11) at N=2^16, in chunks of 16 blocks: 1 MiB of uint8
+        # bits each.  Kept alive beside its transposed copy, the chunk raises
+        # the peak to 5.0 MiB; 4.31 MiB is the peak of the natural stage order.
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 1 << 16), 0.75)
+        rng = np.random.default_rng(13)
+        raw = b"".join(np.packbits(rng.random(1 << 20) < 0.11).tobytes() for _ in range(16))
+        compress_file(io.BytesIO(raw), hset, checksum=True)  # fills the index caches
+        fh = io.BytesIO(raw)
+        tracemalloc.start()
+        try:
+            compress_file(fh, hset, checksum=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.31 * 2**20
 
     def test_short_reads_never_pad_inside_the_file(self):
         class ShortReads(io.RawIOBase):

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from srcpolar import (
     tv_spectrum,
     zbound_spectrum,
 )
-from srcpolar.transform import _inverse_rows
+from srcpolar import transform
+from srcpolar.transform import _forward_take, _inverse_rows
 
-from conftest import dense_forward
+from conftest import F_KERNEL, bitrev, dense_forward
 
 GF2 = FieldSpec.binary()
 GF3 = FieldSpec.prime(3)
@@ -119,6 +121,48 @@ class TestMatrixOracle:
             x = np.array([(xi >> (7 - j)) & 1 for j in range(8)])
             assert np.array_equal(polar_forward(blk(GF2, x)).data, dense_forward(x, 2))
 
+
+
+class TestBlockedTake:
+    """_forward_take runs half the stages, one transposing copy, then the other half."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_dense_multiply(self, n, rng):
+        # Odd n gives halves of different sizes; n <= 1 leaves one half empty.
+        N = 1 << n
+        G = np.ones((1, 1), dtype=np.float32)  # 0/1 entries: sums up to 4N stay exact
+        for _ in range(n):
+            G = np.kron(G, F_KERNEL.astype(np.float32))
+        G = G[:, [bitrev(j, n) for j in range(N)]]
+        for field, dtype in ((GF2, np.uint8), (GF4, np.uint8), (GF5, np.int64)):
+            for B in (1, 3, 16, 64):
+                X = rng.integers(0, field.q, (B, N)).astype(dtype)
+                if field.kind == "gf4":  # addition is XOR: multiply bit by bit
+                    U = sum((((X >> c) & 1) @ G % 2).astype(np.int64) << c for c in range(2))
+                else:
+                    U = (X @ G % field.q).astype(np.int64)
+                for mask in (rng.random(N) < 0.5, np.ones(N, dtype=bool), np.arange(N) == rng.integers(N)):
+                    got = _forward_take(field, np.array(X.T, order="C"), mask)  # a copy: V is overwritten
+                    assert got.dtype == dtype and np.array_equal(got, U[:, mask])
+
+    def test_chunk_freed_before_the_second_half(self, rng, monkeypatch):
+        # Passed without a name, the untransposed chunk dies with the copy.
+        chunk, alive = None, []
+        stages = transform._stages
+
+        def make():
+            nonlocal chunk
+            V = rng.integers(0, 2, (1024, 16), dtype=np.uint8)
+            chunk = weakref.ref(V)
+            return V
+
+        def spy(*args):
+            alive.append(chunk() is not None)
+            return stages(*args)
+
+        monkeypatch.setattr(transform, "_stages", spy)
+        _forward_take(GF2, make(), np.ones(1024, dtype=bool))
+        assert alive == [True, False]
 
 def test_linearity(rng):
     for field in [GF2, GF3, GF4]:
