@@ -25,11 +25,13 @@ process under two names and times them interleaved, case by case:
 `decode_batch` at those row counts and on two chansim codes, the
 Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set,
 `compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim sets,
-and `compress_file` of 2 MiB of Ber(0.11) with crcs: the bulk_compress input
-(N=2^16, R=0.75) and the same bytes at N=1024, R=0.7.  It prints the
+`compress_file` of 2 MiB of Ber(0.11) with crcs: the bulk_compress input
+(N=2^16, R=0.75) and the same bytes at N=1024, R=0.7, and `decompress_file`
+of version 2 containers: one whose SC misses SC-Flip repairs, and one
+N=2^16 block with a payload bit flipped, which fails.  It prints the
 parent/change time ratio per case, with its quartiles over the rounds,
-after asserting that both give equal outputs (spectra, manifests, bits or
-containers).
+after asserting that both give equal outputs (spectra, manifests, bits,
+containers, restored bytes or error messages).
 Host speed drifts between processes by more than the changes it
 measures; in one process both sides see the same drift.  `write`
 summarises the logged runs per workload and end-to-end metric of
@@ -55,12 +57,13 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 ROWS = (1, 4, 8, 16, 64)
 WRITE_ROWS = (1, 4, 16)  # compress_blocks rows timed by ab
-# ab: interleaved rounds per decode or write case and per Monte-Carlo case, and the
-# least time one side's sample of a case takes (calls are repeated to reach it)
+# ab: interleaved rounds per decode, write or repair case and per Monte-Carlo or damaged-block
+# case, and the least time one side's sample of a case takes (calls are repeated to reach it)
 ROUNDS, MC_ROUNDS, SAMPLE_S = 25, 8, 0.05
 SETUP_ROUNDS = 10  # setup rounds that write runs per workload
 MC_SPECTRUM = "montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"
 MC_FREEZE = "freeze --method mc, bsc_pair(0.11), N=1024, R=0.8, 10^4 samples, seed 5"
+DAMAGED = "decompress_file, 2 blocks of Ber(0.11), N=2^16, R=0.75, one payload bit flipped"
 # prints workload argv[1]'s construct.py spec for seed argv[2] and work directory argv[3]
 SPEC_CODE = ("import json, pathlib, sys; sys.path[:0] = ['perfbench', 'src']; from workloads import WORKLOADS; "
              "print(json.dumps(WORKLOADS[sys.argv[1]](int(sys.argv[2]), pathlib.Path(sys.argv[3]))"
@@ -194,6 +197,41 @@ def _write_cases(sp) -> dict:
     return cases
 
 
+def _repair_cases(sp) -> dict:
+    """decompress_file calls that repair or fail on version 2 blocks, by case name; each returns
+    the restored bytes or the FormatError's message.
+
+    The rows that SC decodes wrongly in test_codec.py::TestFlipRepair (bsc_pair(0.11), N=1024,
+    R=0.7, zbound, rows 15, 30 and 35 of seed 2, with row 0), which SC-Flip repairs, and
+    DAMAGED: two blocks of Ber(0.11) at N=2^16, R=0.75 (zbound) with one payload bit of the
+    first flipped and its crc32 kept, which no flip repairs.
+    """
+    import io
+
+    import numpy as np
+
+    def restore(container, side, hset, source):
+        try:
+            return sp.decompress_file(container, side, hset, source)
+        except sp.FormatError as e:
+            return str(e)
+
+    s = sp.JointSource.bsc_pair(0.11)
+    hset = sp.build_high_entropy_set(sp.zbound_spectrum(s, 1024), 0.7)
+    rng, rows = np.random.default_rng(2), [0, 15, 30, 35]
+    X = rng.integers(0, 2, (64, 1024), dtype=np.uint8)
+    Y = (X ^ (rng.random((64, 1024)) < 0.11)).astype(np.uint8)[rows]
+    flips = bytes(sp.compress_file(io.BytesIO(np.packbits(X[rows]).tobytes()), hset, True))
+    ber = sp.JointSource.bernoulli(0.11)
+    big = sp.build_high_entropy_set(sp.zbound_spectrum(ber, 1 << 16), 0.75)
+    raw = np.packbits(np.random.default_rng(13).random(2 << 16) < 0.11).tobytes()
+    damaged = bytearray(sp.compress_file(io.BytesIO(raw), big, True))
+    damaged[30] ^= 0x10  # past the 22-byte version 2 header
+    return {"decompress_file, SC-Flip repairs 3 of 4 blocks (bsc_pair(0.11), N=1024, R=0.7)":
+            lambda: restore(flips, Y.tobytes(), hset, s),
+            DAMAGED: lambda: restore(bytes(damaged), None, big, ber)}
+
+
 def _decoder_probe(checkout: Path) -> dict:
     import tracemalloc
 
@@ -299,6 +337,7 @@ def _ab(parent: Path, change: Path) -> dict:
             lambda sp=sp: sp.spectrum.montecarlo_spectrum(sp.JointSource.bsc_pair(0.11), 1024, 10**4, 5))
         calls[side][MC_FREEZE] = lambda sp=sp, out=Path(work.name) / f"{side}.json": _freeze_mc(sp, out)
         calls[side].update(_write_cases(sp))
+        calls[side].update(_repair_cases(sp))
     out = {}
     for name, change_call in calls["change"].items():
         want, got = calls["parent"][name](), change_call()
@@ -310,7 +349,7 @@ def _ab(parent: Path, change: Path) -> dict:
         t = time.perf_counter()
         change_call()
         reps = max(1, round(SAMPLE_S / (time.perf_counter() - t)))
-        rounds = MC_ROUNDS if name in (MC_SPECTRUM, MC_FREEZE) else ROUNDS
+        rounds = MC_ROUNDS if name in (MC_SPECTRUM, MC_FREEZE, DAMAGED) else ROUNDS
         times = {"parent": [], "change": []}
         for k in range(rounds):
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
@@ -422,8 +461,9 @@ def cmd_write(args) -> None:
                         "change_kib": decoder["change"]["tracemalloc_peak_kb"]},
         "ab": {
             "what": (f"parent/change time ratio per case, median and quartiles over interleaved rounds "
-                     f"({ROUNDS} per decode or write case, {MC_ROUNDS} for the spectrum and the mc freeze) "
-                     f"alternating which side runs first, both packages imported into one process; a "
+                     f"({ROUNDS} per decode, write or repair case, {MC_ROUNDS} for the spectrum, the mc "
+                     f"freeze and the damaged block) alternating which side runs first, both packages "
+                     f"imported into one process; a "
                      f"sample repeats its call to last at least {SAMPLE_S * 1e3:.0f} ms; parent_ms and "
                      f"change_ms are median "
                      f"times per call; outputs asserted equal (python3 scripts/bench_guard.py ab)"),

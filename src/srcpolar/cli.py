@@ -2,7 +2,10 @@
 
 Subcommands: spectrum, freeze, compress, decompress, chansim, swsim.
 All stochastic commands require --seed and are byte-deterministic given
-their inputs.  Output files are written atomically (temp file + rename).
+their inputs on one host.  Across hosts, spectrum --method mc is the one
+exception: its 17-digit h and z come from numpy's exp and log1p, whose
+last bits depend on the SIMD kernels numpy picks for the CPU.  Output
+files are written atomically (temp file + rename).
 Floats are formatted with 17 significant digits.
 """
 

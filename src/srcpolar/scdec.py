@@ -32,6 +32,11 @@ rows of one (N, B) array.  The root's partial sums are u F^(kron n), the
 decoded block x = u G_N in bit-reversed order, so `decode_batch` returns
 x without a transform.
 
+SC-Flip (_sc_flips) decodes a block again with one decision flipped:
+it ranks the decisions by the genie's llrs of SC's own decisions and runs
+each pass through the same chunk loop, on a schedule that shares every
+node past the flip with the cached one.
+
 `SequentialDecoder` is the step-by-step reference: it yields one
 decision llr per index and performs N log2 N combine operations per
 block.  Both decoders resolve ties alike (see SC_TIE), so they decide
@@ -47,7 +52,7 @@ import numpy as np
 from .errors import DomainError, ProtocolError, UnsupportedAlphabetError
 from .field import FieldSpec
 from .sources import JointSource
-from .transform import _check_block_length, _integers, _stage, bit_reverse_indices
+from .transform import _check_block_length, _forward_rows, _integers, _stage, bit_reverse_indices
 
 L_MAX = 700.0
 # An llr within SC_TIE of zero is a tie and decides 0, so that decisions do
@@ -212,7 +217,7 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     if known_vals.ndim != 2:
         raise DomainError("known values must be a (blocks, N) array")
     B, N = known_vals.shape
-    n = _check_block_length(N)
+    _check_block_length(N)
     if known_mask.shape != (N,):
         raise DomainError(f"known mask must have {N} entries")
     given = _integers(known_vals[:, known_mask], "known bits")
@@ -225,10 +230,16 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     Y = _integers(Y, "side symbols")
     if Y.shape != (B, N):
         raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
+    return _decode_chunks(source, Y, known_mask, known_vals, _schedule(known_mask.tobytes()))
+
+
+def _decode_chunks(source: JointSource, Y, known_mask, known_vals, root) -> np.ndarray:
+    """decode_batch's chunk loop on checked arguments, with root the compiled schedule of known_mask."""
+    B, N = known_vals.shape
+    n = N.bit_length() - 1
     table = _llr_table(source, Y)
     J = _clamp_depth(table, n)
     perm = bit_reverse_indices(n)
-    root = _schedule(known_mask.tobytes())
     x = np.empty((B, N), dtype=np.uint8)
     step = batch_rows(N)
     for s in range(0, B, step):
@@ -240,6 +251,45 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
             _decode_node(table[Y[rows].T[perm]], root, sums, beta, J)
         x[rows] = beta[perm].T  # the root's partial sums, x in bit-reversed order
     return x
+
+
+def _sc_flips(source: JointSource, Y, X: np.ndarray, known_mask: np.ndarray, tries: int):
+    """SC-Flip's passes for blocks that decode_batch decoded to the rows of X: one iterator per row.
+
+    Y and known_mask are the decode's side blocks (None without side
+    information) and known mask.  Row b's iterator yields the x that SC gives
+    with one decision of row b flipped, for the `tries` unknown positions of
+    smallest decision |llr|, smallest first (Afisiadis, Balatsoukas-Stimming
+    and Burg, arXiv:1412.5501).  A decision's llr depends only on the
+    decisions before it, so the genie fed SC's own u = x G_N (G_N is its own
+    inverse over GF(2)) gives SC's decision llrs, batch_rows(N) rows per
+    call: a caller that stops at a row has ranked no chunk after that row's.
+    """
+    Y = np.zeros(X.shape, dtype=np.uint8) if Y is None else _integers(Y, "side symbols")
+    unknown, root = np.flatnonzero(~known_mask), _schedule(known_mask.tobytes())
+    step = batch_rows(X.shape[1])
+    for s in range(0, len(X), step):
+        Ys, U = Y[s : s + step], _forward_rows(_GF2, X[s : s + step])
+        llrs = np.abs(genie_llr_profile(_llr_table(source, Ys)[Ys], U))
+        for y, u, a in zip(Ys, U, llrs):
+            flips = unknown[np.argsort(a[unknown], kind="stable")[:tries]]
+            yield _flip_passes(source, y, u, known_mask, root, flips)
+
+
+def _flip_passes(source: JointSource, y, u: np.ndarray, known_mask: np.ndarray, root, candidates):
+    """x from SC on side block y with u[i] flipped, for each i of candidates in turn.
+
+    A pass also knows SC's u before i, the bits SC decides there anyway, so
+    its schedule is root, known_mask's cached one, with the nodes up to i
+    dropped as rate 0, those across i + 1 compiled again and the rest shared
+    (_compile).  It is never cached.
+    """
+    for i in candidates:
+        mask = known_mask.copy()
+        mask[: i + 1] = True
+        known = u.copy()
+        known[i] ^= 1
+        yield _decode_chunks(source, y[None], mask, known[None], _compile(mask, root, i + 1))[0]
 
 
 def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
@@ -296,23 +346,38 @@ def _schedule(mask: bytes) -> _Node | None:
     check matrix and g-depth instead of deriving them.  A tree holds up to 2N
     nodes, so only the few masks a caller decodes with are kept.
     """
-    known = np.frombuffer(mask, dtype=bool)
+    return _compile(np.frombuffer(mask, dtype=bool))
+
+
+def _compile(known: np.ndarray, base: _Node | None = None, start: int = 0) -> _Node | None:
+    """The schedule of the known mask, uncached; with base, sharing base's nodes from start on.
+
+    base is the schedule of a mask that equals known from position start on
+    and knows less below it.  A node depends only on its positions' part of
+    the mask, so every node of base lying wholly at or above start is reused
+    as it is, and only the nodes across start are compiled.
+    """
     before = [0, *np.cumsum(~known).tolist()]  # unknown positions below i
 
-    def node(lo: int, hi: int) -> _Node | None:
+    def node(lo: int, hi: int, old: _Node | None) -> _Node | None:
         unknown = before[hi] - before[lo]
         m = hi - lo
         d = m.bit_length() - 1
         if unknown == 0:
             return None
+        if base is not None and lo >= start:  # the same positions and mask as in base
+            return old
         j = (lo >> d).bit_count()  # one g step for every right half on the path from the root
         if d and unknown == 1 and before[hi - 1] == before[lo]:  # a leaf is rate 1, not Rep
             return _Node(True, lo, hi, d, j, 0.0, None, None, None)
         check = None if unknown == m else _parity_check(known[lo:hi])
-        children = (node(lo, lo + m // 2), node(lo + m // 2, hi)) if d else (None, None)
+        left, right = (old.left, old.right) if old else (None, None)
+        children = (node(lo, lo + m // 2, left), node(lo + m // 2, hi, right)) if d else (None, None)
         return _Node(False, lo, hi, d, j, RATE1_GUARD * d + 2 * SC_TIE, check, *children)
 
-    return node(0, known.size)
+    root = node(0, known.size, base)
+    del node  # node refers to itself through its closure: this frees `before` now, not at a gc pass
+    return root
 
 
 # Positions one check matrix spans.  A node up to this size holds its own (k, m)

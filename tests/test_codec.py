@@ -269,6 +269,64 @@ class TestFlipRepair:
                                           dtype=np.uint8)).reshape(len(rows), -1)
         assert np.array_equal(out[0], X[0]) and all((out[1:] != X[self.ROWS]).any(axis=1))
 
+    def test_repair_runs_no_reference_decoder(self, case, monkeypatch):
+        hset, X, Y, rows, data = case
+        for module in (scdec, codec):
+            for name in ("SequentialDecoder", "decode_block"):
+                monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} ran"),
+                                    raising=False)
+        container = bytes(compress_file(io.BytesIO(data), hset, checksum=True))
+        assert decompress_file(container, Y[rows].tobytes(), hset, BSC011) == data
+        for r in self.ROWS:
+            assert np.array_equal(decompress(compress(bits(X[r]), hset, True), Y[r], hset, BSC011).data, X[r])
+
+    def test_candidates_ranked_by_reference_decision_llrs(self, case, monkeypatch):
+        # The oracle: SequentialDecoder, fed the payload bits, keeps each
+        # decision's llr; the candidates are its unknown positions of smallest
+        # |llr|, ties in position order.
+        hset, X, Y, rows, data = case
+        unknown = np.flatnonzero(~hset.mask)
+        want = []
+        for r in self.ROWS:
+            u = transform._forward_rows(BSC011.field, X[r])
+            dec = scdec.SequentialDecoder(BSC011, Y[r])
+            llrs = np.abs([dec.decide_next(i + 1, int(u[i]) if hset.mask[i] else None)[1] for i in range(1024)])
+            want.append(unknown[np.argsort(llrs[unknown], kind="stable")[: codec.FLIP_TRIES]].tolist())
+        got, flip_passes = [], scdec._flip_passes
+        monkeypatch.setattr(scdec, "_flip_passes",
+                            lambda *a: got.append([int(i) for i in a[-1]]) or flip_passes(*a))
+        data = np.packbits(X[self.ROWS]).tobytes()
+        container = bytes(compress_file(io.BytesIO(data), hset, checksum=True))
+        assert decompress_file(container, Y[self.ROWS].tobytes(), hset, BSC011) == data
+        assert got == want
+
+    def test_wrong_side_file_ranks_one_chunk(self, case, monkeypatch):
+        # Every one of 128 blocks fails its crc32 under side symbols of another
+        # file; the first is not repaired, so only its chunk of 64 is ranked.
+        hset, X, Y, rows, data = case
+        ranked, genie = [], scdec.genie_llr_profile
+        monkeypatch.setattr(scdec, "genie_llr_profile", lambda c, u: ranked.append(len(u)) or genie(c, u))
+        X2, Y2 = np.concatenate([X, X]), np.concatenate([Y, Y])
+        container = bytes(compress_file(io.BytesIO(np.packbits(X2).tobytes()), hset, checksum=True))
+        with pytest.raises(FormatError, match="checksum mismatch"):
+            decompress_file(container, Y2[::-1].tobytes(), hset, BSC011)
+        assert ranked == [scdec.batch_rows(1024)] == [64]
+
+    def test_damaged_block_at_large_n_fails_and_caches_no_flip_schedule(self):
+        # One payload bit of the first of two N=2^14 blocks flipped, its crc kept:
+        # no flip of a single decision gives the stored crc32.
+        N = 1 << 14
+        hset = build_high_entropy_set(zbound_spectrum(BER011, N), 0.75)
+        raw = np.packbits(np.random.default_rng(13).random(2 * N) < 0.11).tobytes()
+        container = bytearray(compress_file(io.BytesIO(raw), hset, checksum=True))
+        assert decompress_file(bytes(container), None, hset, BER011) == raw
+        container[22 + 5] ^= 0x10  # past the 22-byte version 2 header
+        scdec._schedule.cache_clear()
+        with pytest.raises(FormatError, match="checksum mismatch"):
+            decompress_file(bytes(container), None, hset, BER011)
+        info = scdec._schedule.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)  # hset's own mask, compiled once
+
 
 FULL_RATE = {N: build_high_entropy_set(zbound_spectrum(BER011, N), 1.0) for N in (1, 2, 8, 16, 64)}
 

@@ -274,6 +274,17 @@ class TestSwSimulate:
         monkeypatch.setattr(scdec, "BATCH_LLRS", 3 * 64)
         assert sw_simulate(cfg, 40, 7) == whole
 
+    def test_one_row_per_batch_gives_the_same_reports(self, monkeypatch):
+        # Both trial loops, one decoder row per batch against the default
+        # 64 rows per batch at N = 1024
+        w, joint = ChannelModel.bsc(0.11), self.JOINT
+        code, cfg = make_duality_code(w, 1024, 0.4, 2), sw_config(joint, 1024, 0.4, 0.8)
+        whole = simulate(w, code, 70, 3), sw_simulate(cfg, 70, 3)
+        assert 0.0 < whole[0]["fer"] < 1.0 and 0.0 < whole[1]["joint_error_rate"] < 1.0
+        monkeypatch.setattr(scdec, "BATCH_LLRS", 1024)
+        assert scdec.batch_rows(1024) == 1
+        assert (simulate(w, code, 70, 3), sw_simulate(cfg, 70, 3)) == whole
+
     def test_noiseless_pair_never_fails(self):
         # X = Y and all of Y is stored: both stages decode without error
         joint = JointSource(FieldSpec.binary(), np.array([[0.8, 0.0], [0.0, 0.2]]))

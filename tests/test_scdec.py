@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -460,6 +461,80 @@ class TestNodeKinds:
             Y = rng.integers(0, s.y_size, (B, N))
         got = decode_batch(s, Y, mask, known_vals)
         assert np.array_equal(got, _row_by_row(s, Y, mask, known_vals))
+
+    def test_equals_sequential_decoder_at_large_n(self):
+        # N = 2^14: mixed nodes up to 2^14 positions sharing one check matrix,
+        # rate-1 and Rep nodes up to 2^11, and clamps from g-depth 9
+        # (bsc_pair(0.11): 2.09 2^9 + 1 > L_MAX) up to n.  The known bits are
+        # the true u, so checks pass where the hard decisions are right.
+        rng = np.random.default_rng(14)
+        s, N = JointSource.bsc_pair(0.11), 1 << 14
+        mask = np.concatenate([_node_mask(rng, 1024, mixed=True) for _ in range(16)])
+        X = rng.integers(0, 2, (3, N), dtype=np.uint8)
+        Y, known_vals = X ^ (rng.random((3, N)) < 0.11), _forward_rows(s.field, X)
+        assert 0.4 < mask.mean() < 0.6 and scdec._clamp_depth(scdec._llr_table(s, Y), 14) == 8
+        assert np.array_equal(decode_batch(s, Y, mask, known_vals), _row_by_row(s, Y, mask, known_vals))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flip_passes_are_sc_with_one_decision_flipped(self, seed):
+        # Each pass of SC-Flip is decode_block with that position forced to the
+        # other bit, the positions in the reference's order of |decision llr|.
+        rng = np.random.default_rng(seed)
+        s, N, tries = JointSource.bsc_pair(0.11), 256, 5
+        mask, Y, known_vals = _mixed_case(rng, s, N, 2)
+        X = decode_batch(s, Y, mask, known_vals)
+        U = _forward_rows(s.field, X)
+        for y, u, passes in zip(Y, U, scdec._sc_flips(s, Y, X, mask, tries)):
+            known = {int(i) + 1: int(u[i]) for i in np.flatnonzero(mask)}
+            flips = list(passes)
+            assert len(flips) == min(tries, (~mask).sum())
+            dec = SequentialDecoder(s, y)
+            llrs = np.abs([dec.decide_next(i + 1, known.get(i + 1))[1] for i in range(N)])
+            unknown = np.flatnonzero(~mask)
+            for i, x in zip(unknown[np.argsort(llrs[unknown], kind="stable")], flips):
+                want = decode_block(s, y, {**known, int(i) + 1: 1 - int(u[i])})[0]
+                assert np.array_equal(x, polar_forward(SymbolBlock(s.field, want)).data)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shared_schedule_is_the_compiled_one(self, seed):
+        rng = np.random.default_rng(seed)
+        N = 1024
+        base_mask = _node_mask(rng, N, mixed=True)
+        start = int(rng.integers(0, N + 1))
+        mask = base_mask.copy()
+        mask[:start] = True
+        base = scdec._compile(base_mask)
+        shared, whole = scdec._compile(mask, base, start), scdec._compile(mask)
+        stack = [(shared, whole)]
+        while stack:
+            a, b = stack.pop()
+            assert (a is None) == (b is None)
+            if a is None:
+                continue
+            assert a[:6] == b[:6]
+            assert (a.check is None) == (b.check is None)
+            if a.check is not None:
+                assert np.array_equal(a.check[0], b.check[0]) and np.array_equal(a.check[1], b.check[1])
+            if a.lo >= start:  # wholly at or above start: base's own node
+                node = base
+                while node.lo != a.lo or node.hi != a.hi:
+                    node = node.left if a.lo < (node.lo + node.hi) // 2 else node.right
+                assert node is a
+            stack += [(a.left, b.left), (a.right, b.right)]
+
+    def test_compile_leaves_no_reference_cycle(self):
+        # Every SC-Flip pass compiles a schedule; a cycle would hold its
+        # N + 1 unknown counts until the next garbage collection.
+        mask = _node_mask(np.random.default_rng(0), 1024, mixed=True)
+        base = scdec._compile(mask)
+        gc.collect()
+        gc.disable()
+        try:
+            scdec._compile(mask | (np.arange(1024) < 300), base, 300)
+            scdec._compile(mask)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_mixed_rule_fires(self, monkeypatch):
         # the "mixed" cases above, on fixed seeds: the check on the known bits
