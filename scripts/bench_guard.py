@@ -5,6 +5,7 @@
     python3 scripts/bench_guard.py setup --parent P --change C --workload W [--rounds 10]
     python3 scripts/bench_guard.py decoder --checkout C
     python3 scripts/bench_guard.py ab --parent P --change C
+    python3 scripts/bench_guard.py rss --parent P --change C [--rounds 5]
     python3 scripts/bench_guard.py write --parent P --change C --log runs.jsonl --out BENCH.json \
         --note TEXT [--claim WORKLOAD METRIC]
 
@@ -26,18 +27,27 @@ process under two names and times them interleaved, case by case:
 Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set,
 `compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim sets,
 `compress_file` of 2 MiB of Ber(0.11) with crcs: the bulk_compress input
-(N=2^16, R=0.75) and the same bytes at N=1024, R=0.7, and `decompress_file`
+(N=2^16, R=0.75), on every usable core and with the chunk pipeline's worker
+count patched to 1 (so the layer's gain and the threads' show apart; a
+checkout without the pipeline frames on one thread either way), and the
+same bytes at N=1024, R=0.7, and `decompress_file`
 of version 2 containers: one whose SC misses SC-Flip repairs, and one
 N=2^16 block with a payload bit flipped, which fails.  It prints the
 parent/change time ratio per case, with its quartiles over the rounds,
 after asserting that both give equal outputs (spectra, manifests, bits,
-containers, restored bytes or error messages).
+containers, restored bytes or error messages).  `rss` runs CLI `compress
+--checksum` of the bulk_compress input (2 MiB of Ber(0.11), seed 13, N=2^16,
+R=0.75, zbound) in one fresh interpreter per side and round, alternating
+which side runs first, and reports each child's wall time and its own
+ru_maxrss, read as it exits; the containers must be equal.
 Host speed drifts between processes by more than the changes it
 measures; in one process both sides see the same drift.  `write`
 summarises the logged runs per workload and end-to-end metric of
 BENCHMARK.json (medians, quartiles, wins per pair, each against its
-bound), runs `decoder` once in each checkout, `ab` once and `setup` (10
-rounds) once per logged workload, and writes the evidence file.
+bound), runs `decoder` once in each checkout, `ab` and `rss` once and
+`setup` (10 rounds) once per logged workload, and writes the evidence
+file, with the number of cores this process may run on, which is the
+chunk pipeline's worker count.
 TEXT says what the change does; --claim names the one workload and metric
 it claims a gain on, if any.  Every measurement runs in a child process.
 """
@@ -47,6 +57,7 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -61,6 +72,7 @@ WRITE_ROWS = (1, 4, 16)  # compress_blocks rows timed by ab
 # case, and the least time one side's sample of a case takes (calls are repeated to reach it)
 ROUNDS, MC_ROUNDS, SAMPLE_S = 25, 8, 0.05
 SETUP_ROUNDS = 10  # setup rounds that write runs per workload
+RSS_ROUNDS = 5  # rss rounds per side that write runs
 MC_SPECTRUM = "montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"
 MC_FREEZE = "freeze --method mc, bsc_pair(0.11), N=1024, R=0.8, 10^4 samples, seed 5"
 DAMAGED = "decompress_file, 2 blocks of Ber(0.11), N=2^16, R=0.75, one payload bit flipped"
@@ -194,7 +206,22 @@ def _write_cases(sp) -> dict:
         hset = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), N), rate)
         cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum"] = (
             lambda hset=hset: sp.compress_file(io.BytesIO(raw), hset, True))
+        if N == 1 << 16:
+            cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum, one worker"] = (
+                lambda hset=hset: _one_worker(sp, lambda: sp.compress_file(io.BytesIO(raw), hset, True)))
     return cases
+
+
+def _one_worker(sp, call):
+    """call() with the chunk pipeline of the package sp on one worker; a package without it runs call as it is."""
+    pipeline = getattr(sp, "pipeline", None)
+    if pipeline is None:
+        return call()
+    workers, pipeline._workers = pipeline._workers, lambda: 1
+    try:
+        return call()
+    finally:
+        pipeline._workers = workers
 
 
 def _repair_cases(sp) -> dict:
@@ -374,6 +401,36 @@ def _freeze_mc(sp, out: Path) -> bytes:
     return out.read_bytes()
 
 
+def _rss(parent: Path, change: Path, rounds: int) -> dict:
+    """Wall time and ru_maxrss of fresh-interpreter CLI `compress` of the bulk_compress input, sides alternating."""
+    sides = {"parent": Path(parent).resolve(), "change": Path(change).resolve()}
+    # Linux keeps a process's ru_maxrss across exec, so a child forked from a large process would
+    # report that process's size: this one imports no numpy, and a child writes the input.
+    make_input = ("import sys, numpy as np; open(sys.argv[1], 'wb').write("
+                  "np.packbits(np.random.default_rng(13).random(8 << 21) < 0.11).tobytes())")
+    code = ("import resource, sys; from srcpolar import cli; rc = cli.main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)")
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        subprocess.run([sys.executable, "-c", make_input, str(work / "in.bin")], check=True)
+        subprocess.run([sys.executable, "-m", "srcpolar.cli", "freeze", "--preset", "bernoulli(0.11)", "-N",
+                        "65536", "-R", "0.75", "--method", "zbound", "--out", str(work / "m.json")],
+                       env={**os.environ, "PYTHONPATH": str(sides["change"] / "src")}, check=True)
+        for k in range(rounds):
+            for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
+                t = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-c", code, "compress", "--manifest", str(work / "m.json"),
+                                       "--in", str(work / "in.bin"), "--out", str(work / f"{side}.plsc"),
+                                       "--checksum"], env={**os.environ, "PYTHONPATH": str(sides[side] / "src")},
+                                      capture_output=True, text=True, check=True)
+                runs[side].append({"wall_s": time.perf_counter() - t,
+                                   "max_rss_mb": int(proc.stdout.split()[-1]) / 1024})
+            assert (work / "parent.plsc").read_bytes() == (work / "change.plsc").read_bytes(), "containers differ"
+    return {side: {"runs": r, "wall_s": _quartiles([x["wall_s"] for x in r]),
+                   "max_rss_mb": _quartiles([x["max_rss_mb"] for x in r])} for side, r in runs.items()}
+
+
 def run_child(*args: str) -> dict:
     out = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
@@ -421,6 +478,8 @@ def cmd_write(args) -> None:
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     decoder = {side: run_child("decoder", "--checkout", str(path)) for side, path in sides.items()}
     ab = run_child("ab", "--parent", str(sides["parent"]), "--change", str(sides["change"]))
+    rss = run_child("rss", "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                    "--rounds", str(RSS_ROUNDS))
     setup = {wl: run_child("setup", "--parent", str(sides["parent"]), "--change", str(sides["change"]),
                            "--workload", wl, "--rounds", str(SETUP_ROUNDS))
              for wl in sorted({r["workload"] for r in runs})}
@@ -450,6 +509,9 @@ def cmd_write(args) -> None:
                     "checkout of the parent and of the change, alternating which runs first "
                     "(python3 scripts/bench_guard.py pairs)"),
         "env": env,
+        "workers": {"what": "cores this process may run on (os.sched_getaffinity): the chunk pipeline's "
+                            "worker count for Monte-Carlo construction and compress_file",
+                    "value": len(os.sched_getaffinity(0))},
         "workloads": workloads,
         "seeds_note": "; ".join(f"{wl} seeds {min(s)}-{max(s)}" for wl, s in seeds.items()),
         "observed_not_claimed": "; ".join(notes),
@@ -468,6 +530,13 @@ def cmd_write(args) -> None:
                      f"change_ms are median "
                      f"times per call; outputs asserted equal (python3 scripts/bench_guard.py ab)"),
             "cases": ab},
+        "cli_compress_children": {
+            "what": (f"CLI compress --checksum of the bulk_compress input (2 MiB of Ber(0.11), seed 13, "
+                     f"N=2^16, R=0.75, zbound) in a fresh interpreter, {RSS_ROUNDS} per side, alternating "
+                     f"which side runs first: wall seconds of the child, interpreter start-up included, and "
+                     f"the child's own ru_maxrss in MB as it exits; containers asserted equal "
+                     f"(python3 scripts/bench_guard.py rss)"),
+            **rss},
         "setup": {
             "what": ("set-up seconds per workload: perfbench/construct.py with the workload's spec in a "
                      "fresh interpreter, once per side and round, alternating which side runs first, "
@@ -504,6 +573,10 @@ def main() -> None:
     a = sub.add_parser("ab")
     a.add_argument("--parent", required=True)
     a.add_argument("--change", required=True)
+    r = sub.add_parser("rss")
+    r.add_argument("--parent", required=True)
+    r.add_argument("--change", required=True)
+    r.add_argument("--rounds", type=int, default=RSS_ROUNDS)
     w = sub.add_parser("write")
     w.add_argument("--parent", required=True)
     w.add_argument("--change", required=True)
@@ -520,6 +593,8 @@ def main() -> None:
         print(json.dumps(_decoder_probe(args.checkout)))
     elif args.cmd == "ab":
         print(json.dumps(_ab(args.parent, args.change)))
+    elif args.cmd == "rss":
+        print(json.dumps(_rss(args.parent, args.change, args.rounds)))
     else:
         cmd_write(args)
 

@@ -18,7 +18,9 @@ copy of the input, and transform._forward_take runs the butterflies in
 its blocked order and takes the payloads at the bit-reversed kept
 positions.  compress_file writes a chunk's blocks as one byte array, a
 header template, a crc32 column and the payloads packed once per chunk,
-without building a CompressedBlock.  On the read path a version 2 block
+without building a CompressedBlock; its chunks are framed on every usable
+core through the ordered chunk pipeline (pipeline.ordered), so the bytes
+do not depend on the core count.  On the read path a version 2 block
 whose crc32 fails is decoded again by SC-Flip (_flip_repair), through
 decode_batch's chunk loop (scdec._sc_flips); the reference decoder never
 runs.
@@ -29,12 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pipeline
 from .errors import DomainError, FingerprintMismatchError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
 from .scdec import _sc_flips, decode_batch
 from .sources import JointSource, conditional_entropy
 from .spectrum import METHOD_MC, HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, _forward_take
+from .transform import SymbolBlock, _forward_take, _kept_rows
 
 _GF2 = FieldSpec.binary()
 
@@ -42,8 +45,8 @@ MAGIC = b"PLSC"
 VERSION_PLAIN = 1
 VERSION_CRC = 2
 _PAD_TRAILER = 4  # u32 LE count of zero pad bits appended before encoding
-# Input bits compress_file reads per compress_blocks call, rounded to whole
-# blocks and bytes; bounds its memory whatever the file size.
+# Input bits of the chunks compress_file frames at once, in all, rounded to
+# whole blocks and bytes; bounds its memory whatever the file size.
 COMPRESS_BITS = 1 << 20
 # Decisions SC-Flip tries to flip, one per pass, in a version 2 block whose crc32 fails.
 FLIP_TRIES = 16
@@ -121,49 +124,73 @@ def compress_blocks(X, hset: HighEntropySet) -> np.ndarray:
     if X.dtype.kind not in "biu" or (X.size and (X.min() < 0 or X.max() > 1)):
         raise DomainError("compression takes bits: 0/1 symbols of the binary field")
     # np.array copies even where X.T is already C-ordered (one row, or X in Fortran order).
-    return _forward_take(_GF2, np.array(X.T, dtype=np.uint8, order="C"), hset.mask)
+    return _forward_take(_GF2, np.array(X.T, dtype=np.uint8, order="C"), _kept_rows(hset.mask))
 
 
 def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray:
-    """The container of the bytes read from the binary file fh, COMPRESS_BITS at a time.
+    """The container of the bytes read from the binary file fh, in chunks framed on every usable core.
 
-    Each chunk is laid out positions-major, (N, blocks), transformed in one
-    call, and its payloads packed with one packbits; a block's crc32 is taken
-    from its source bytes, which are packbits of its bits.  The chunk's
-    blocks are appended as one (blocks, header + payload) byte array.
+    The calling thread reads the chunks, each a whole number of blocks and
+    of bytes, and the chunk pipeline (pipeline.ordered) frames them in
+    order (_framed_chunk), so the container is the same whatever the core
+    count.  The chunks being framed at once hold about COMPRESS_BITS bits
+    in all, and at least one block each: with w workers a chunk holds about
+    COMPRESS_BITS / w bits, and no more workers run than COMPRESS_BITS
+    holds whole blocks.
     """
     N = hset.N
     unit = max(N, 8)  # a whole number of blocks and of bytes
-    chunk_bytes = unit * max(1, COMPRESS_BITS // unit) // 8
+    units = max(1, COMPRESS_BITS // unit)
+    workers = min(pipeline._workers(), units)
+    chunk_bytes = unit * (units // workers) // 8
     version, n, k = (VERSION_CRC if checksum else VERSION_PLAIN), N.bit_length() - 1, len(hset.indices)
-    out, pad = bytearray(), 0
     head = np.frombuffer(_header(version, n, hset.fingerprint, k, 0 if checksum else None), dtype=np.uint8)
-    while raw := fh.read(chunk_bytes):
-        if pad:  # a short read before the end: padding it would insert zero bits
-            raise DomainError("file read returned a partial block before its end")
-        data = np.frombuffer(raw, dtype=np.uint8)
-        pad = -8 * data.size % N  # nonzero only in the last, short chunk
-        # The chunk goes to _forward_take without a name, so it is freed once its transposed copy exists.
-        if N >= 8:  # whole bytes per block: unpack the transposed bytes, no bit gather
-            if pad:
-                data = np.concatenate([data, np.zeros(pad // 8, dtype=np.uint8)])
-            source = data.reshape(-1, N // 8)
-            payloads = _forward_take(_GF2, np.unpackbits(np.ascontiguousarray(source.T), axis=0), hset.mask)
-        else:
-            X = np.concatenate([np.unpackbits(data), np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
-            source = np.packbits(X, axis=1)
-            payloads = _forward_take(_GF2, np.ascontiguousarray(X.T), hset.mask)
-        # packbits along a row-major copy: along the (blocks, k) view itself it is about 5x slower
-        payloads = np.packbits(np.ascontiguousarray(payloads), axis=1)
-        rows = np.empty((len(source), head.size + payloads.shape[1]), dtype=np.uint8)
-        rows[:, : head.size] = head
-        if checksum:
-            crcs = np.fromiter(map(zlib.crc32, source), dtype="<u4", count=len(source))
-            rows[:, head.size - 4 : head.size] = crcs.view(np.uint8).reshape(-1, 4)
-        rows[:, head.size :] = payloads
-        out += rows.tobytes()
+    kept, pad = _kept_rows(hset.mask), 0  # the take index, once per file
+
+    def chunks():
+        nonlocal pad
+        while raw := fh.read(chunk_bytes):
+            if pad:  # a short read before the end: padding it would insert zero bits
+                raise DomainError("file read returned a partial block before its end")
+            pad = -8 * len(raw) % N  # nonzero only in the last, short chunk
+            yield raw, N, head, kept, checksum
+
+    out = bytearray()
+    for framed in pipeline.ordered(_framed_chunk, chunks(), workers):
+        out += memoryview(framed)
     out += pad.to_bytes(_PAD_TRAILER, "little")  # in place: a copy would raise the peak
     return out
+
+
+def _framed_chunk(raw: bytes, N: int, head: np.ndarray, kept: np.ndarray, checksum: bool) -> np.ndarray:
+    """The blocks of one chunk of file bytes as a (blocks, header + payload) uint8 array, zero-padded to whole blocks.
+
+    The chunk is laid out positions-major, (N, blocks), transformed in one
+    call, and its payloads packed with one packbits; a block's crc32 is taken
+    from its source bytes, which are packbits of its bits, and written into
+    the header template head.  kept is transform._kept_rows of the set's mask.
+    """
+    data = np.frombuffer(raw, dtype=np.uint8)
+    pad = -8 * data.size % N
+    # The chunk goes to _forward_take without a name, so it is freed once its transposed copy exists.
+    if N >= 8:  # whole bytes per block: unpack the transposed bytes, no bit gather
+        if pad:
+            data = np.concatenate([data, np.zeros(pad // 8, dtype=np.uint8)])
+        source = data.reshape(-1, N // 8)
+        payloads = _forward_take(_GF2, np.unpackbits(np.ascontiguousarray(source.T), axis=0), kept)
+    else:
+        X = np.concatenate([np.unpackbits(data), np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
+        source = np.packbits(X, axis=1)
+        payloads = _forward_take(_GF2, np.ascontiguousarray(X.T), kept)
+    # packbits along a row-major copy: along the (blocks, k) view itself it is about 5x slower
+    payloads = np.packbits(np.ascontiguousarray(payloads), axis=1)
+    rows = np.empty((len(source), head.size + payloads.shape[1]), dtype=np.uint8)
+    rows[:, : head.size] = head
+    if checksum:
+        crcs = np.fromiter(map(zlib.crc32, source), dtype="<u4", count=len(source))
+        rows[:, head.size - 4 : head.size] = crcs.view(np.uint8).reshape(-1, 4)
+    rows[:, head.size :] = payloads
+    return rows
 
 
 def decompress(block: CompressedBlock, y, hset: HighEntropySet, source: JointSource) -> SymbolBlock:

@@ -18,7 +18,7 @@ from .field import FieldSpec
 from .scdec import batch_rows
 from .sources import JointSource, _parse_spec, conditional_entropy
 from .spectrum import HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
-from .transform import SymbolBlock, _check_count, _forward_rows, _forward_take
+from .transform import SymbolBlock, _check_count, _forward_rows, _forward_take, _kept_rows
 
 _ROW_TOL = 1e-12
 
@@ -170,7 +170,7 @@ def channel_decode_batch(Y, code: DualityCode) -> np.ndarray:
     P = np.broadcast_to(code.frozen_pattern, (len(Y), len(frozen.indices)))
     x_hat = decompress_blocks(P, Y, frozen, code.source)
     # x_hat is ours to overwrite, so its positions-major layout may be a view of it
-    return _forward_take(code.source.field, np.ascontiguousarray(x_hat.T), ~frozen.mask)
+    return _forward_take(code.source.field, np.ascontiguousarray(x_hat.T), _kept_rows(~frozen.mask))
 
 
 def _trial_batches(trials: int, seed: int, N: int):

@@ -357,7 +357,9 @@ def _compile(known: np.ndarray, base: _Node | None = None, start: int = 0) -> _N
     the mask, so every node of base lying wholly at or above start is reused
     as it is, and only the nodes across start are compiled.
     """
-    before = [0, *np.cumsum(~known).tolist()]  # unknown positions below i
+    before = np.concatenate(([0], np.cumsum(~known)))  # unknown positions below i
+    if base is None:  # read at every node: Python ints index faster than numpy scalars
+        before = before.tolist()
 
     def node(lo: int, hi: int, old: _Node | None) -> _Node | None:
         unknown = before[hi] - before[lo]

@@ -8,10 +8,11 @@ Four ways to obtain per-index statistics of U^N = X^N G_N:
 * Tal-Vardy degrading merges of the equivalent symmetric channel, giving
   certified upper bounds much tighter than the pair recursion,
 * Monte-Carlo genie-aided estimation (estimates, never certificates).
-  Samples are drawn and processed in chunks, on one thread per usable
-  core, so memory does not grow with the sample count; the estimates are
-  the same, bit for bit, whatever the thread count.  The calling thread
-  draws only uniforms; the workers invert them into the cells
+  Samples are drawn and processed in chunks, on every usable core through
+  the ordered chunk pipeline (pipeline.ordered), so memory does not grow
+  with the sample count; the estimates are the same, bit for bit, whatever
+  the thread count.  The calling thread draws the uniforms, in stream
+  order; the jobs invert them into the cells
   Generator.choice would draw, take the genie's partial sums straight
   from x, and skip the clamps the side symbols' llrs prove idle.  `freeze`
   reads only z, so it asks for no h terms.
@@ -20,13 +21,12 @@ Four ways to obtain per-index statistics of U^N = X^N G_N:
 import hashlib
 import json
 import math
-import os
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from . import pipeline
 from .errors import BudgetExceededError, DomainError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
 from .scdec import _clamp_depth, _genie_llrs, _llr_table, _sums_from_x, batch_rows
@@ -90,10 +90,10 @@ class HighEntropySet:
         if not (isinstance(fp, str) and len(fp) == 16 and set(fp) <= set("0123456789abcdef")):
             raise FormatError(f"fingerprint {fp!r} is not 16 lowercase hex digits")
         bad = FormatError(f"indices must be ceil(NR) strictly increasing integers in 1..{N}")
-        if len(idx) != math.ceil(N * R) or not all(type(i) is int for i in idx):
+        if len(idx) != math.ceil(N * R) or set(map(type, idx)) != {int}:  # bool is not int
             raise bad
         try:
-            arr = np.array(idx, dtype=np.int64)
+            arr = np.fromiter(idx, np.int64, len(idx))
         except OverflowError:
             raise bad from None
         if arr[0] < 1 or arr[-1] > N or (arr[1:] <= arr[:-1]).any():
@@ -287,21 +287,21 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int, *,
     """Genie-aided Monte-Carlo estimates of the h and z spectra.
 
     Samples are drawn and processed in chunks of batch_rows(N) rows, and at
-    most one chunk per thread, plus one, is held at a time, so memory does
-    not grow with the sample count.  The calling thread draws only the
-    uniforms, rng.random((rows, N)), in order; a pool with one thread per
-    usable core inverts them against the cdf of s.probs (_cells), which
-    gives the cells rng.choice(p=...) would draw from the same stream, and
-    computes each chunk's genie llrs and its h and z terms; numpy releases
-    the GIL in those loops.  The partial sums come straight from x
+    most one chunk per usable core, plus one, is in flight at a time, so
+    memory does not grow with the sample count.  The calling thread draws
+    the uniforms, rng.random((rows, N)), in order, and the chunk pipeline
+    (pipeline.ordered) runs one job per chunk on every usable core, the
+    calling thread's included: it inverts the uniforms against the cdf of
+    s.probs (_cells), which gives the cells rng.choice(p=...) would draw
+    from the same stream, and computes the chunk's genie llrs and its h and
+    z terms; numpy releases the GIL in those loops.  One chunk runs inline,
+    without a pool.  The partial sums come straight from x
     (scdec._sums_from_x), and the genie skips the clamps that the side
     symbols' largest |llr| proves idle (scdec._clamp_depth).  The terms are
     summed in sample order, so the estimates are the same, bit for bit, as
     one pass over all samples, whatever the thread count.  With _entropy
     off, h is None and no h term is computed: `freeze` reads only z.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     n = _check_block_length(N)
     if not s.field.is_binary:
         raise UnsupportedAlphabetError("Monte-Carlo estimation requires q = 2")
@@ -314,17 +314,10 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int, *,
     cell_llrs = np.concatenate([table, table])  # cell x * y_size + y -> base_llr of y
     shared = (cdf, cell_llrs, bit_reverse_indices(n), _clamp_depth(table, n), _entropy)
     step = batch_rows(N)
-    workers = _workers()
+    chunks = ((rng.random((min(step, samples - start), N)), *shared) for start in range(0, samples, step))
     totals = (None, None)
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for start in range(0, samples, step):
-            uniforms = rng.random((min(step, samples - start), N))
-            pending.append(pool.submit(_genie_terms, uniforms, *shared))
-            if len(pending) > workers:
-                totals = _add_terms(totals, pending.popleft().result())
-        while pending:
-            totals = _add_terms(totals, pending.popleft().result())
+    for terms in pipeline.ordered(_genie_terms, chunks, pipeline._workers()):
+        totals = _add_terms(totals, terms)
     h, z = totals
     return PolarSpectrum(
         N=N,
@@ -335,14 +328,6 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int, *,
         samples=samples,
         seed=seed,
     )
-
-
-def _workers() -> int:
-    """Threads for montecarlo_spectrum: one per core this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _cells(uniforms: np.ndarray, cdf: np.ndarray) -> np.ndarray:

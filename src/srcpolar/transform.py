@@ -159,21 +159,30 @@ def _blocked_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _forward_take(field: FieldSpec, V: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """u = x G_N at the positions mask keeps, for each column x of the C-ordered, positions-major (N, B) V.
+def _kept_rows(mask: np.ndarray) -> np.ndarray:
+    """The rows of _forward_take's transposed copy that hold the positions a boolean mask over N keeps, in order.
 
-    The stages compute v = x F^(kron n), and G_N = F^(kron n) B_N makes
-    u_i = v[rev(i)], so the bit reversal is paid only on the kept rows.
-    Stages on distinct index bits commute, so they run blocked: with
-    n = a + b and a = n // 2, the a stages of the top bits (h = N/2 down to
-    2^b) run in place on V, whose inner loops are then at least 2^b*B
-    elements long.  One copy then transposes V, read as a (2^a, 2^b) matrix
-    of whole rows, each moved as one np.void item; in the copy the b low
-    bits are on top, so the other b stages also run loops of at least
-    2^a*B elements.  The transpose is folded into the index of the one
-    take (_blocked_rows).  V is overwritten, and dropped once the copy
-    exists: a caller that passes V without keeping a name for it frees it
-    there.  Returns the (B, k) payloads.
+    A caller that takes the same positions of many chunks computes this once.
+    """
+    return _blocked_rows(mask.size.bit_length() - 1)[mask]
+
+
+def _forward_take(field: FieldSpec, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """u = x G_N at the kept positions, for each column x of the C-ordered, positions-major (N, B) V.
+
+    rows is _kept_rows of the mask of kept positions.  The stages compute
+    v = x F^(kron n), and G_N = F^(kron n) B_N makes u_i = v[rev(i)], so
+    the bit reversal is paid only on the kept rows.  Stages on distinct
+    index bits commute, so they run blocked: with n = a + b and a = n // 2,
+    the a stages of the top bits (h = N/2 down to 2^b) run in place on V,
+    whose inner loops are then at least 2^b*B elements long.  One copy then
+    transposes V, read as a (2^a, 2^b) matrix of whole rows, each moved as
+    one np.void item; in the copy the b low bits are on top, so the other b
+    stages also run loops of at least 2^a*B elements.  The transpose is
+    folded into the index of the one take (_blocked_rows).  V is
+    overwritten, and dropped once the copy exists: a caller that passes V
+    without keeping a name for it frees it there.  Returns the (B, k)
+    payloads.
     """
     N, B = V.shape
     n = N.bit_length() - 1
@@ -183,7 +192,7 @@ def _forward_take(field: FieldSpec, V: np.ndarray, mask: np.ndarray) -> np.ndarr
         item = np.dtype((np.void, B * V.itemsize))
         V = V.view(item).reshape(1 << a, 1 << b).T.copy().view(V.dtype).reshape(N, B)
     _stages(field, V.T, _halves(n, a))
-    return V.take(_blocked_rows(n)[mask], axis=0).T
+    return V.take(rows, axis=0).T
 
 
 def _inverse_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import io
 import math
+import threading
 import tracemalloc
 import zlib
 
@@ -29,6 +30,7 @@ from srcpolar import (
     error_bound,
     exact_spectrum,
     montecarlo_spectrum,
+    pipeline,
     scdec,
     sw_config,
     sw_decode,
@@ -339,25 +341,58 @@ class TestContainer:
         container = compress_file(io.BytesIO(data), hset, checksum)
         assert decompress_file(container, None, hset, BER011) == data
 
+    @pytest.mark.parametrize("chunks", [1, 2, "many"])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize("checksum", [False, True])
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64])
-    def test_container_is_the_block_stream_and_pad_trailer(self, rng, N, checksum, monkeypatch):
-        # Chunks of 4 blocks (4 bytes below N = 8): the file spans several chunks
-        # and ends with a short one, padded where N is more than 8.
+    def test_container_is_the_block_stream_and_pad_trailer(self, rng, N, checksum, workers, chunks, monkeypatch):
+        # COMPRESS_BITS of 4 blocks (4 bytes below N = 8), split into chunks of
+        # 4 // workers of them, workers capped at 4: the file spans one chunk,
+        # two, or many, the last one short where a chunk holds more than a
+        # byte, and padded where N is more than 8.  The chunks are framed on
+        # `workers` threads, and the bytes must not depend on it.
+        import concurrent.futures
+
+        class Reads(io.BytesIO):
+            def read(self, n=-1):
+                asked.append(n)
+                return super().read(n)
+
         monkeypatch.setattr(codec, "COMPRESS_BITS", 4 * max(N, 8))
+        monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+        chunk_bytes, asked = max(N, 8) * (4 // min(workers, 4)) // 8, []
+        size = 101 if chunks == "many" else (chunks - 1) * chunk_bytes + max(1, chunk_bytes // 2 - 1)
+        if chunks == 1:  # one chunk is framed inline
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         hset = build_high_entropy_set(zbound_spectrum(BER011, N), 0.75)
-        data = rng.integers(0, 256, 101, dtype=np.uint8)
-        assert data.size % (codec.COMPRESS_BITS // 8)
+        data = rng.integers(0, 256, size, dtype=np.uint8)
+        assert -(-size // chunk_bytes) > 2 if chunks == "many" else -(-size // chunk_bytes) == chunks
         flat = np.unpackbits(data)
         pad = -flat.size % N
         X = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
         want = b"".join(compress(bits(x), hset, checksum).to_bytes() for x in X)
-        assert compress_file(io.BytesIO(data.tobytes()), hset, checksum) == want + pad.to_bytes(4, "little")
+        assert compress_file(Reads(data.tobytes()), hset, checksum) == want + pad.to_bytes(4, "little")
+        assert set(asked) == {chunk_bytes}
+
+    def test_block_beyond_the_budget_is_one_chunk_framed_inline(self, rng, monkeypatch):
+        # Blocks of 64 bits against a budget of 32: one block per chunk, and no
+        # more cores framing than the budget holds whole blocks, that is one.
+        import concurrent.futures
+
+        monkeypatch.setattr(codec, "COMPRESS_BITS", 32)
+        monkeypatch.setattr(pipeline, "_workers", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+        hset, data = FULL_RATE[64], rng.integers(0, 256, 37, dtype=np.uint8)
+        X = np.unpackbits(np.concatenate([data, np.zeros(3, dtype=np.uint8)])).reshape(-1, 64)
+        want = b"".join(compress(bits(x), hset).to_bytes() for x in X) + (24).to_bytes(4, "little")
+        assert compress_file(io.BytesIO(data.tobytes()), hset) == want
 
     def test_chunk_freed_once_transposed(self):
-        # 2 MiB of Ber(0.11) at N=2^16, in chunks of 16 blocks: 1 MiB of uint8
-        # bits each.  Kept alive beside its transposed copy, the chunk raises
-        # the peak to 5.0 MiB; 4.31 MiB is the peak of the natural stage order.
+        # 2 MiB of Ber(0.11) at N=2^16, in chunks of 16 blocks framed one at a
+        # time on one core, or of 16 // w blocks framed w at a time on w cores:
+        # 1 MiB of uint8 bits in all.  Kept alive beside its transposed copy,
+        # one chunk of 16 blocks raises the peak to 5.0 MiB; 4.31 MiB is the
+        # peak of the natural stage order.
         hset = build_high_entropy_set(zbound_spectrum(BER011, 1 << 16), 0.75)
         rng = np.random.default_rng(13)
         raw = b"".join(np.packbits(rng.random(1 << 20) < 0.11).tobytes() for _ in range(16))
@@ -371,22 +406,28 @@ class TestContainer:
             tracemalloc.stop()
         assert peak <= 4.31 * 2**20
 
-    def test_short_reads_never_pad_inside_the_file(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_short_reads_never_pad_inside_the_file(self, workers, monkeypatch):
         class ShortReads(io.RawIOBase):
-            def __init__(self, data, most):
-                self.buf, self.most = io.BytesIO(data), most
+            def __init__(self, data, *most):  # the last cap holds for every later read
+                self.buf, self.most = io.BytesIO(data), list(most)
 
             def readable(self):
                 return True
 
             def read(self, n=-1):
-                return self.buf.read(min(n, self.most))
+                return self.buf.read(min(n, self.most.pop(0) if len(self.most) > 1 else self.most[0]))
 
+        monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+        threads = threading.active_count()
         hset, data = FULL_RATE[16], bytes(range(1, 12))
         container = compress_file(ShortReads(data, 2), hset)  # whole blocks per read
         assert container == compress_file(io.BytesIO(data), hset)
         with pytest.raises(DomainError):
             compress_file(ShortReads(data, 3), hset)  # the first read ends inside a block
+        with pytest.raises(DomainError):  # a partial block after four chunks in flight
+            compress_file(ShortReads(bytes(range(1, 20)), 2, 2, 2, 2, 3), hset)
+        assert threading.active_count() == threads
 
     def test_truncated_container_rejected(self):
         hset = FULL_RATE[16]

@@ -401,10 +401,18 @@ def _edge_source(d: int) -> JointSource:
 
 
 def _node_mask(rng, N: int, mixed: bool = False) -> np.ndarray:
-    """Known mask of aligned blocks that are rate 0, rate 1, Rep, or split again.
+    """Known mask of aligned blocks that are rate 0, rate 1, Rep, or split again; never all known.
 
-    With mixed, a block may also hold known positions drawn at random.
+    With mixed, a block may also hold known positions drawn at random.  An
+    all-known mask compiles no node, so it is drawn again.
     """
+    while (mask := _node_blocks(rng, N, mixed)).all():
+        pass
+    return mask
+
+
+def _node_blocks(rng, N: int, mixed: bool) -> np.ndarray:
+    """_node_mask's draw, which may come back all known."""
     kind = int(rng.integers(4 + mixed if N > 1 else 2))
     if kind == 0:
         return np.ones(N, dtype=bool)
@@ -414,7 +422,7 @@ def _node_mask(rng, N: int, mixed: bool = False) -> np.ndarray:
         return np.arange(N) < N - 1
     if kind == 4:
         return rng.random(N) < rng.random()
-    return np.concatenate([_node_mask(rng, N // 2, mixed), _node_mask(rng, N // 2, mixed)])
+    return np.concatenate([_node_blocks(rng, N // 2, mixed), _node_blocks(rng, N // 2, mixed)])
 
 
 def _source(kind: str) -> JointSource:
@@ -459,6 +467,8 @@ class TestNodeKinds:
                     "tree": _node_mask(rng, N)}[shape]
             known_vals = rng.integers(0, 2, (B, N))
             Y = rng.integers(0, s.y_size, (B, N))
+        if shape in ("tree", "mixed"):
+            assert scdec._schedule(mask.tobytes()) is not None  # a node to compare
         got = decode_batch(s, Y, mask, known_vals)
         assert np.array_equal(got, _row_by_row(s, Y, mask, known_vals))
 
@@ -469,7 +479,7 @@ class TestNodeKinds:
         # the true u, so checks pass where the hard decisions are right.
         rng = np.random.default_rng(14)
         s, N = JointSource.bsc_pair(0.11), 1 << 14
-        mask = np.concatenate([_node_mask(rng, 1024, mixed=True) for _ in range(16)])
+        mask = np.concatenate([_node_blocks(rng, 1024, True) for _ in range(16)])  # a sub-mask may be all known
         X = rng.integers(0, 2, (3, N), dtype=np.uint8)
         Y, known_vals = X ^ (rng.random((3, N)) < 0.11), _forward_rows(s.field, X)
         assert 0.4 < mask.mean() < 0.6 and scdec._clamp_depth(scdec._llr_table(s, Y), 14) == 8

@@ -19,6 +19,7 @@ from srcpolar import (
     exact_spectrum,
     genie_llr_profile,
     montecarlo_spectrum,
+    pipeline,
     polarization_fractions,
     scdec,
     tv_spectrum,
@@ -216,7 +217,7 @@ class TestMonteCarlo:
         s = JointSource.bsc_pair(0.11)
         got = []
         for workers in (1, 3):
-            monkeypatch.setattr(spectrum, "_workers", lambda workers=workers: workers)
+            monkeypatch.setattr(pipeline, "_workers", lambda workers=workers: workers)
             got.append(montecarlo_spectrum(s, 256, 1000, 13))
         assert np.array_equal(got[0].h, got[1].h)
         assert np.array_equal(got[0].z, got[1].z)
@@ -225,7 +226,7 @@ class TestMonteCarlo:
         # Samples are processed a few chunks at a time, so the peak must not
         # follow the sample count.  The thread count is fixed because every
         # thread holds a chunk.
-        monkeypatch.setattr(spectrum, "_workers", lambda: 2)
+        monkeypatch.setattr(pipeline, "_workers", lambda: 2)
         s = JointSource.bsc_pair(0.11)
         peaks = []
         for samples in (500, 4000):
@@ -277,7 +278,7 @@ class TestMonteCarloExactness:
         # every sample count is one partial chunk past whole chunks of batch_rows(N) rows
         assert samples % scdec.batch_rows(N)
         if workers is not None:
-            monkeypatch.setattr(spectrum, "_workers", lambda: workers)
+            monkeypatch.setattr(pipeline, "_workers", lambda: workers)
         s = MC_SOURCES[name]
         full = montecarlo_spectrum(s, N, samples, 29)
         z_only = montecarlo_spectrum(s, N, samples, 29, _entropy=False)

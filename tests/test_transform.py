@@ -22,7 +22,7 @@ from srcpolar import (
     zbound_spectrum,
 )
 from srcpolar import transform
-from srcpolar.transform import _forward_take, _inverse_rows
+from srcpolar.transform import _forward_take, _inverse_rows, _kept_rows
 
 from conftest import F_KERNEL, bitrev, dense_forward
 
@@ -142,7 +142,7 @@ class TestBlockedTake:
                 else:
                     U = (X @ G % field.q).astype(np.int64)
                 for mask in (rng.random(N) < 0.5, np.ones(N, dtype=bool), np.arange(N) == rng.integers(N)):
-                    got = _forward_take(field, np.array(X.T, order="C"), mask)  # a copy: V is overwritten
+                    got = _forward_take(field, np.array(X.T, order="C"), _kept_rows(mask))  # a copy: V is overwritten
                     assert got.dtype == dtype and np.array_equal(got, U[:, mask])
 
     def test_chunk_freed_before_the_second_half(self, rng, monkeypatch):
@@ -161,7 +161,7 @@ class TestBlockedTake:
             return stages(*args)
 
         monkeypatch.setattr(transform, "_stages", spy)
-        _forward_take(GF2, make(), np.ones(1024, dtype=bool))
+        _forward_take(GF2, make(), _kept_rows(np.ones(1024, dtype=bool)))
         assert alive == [True, False]
 
 def test_linearity(rng):
