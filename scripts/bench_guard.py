@@ -32,8 +32,11 @@ count patched to 1 (so the layer's gain and the threads' show apart; a
 checkout without the pipeline frames on one thread either way), and the
 same bytes at N=1024, R=0.7, and `decompress_file`
 of version 2 containers: one whose SC misses SC-Flip repairs, and one
-N=2^16 block with a payload bit flipped, which fails.  It prints the
-parent/change time ratio per case, with its quartiles over the rounds,
+N=2^16 block with a payload bit flipped, which fails.  The read path also
+runs on the sideinfo_codec set with crcs and BSC(0.11) side files: CLI
+`decompress` in process of 8 containers of 16 blocks, the headline
+operation, and `decompress_file` of a 2 MiB container, 16384 blocks.  It
+prints the parent/change time ratio per case, with its quartiles over the rounds,
 after asserting that both give equal outputs (spectra, manifests, bits,
 containers, restored bytes or error messages).  `rss` runs CLI `compress
 --checksum` of the bulk_compress input (2 MiB of Ber(0.11), seed 13, N=2^16,
@@ -76,6 +79,8 @@ RSS_ROUNDS = 5  # rss rounds per side that write runs
 MC_SPECTRUM = "montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"
 MC_FREEZE = "freeze --method mc, bsc_pair(0.11), N=1024, R=0.8, 10^4 samples, seed 5"
 DAMAGED = "decompress_file, 2 blocks of Ber(0.11), N=2^16, R=0.75, one payload bit flipped"
+CLI_DECOMPRESS = "CLI decompress, 8 containers of 16 blocks with crcs and BSC(0.11) side files, sideinfo set"
+BULK_READ = "decompress_file, 16384 blocks with crcs and BSC(0.11) side (2 MiB), sideinfo set"
 # prints workload argv[1]'s construct.py spec for seed argv[2] and work directory argv[3]
 SPEC_CODE = ("import json, pathlib, sys; sys.path[:0] = ['perfbench', 'src']; from workloads import WORKLOADS; "
              "print(json.dumps(WORKLOADS[sys.argv[1]](int(sys.argv[2]), pathlib.Path(sys.argv[3]))"
@@ -259,6 +264,53 @@ def _repair_cases(sp) -> dict:
             DAMAGED: lambda: restore(bytes(damaged), None, big, ber)}
 
 
+def _read_cases(sp, work: Path) -> dict:
+    """Read-path calls on the sideinfo_codec set by case name, each returning the restored bytes or
+    the FormatError's message.
+
+    CLI_DECOMPRESS: CLI `decompress` in process, as sideinfo_codec times it, of 8 containers
+    written by `compress_file` with crcs, each of 2048 uniform bytes (16 blocks) with a BSC(0.11)
+    side file (seed 17), one call per container.  BULK_READ: `decompress_file` of one such
+    container of 2 MiB, 16384 blocks, with its 16 MiB side input.
+    """
+    import io
+    import json
+
+    import numpy as np
+
+    s, hset = sp.JointSource.bsc_pair(0.11), _sideinfo_set(sp)
+    manifest = work / "sideinfo.json"
+    manifest.write_text(json.dumps(hset.to_manifest(), sort_keys=True, indent=2) + "\n")
+
+    def encoded(rng, size):
+        x = rng.integers(0, 256, size, dtype=np.uint8)
+        side = np.unpackbits(x) ^ (rng.random(8 * size) < 0.11)
+        return bytes(sp.compress_file(io.BytesIO(x.tobytes()), hset, True)), side.astype(np.uint8).tobytes()
+
+    rng, argvs = np.random.default_rng(17), []
+    for k in range(8):
+        box, side = encoded(rng, 2048)
+        (work / f"x{k}.plsc").write_bytes(box)
+        (work / f"y{k}.bin").write_bytes(side)
+        argvs.append(["decompress", "--manifest", str(manifest), "--in", str(work / f"x{k}.plsc"),
+                      "--side", str(work / f"y{k}.bin"), "--out", str(work / f"out{k}.bin")])
+
+    def cli_decompress():
+        for k in range(8):  # as sideinfo_codec does: the atomic write replaces no file
+            (work / f"out{k}.bin").unlink(missing_ok=True)
+        rcs = [sp.cli.main(argv) for argv in argvs]
+        return str(rcs) if any(rcs) else b"".join((work / f"out{k}.bin").read_bytes() for k in range(8))
+
+    def restore(container, side):
+        try:
+            return sp.decompress_file(container, side, hset, s)
+        except sp.FormatError as e:
+            return str(e)
+
+    bulk, bulk_side = encoded(rng, 2 << 20)
+    return {CLI_DECOMPRESS: cli_decompress, BULK_READ: lambda: restore(bulk, bulk_side)}
+
+
 def _decoder_probe(checkout: Path) -> dict:
     import tracemalloc
 
@@ -365,18 +417,22 @@ def _ab(parent: Path, change: Path) -> dict:
         calls[side][MC_FREEZE] = lambda sp=sp, out=Path(work.name) / f"{side}.json": _freeze_mc(sp, out)
         calls[side].update(_write_cases(sp))
         calls[side].update(_repair_cases(sp))
+        (Path(work.name) / side).mkdir()
+        calls[side].update(_read_cases(sp, Path(work.name) / side))
     out = {}
     for name, change_call in calls["change"].items():
         want, got = calls["parent"][name](), change_call()
         if isinstance(want, sides["parent"].PolarSpectrum):
             assert (want.h.tobytes(), want.z.tobytes()) == (got.h.tobytes(), got.z.tobytes()), \
                 f"{name}: spectra differ"
+        elif isinstance(want, bytes):  # restored bytes: array_equal would drop trailing zero bytes
+            assert want == got, f"{name}: outputs differ"
         else:  # bits, a container's bytes or a manifest's
             assert np.array_equal(want, got), f"{name}: outputs differ"
         t = time.perf_counter()
         change_call()
         reps = max(1, round(SAMPLE_S / (time.perf_counter() - t)))
-        rounds = MC_ROUNDS if name in (MC_SPECTRUM, MC_FREEZE, DAMAGED) else ROUNDS
+        rounds = MC_ROUNDS if name in (MC_SPECTRUM, MC_FREEZE, DAMAGED, BULK_READ) else ROUNDS
         times = {"parent": [], "change": []}
         for k in range(rounds):
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
@@ -523,9 +579,9 @@ def cmd_write(args) -> None:
                         "change_kib": decoder["change"]["tracemalloc_peak_kb"]},
         "ab": {
             "what": (f"parent/change time ratio per case, median and quartiles over interleaved rounds "
-                     f"({ROUNDS} per decode, write or repair case, {MC_ROUNDS} for the spectrum, the mc "
-                     f"freeze and the damaged block) alternating which side runs first, both packages "
-                     f"imported into one process; a "
+                     f"({ROUNDS} per decode, write, repair or CLI decompress case, {MC_ROUNDS} for the "
+                     f"spectrum, the mc freeze, the damaged block and the 2 MiB read) alternating which side "
+                     f"runs first, both packages imported into one process; a "
                      f"sample repeats its call to last at least {SAMPLE_S * 1e3:.0f} ms; parent_ms and "
                      f"change_ms are median "
                      f"times per call; outputs asserted equal (python3 scripts/bench_guard.py ab)"),

@@ -10,8 +10,9 @@ Wire format of one compressed block:
     [crc32  u32 LE]        version 2 only
     payload                bits in increasing index order, MSB-first
 
-A container is a file's blocks, then a u32 LE count of its zero pad bits, whole
-bytes fewer than N.  Bits travel as uint8, one bit per byte, payloads as (blocks, k) arrays.
+A container is a file's blocks, all of one version, then a u32 LE count of its
+zero pad bits, whole bytes fewer than N.  Bits travel as uint8, one bit per byte,
+payloads as (blocks, k) arrays.
 
 The write path lays blocks out positions-major, (N, blocks), always in a
 copy of the input, and transform._forward_take runs the butterflies in
@@ -20,10 +21,15 @@ positions.  compress_file writes a chunk's blocks as one byte array, a
 header template, a crc32 column and the payloads packed once per chunk,
 without building a CompressedBlock; its chunks are framed on every usable
 core through the ordered chunk pipeline (pipeline.ordered), so the bytes
-do not depend on the core count.  On the read path a version 2 block
-whose crc32 fails is decoded again by SC-Flip (_flip_repair), through
-decode_batch's chunk loop (scdec._sc_flips); the reference decoder never
-runs.
+do not depend on the core count.  decompress_file reads a container the
+same way: its blocks as one (blocks, header + payload) byte array whose
+rows must repeat the first block's header, every payload from one
+unpackbits and every crc32 checked from one packbits of the decoded rows
+(_read_blocks, _check_crcs).  The payloads are scattered straight into
+the decoder's positions-major known bits (scdec._decode_known).  A
+version 2 block whose crc32 fails is decoded again by SC-Flip
+(_flip_repair), through the decoder's chunk loop (scdec._sc_flips); the
+reference decoder never runs.
 """
 
 import zlib
@@ -34,7 +40,7 @@ import numpy as np
 from . import pipeline
 from .errors import DomainError, FingerprintMismatchError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
-from .scdec import _sc_flips, decode_batch
+from .scdec import _decode_known, _sc_flips
 from .sources import JointSource, conditional_entropy
 from .spectrum import METHOD_MC, HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
 from .transform import SymbolBlock, _forward_take, _kept_rows
@@ -196,73 +202,118 @@ def _framed_chunk(raw: bytes, N: int, head: np.ndarray, kept: np.ndarray, checks
 def decompress(block: CompressedBlock, y, hset: HighEntropySet, source: JointSource) -> SymbolBlock:
     """Reconstruction of x from one block's payload and side block y."""
     Y = None if y is None else np.asarray(y).reshape(1, -1)
-    x_hat = decompress_blocks(_payloads([block], hset), Y, hset, source)
-    _check_crcs([block], x_hat, Y, hset, source)
+    P, crcs = _payload(block, hset)
+    x_hat = decompress_blocks(P, Y, hset, source)
+    _check_crcs(crcs, x_hat, Y, hset, source)
     return SymbolBlock(source.field, x_hat[0])
 
 
 def decompress_file(container: bytes, side, hset: HighEntropySet, source: JointSource) -> bytes:
-    """The file's bytes from its container and its side symbols, one per byte, or None."""
+    """The file's bytes from its container and its side symbols, one per byte, or None.
+
+    The container's blocks are read as one array (_read_blocks), and the pad
+    trailer and the side input are checked against their count before the
+    decode.
+    """
     N = hset.N
     if len(container) < _PAD_TRAILER:
         raise FormatError("truncated container")
     pad = int.from_bytes(container[-_PAD_TRAILER:], "little")
-    body, pos, blocks = container[:-_PAD_TRAILER], 0, []
-    while pos < len(body):
-        blk, pos = CompressedBlock.from_bytes(body, pos)
-        blocks.append(blk)
-    if pad % 8 or pad >= N or pad > len(blocks) * N:
-        raise FormatError(f"pad trailer {pad} does not fit {len(blocks)} blocks of {N} bits")
-    if side is not None and len(side) != len(blocks) * N:
+    P, crcs = _read_blocks(memoryview(container)[:-_PAD_TRAILER], hset)
+    B = len(P)
+    if pad % 8 or pad >= N or pad > B * N:
+        raise FormatError(f"pad trailer {pad} does not fit {B} blocks of {N} bits")
+    if side is not None and len(side) != B * N:
         raise FormatError("side-information length does not match the container")
-    Y = None if side is None else np.frombuffer(side, dtype=np.uint8).reshape(len(blocks), N)
-    x_hat = decompress_blocks(_payloads(blocks, hset), Y, hset, source)
-    _check_crcs(blocks, x_hat, Y, hset, source)
+    Y = None if side is None else np.frombuffer(side, dtype=np.uint8).reshape(B, N)
+    x_hat = decompress_blocks(P, Y, hset, source)
+    _check_crcs(crcs, x_hat, Y, hset, source)
     x = x_hat.ravel()
     if x[x.size - pad :].any():
         raise FormatError(f"pad trailer {pad} drops bits that are not zero padding")
     return np.packbits(x[: x.size - pad]).tobytes()
 
 
+# Header bytes every block of a container shares: magic, version, n, fingerprint and payload bit count.
+_SHARED = 18
+
+
+def _read_blocks(body, hset: HighEntropySet) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (blocks, k) payload bits of a container's blocks and their crc32 column, None for version 1.
+
+    The first block is parsed by CompressedBlock.from_bytes and checked
+    against hset (_payload); it gives the row width, and the body must be
+    whole rows of it.  The body is then viewed as one (blocks, width) uint8
+    array: every row must repeat the first one's _SHARED header bytes, so a
+    container holds one version, and one unpackbits gives every payload.  A
+    row that differs only in its fingerprint raises
+    FingerprintMismatchError, any other FormatError.
+    """
+    k = len(hset.indices)
+    if not body:
+        return np.zeros((0, k), dtype=np.uint8), None
+    first, width = CompressedBlock.from_bytes(body)
+    _payload(first, hset)
+    if len(body) % width:
+        raise FormatError(f"container body of {len(body)} bytes is not whole blocks of {width}")
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+    differs = rows[:, :_SHARED] != rows[0, :_SHARED]
+    if differs.any():
+        b = int(differs.any(axis=1).argmax())
+        if not (differs[b, :6].any() or differs[b, 14:].any()):
+            raise FingerprintMismatchError(f"block {b}: fingerprint {bytes(rows[b, 6:14]).hex()} != "
+                                           f"{hset.fingerprint}")
+        raise FormatError(f"block {b}'s header does not match the first block's")
+    head = width - (k + 7) // 8
+    crcs = None if first.version == VERSION_PLAIN else rows[:, _SHARED:head].copy().view("<u4").ravel()
+    return np.unpackbits(rows[:, head:], axis=1, count=k), crcs
+
+
 def decompress_blocks(P, Y, hset: HighEntropySet, source: JointSource) -> np.ndarray:
     """Reconstruct every block from its payload; returns x as a (blocks, N) uint8 array.
 
     P is the (blocks, k) array of payload bits and Y the (blocks, N) array of side
-    symbols, or None without side information.  One decode_batch call takes P as known
-    bits and Y, each in its own dtype, and returns x itself, so no transform runs.
+    symbols, or None without side information.  P is checked once to hold 0/1 and
+    scattered straight into the decoder's positions-major known bits
+    (scdec._decode_known); Y is read in its own dtype.  The decoder returns x
+    itself, so no transform runs.
     """
     P = np.asarray(P)
     if P.ndim != 2 or P.shape[1] != len(hset.indices):
         raise DomainError(f"payloads of shape {P.shape} do not have {len(hset.indices)} bits")
-    known = np.zeros((len(P), hset.N), dtype=P.dtype)
-    known[:, hset.mask] = P
-    return decode_batch(source, Y, hset.mask, known)
+    return _decode_known(source, Y, hset.mask, P)
 
 
-def _payloads(blocks, hset: HighEntropySet) -> np.ndarray:
-    """The (blocks, k) payloads of wire blocks, each checked against hset's fingerprint, N and k."""
-    for blk in blocks:
-        if blk.fingerprint != hset.fingerprint:
-            raise FingerprintMismatchError(f"fingerprint {blk.fingerprint} != {hset.fingerprint}")
-        if blk.N != hset.N or len(blk.payload) != len(hset.indices):
-            raise FormatError(f"block (N={blk.N}, {len(blk.payload)} bits) does not fit the set")
-    return np.reshape([b.payload for b in blocks], (len(blocks), len(hset.indices)))
+def _payload(blk: CompressedBlock, hset: HighEntropySet) -> tuple[np.ndarray, list | None]:
+    """A wire block's (1, k) payload, checked against hset's fingerprint, N and k, and its crc32 column.
 
-
-def _check_crcs(blocks, x_hat: np.ndarray, Y=None, hset: HighEntropySet | None = None,
-                source: JointSource | None = None) -> None:
-    """Check each version 2 block's crc32 against its decoded row of x_hat.
-
-    Given the decode's side blocks Y, hset and source, the rows that fail are
-    repaired in place by _flip_repair; without them, or where a row is not
-    repaired, FormatError is raised.
+    The column is [crc] for a version 2 block and None for a version 1 block.
     """
-    bad = [b for b, blk in enumerate(blocks) if blk.version == VERSION_CRC and _crc(x_hat[b]) != blk.crc]
-    if bad and source is None:
+    if blk.fingerprint != hset.fingerprint:
+        raise FingerprintMismatchError(f"fingerprint {blk.fingerprint} != {hset.fingerprint}")
+    if blk.N != hset.N or len(blk.payload) != len(hset.indices):
+        raise FormatError(f"block (N={blk.N}, {len(blk.payload)} bits) does not fit the set")
+    return np.reshape(blk.payload, (1, -1)), [blk.crc] if blk.version == VERSION_CRC else None
+
+
+def _check_crcs(crcs, x_hat: np.ndarray, Y=None, hset: HighEntropySet | None = None,
+                source: JointSource | None = None) -> None:
+    """Check each row of x_hat against its crc32 in crcs, None where the blocks are version 1.
+
+    The crc32s of every row come from one packbits of x_hat.  Given the
+    decode's side blocks Y, hset and source, the rows that fail are repaired
+    in place by _flip_repair; without them, or where a row is not repaired,
+    FormatError is raised.
+    """
+    if crcs is None:
+        return
+    got = np.fromiter(map(zlib.crc32, np.packbits(x_hat, axis=1)), dtype=np.uint32, count=len(x_hat))
+    bad = np.flatnonzero(got != crcs)
+    if bad.size and source is None:
         raise FormatError("checksum mismatch after decompression")
-    if bad:
+    if bad.size:
         Y = None if Y is None else Y[bad]
-        x_hat[bad] = _flip_repair(x_hat[bad], Y, [blocks[b].crc for b in bad], hset, source)
+        x_hat[bad] = _flip_repair(x_hat[bad], Y, [crcs[b] for b in bad], hset, source)
 
 
 def _flip_repair(X: np.ndarray, Y, crcs: list, hset: HighEntropySet, source: JointSource) -> np.ndarray:
@@ -350,9 +401,10 @@ def sw_encode_y(y: SymbolBlock, cfg: SWConfig) -> CompressedBlock:
 
 def sw_decode(cx: CompressedBlock, cy: CompressedBlock, cfg: SWConfig):
     """Two-stage joint decoding; returns (x_hat, y_hat)."""
-    x_hat, y_hat = sw_decode_blocks(_payloads([cx], cfg.set_x), _payloads([cy], cfg.set_y), cfg)
-    _check_crcs([cx], x_hat)
-    _check_crcs([cy], y_hat)
+    (PX, crcs_x), (PY, crcs_y) = _payload(cx, cfg.set_x), _payload(cy, cfg.set_y)
+    x_hat, y_hat = sw_decode_blocks(PX, PY, cfg)
+    _check_crcs(crcs_x, x_hat)
+    _check_crcs(crcs_y, y_hat)
     return SymbolBlock(cfg.joint.field, x_hat[0]), SymbolBlock(cfg.y_marginal.field, y_hat[0])
 
 

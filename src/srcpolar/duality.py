@@ -17,7 +17,8 @@ from .errors import DomainError
 from .field import FieldSpec
 from .scdec import batch_rows
 from .sources import JointSource, _parse_spec, conditional_entropy
-from .spectrum import HighEntropySet, PolarSpectrum, build_high_entropy_set, zbound_spectrum
+from .spectrum import (HighEntropySet, PolarSpectrum, _cells, _choice_cdf, build_high_entropy_set,
+                       zbound_spectrum)
 from .transform import SymbolBlock, _check_count, _forward_rows, _forward_take, _kept_rows
 
 _ROW_TOL = 1e-12
@@ -210,12 +211,15 @@ def sw_simulate(cfg: SWConfig, trials: int, seed: int) -> dict:
     """Seeded Slepian-Wolf trials; reports the joint error rate and the union-bound certificate.
 
     Trial t draws N pairs (x, y) from default_rng([seed, t]) and fails if x or y decodes wrong.
+    A trial's N uniforms are inverted against the joint cells' cdf (spectrum._cells), which
+    gives the cells rng.choice(p=...) draws from the same stream, as Monte-Carlo construction
+    draws them.
     """
     N = cfg.set_x.N
-    flat = cfg.joint.probs.reshape(-1)
+    cdf = _choice_cdf(cfg.joint)
     errors = 0
     for rngs in _trial_batches(trials, seed, N):
-        draws = np.array([rng.choice(flat.size, size=N, p=flat) for rng in rngs], dtype=np.uint8)
+        draws = _cells(np.array([rng.random(N) for rng in rngs]), cdf)
         xs, ys = np.divmod(draws, cfg.joint.y_size)
         PX, PY = compress_blocks(xs, cfg.set_x), compress_blocks(ys, cfg.set_y)
         x_hat, y_hat = sw_decode_blocks(PX, PY, cfg)

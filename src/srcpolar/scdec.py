@@ -1,8 +1,10 @@
 """Successive-cancellation (SC) likelihood-ratio decoding.
 
 All likelihoods live in the natural-log domain, saturated to +-L_MAX.
-Every codec decodes through `decode_batch`, a tree SC decoder that runs
-many blocks at once on numpy arrays, BATCH_LLRS = 2^16 llrs per chunk.
+Every codec decodes through one tree SC decoder that runs many blocks at
+once on numpy arrays, BATCH_LLRS = 2^16 llrs per chunk: `decode_batch`
+takes the known bits as (B, N) values, and the codecs hand their (B, k)
+payloads to `_decode_known`, which decode_batch also runs.
 Because G_N = F^(kron n) B_N, it works on the channel llrs in
 bit-reversed order: a node splits its llrs into halves a and b, decodes
 its first half of u from f(a, b), then its second half from g = b +- a,
@@ -25,12 +27,14 @@ with its matrix, exact because every sum is a small integer
 (_parity_holds).  A sign set by partial sums, in g and the Rep sum, is
 XORed into the float64 sign bit: exact negation, with no branch on the
 bits (_signed).  The clamp to +-L_MAX runs only where it can act:
-llrs at g-depth j are bounded by M 2^j, M the largest |llr| of the side
-symbols seen, so a call skips the clamps up to the g-depth its M allows
-(_clamp_depth).  Every node writes its partial sums in place, into its
-rows of one (N, B) array.  The root's partial sums are u F^(kron n), the
-decoded block x = u G_N in bit-reversed order, so `decode_batch` returns
-x without a transform.
+llrs at g-depth j are bounded by M 2^j, M the largest |llr| of the
+source's side symbols of nonzero probability, so a call skips the clamps
+up to the g-depth its M allows (_clamp_depth).  The known bits enter
+positions major, as one (N, B) array that the codecs scatter their
+payloads into (_decode_known); every node writes its partial sums in
+place, into its rows of one (N, B) array.  The root's partial sums are
+u F^(kron n), the decoded block x = u G_N in bit-reversed order, so
+`decode_batch` returns x without a transform.
 
 SC-Flip (_sc_flips) decodes a block again with one decision flipped:
 it ranks the decisions by the genie's llrs of SC's own decisions and runs
@@ -208,21 +212,35 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     side information.  known_mask (N,) marks the positions of u whose bits
     the caller already has; known_vals (B, N) holds them, and its other
     entries are ignored.  Row b is what decode_block returns for Y[b] with
-    those known bits, times G_N.  Integer Y and known_vals are read in their
-    own dtype, so uint8 bits and side symbols are never widened as a whole.
-    Blocks are decoded batch_rows(N) at a time.
+    those known bits, times G_N.  The bits at the known positions are handed
+    to _decode_known, the form the codecs decode payloads in.
     """
     known_vals = np.asarray(known_vals)
     known_mask = np.asarray(known_mask, dtype=bool)
     if known_vals.ndim != 2:
         raise DomainError("known values must be a (blocks, N) array")
-    B, N = known_vals.shape
-    _check_block_length(N)
-    if known_mask.shape != (N,):
-        raise DomainError(f"known mask must have {N} entries")
-    given = _integers(known_vals[:, known_mask], "known bits")
-    if given.size and (given.min() < 0 or given.max() > 1):
+    _check_block_length(known_vals.shape[1])
+    if known_mask.shape != known_vals.shape[1:]:
+        raise DomainError(f"known mask must have {known_vals.shape[1]} entries")
+    return _decode_known(source, Y, known_mask, known_vals[:, known_mask])
+
+
+def _decode_known(source: JointSource, Y, known_mask: np.ndarray, P) -> np.ndarray:
+    """decode_batch with the known bits given as P, the (B, k) bits at known_mask's k positions in order.
+
+    known_mask is a checked (N,) bool array.  P is checked once to hold 0/1
+    and scattered straight into the (N, B) uint8 array of known bits,
+    positions major like every SC tree array, which the chunk loop reads.
+    Integer Y and P are read in their own dtype, so uint8 bits and side
+    symbols are never widened as a whole.  Blocks are decoded
+    batch_rows(N) at a time.
+    """
+    N, P = known_mask.size, _integers(P, "known bits")
+    B = len(P)
+    if P.size and (P.min() < 0 or P.max() > 1):
         raise DomainError("known bits must be 0 or 1")
+    known = np.zeros((N, B), dtype=np.uint8)
+    known[known_mask] = P.T
     if Y is None:
         if source.y_size != 1:
             raise DomainError("side block required for a source with side information")
@@ -230,12 +248,18 @@ def decode_batch(source: JointSource, Y, known_mask, known_vals) -> np.ndarray:
     Y = _integers(Y, "side symbols")
     if Y.shape != (B, N):
         raise DomainError(f"side blocks of shape {Y.shape} do not match {(B, N)}")
-    return _decode_chunks(source, Y, known_mask, known_vals, _schedule(known_mask.tobytes()))
+    return _decode_chunks(source, Y, known, _schedule(known_mask.tobytes()))
 
 
-def _decode_chunks(source: JointSource, Y, known_mask, known_vals, root) -> np.ndarray:
-    """decode_batch's chunk loop on checked arguments, with root the compiled schedule of known_mask."""
-    B, N = known_vals.shape
+def _decode_chunks(source: JointSource, Y, known: np.ndarray, root) -> np.ndarray:
+    """The chunk loop on checked arguments: known is the (N, B) uint8 array of known bits, 0 where
+    unknown, and root the compiled schedule of its mask.
+
+    A chunk's channel llrs are two takes, its side symbols in bit-reversed
+    order and then their llrs, and x is written through one take of the
+    root's partial sums.
+    """
+    N, B = known.shape
     n = N.bit_length() - 1
     table = _llr_table(source, Y)
     J = _clamp_depth(table, n)
@@ -244,12 +268,11 @@ def _decode_chunks(source: JointSource, Y, known_mask, known_vals, root) -> np.n
     step = batch_rows(N)
     for s in range(0, B, step):
         rows = slice(s, s + step)
-        known = np.ascontiguousarray(known_vals[rows].T, dtype=np.uint8) & known_mask[:, None]
-        sums = _known_sums(known)
+        sums = _known_sums(known[:, rows])
         beta = sums[-1]  # only the root reads this level, before it writes it
         if root is not None:
-            _decode_node(table[Y[rows].T[perm]], root, sums, beta, J)
-        x[rows] = beta[perm].T  # the root's partial sums, x in bit-reversed order
+            _decode_node(table.take(Y[rows].T.take(perm, axis=0)), root, sums, beta, J)
+        x[rows] = beta.take(perm, axis=0).T  # the root's partial sums, x in bit-reversed order
     return x
 
 
@@ -287,20 +310,28 @@ def _flip_passes(source: JointSource, y, u: np.ndarray, known_mask: np.ndarray, 
     for i in candidates:
         mask = known_mask.copy()
         mask[: i + 1] = True
-        known = u.copy()
+        known = (u & mask)[:, None]
         known[i] ^= 1
-        yield _decode_chunks(source, y[None], mask, known[None], _compile(mask, root, i + 1))[0]
+        yield _decode_chunks(source, y[None], known, _compile(mask, root, i + 1))[0]
 
 
 def _llr_table(source: JointSource, Y: np.ndarray) -> np.ndarray:
-    """base_llr of every side symbol, checked against the symbols Y holds."""
+    """base_llr of every side symbol of nonzero probability, 0.0 for the others; Y's symbols are checked.
+
+    A symbol out of range, or of probability zero, in Y raises DomainError.
+    Y is searched only when the source has a symbol of probability zero;
+    otherwise its min and max, the range check, are all it costs.  A symbol
+    that Y does not hold can only raise max |table|, so _clamp_depth can
+    only fall, which runs clamps that are idle.
+    """
     if not source.field.is_binary:
         raise UnsupportedAlphabetError("decoder requires a binary source")
     if Y.size and (Y.min() < 0 or Y.max() >= source.y_size):
         raise DomainError("side symbol out of range")
-    seen = np.zeros(source.y_size, dtype=bool)
-    seen[Y] = True
-    return np.array([base_llr(source, y) if seen[y] else 0.0 for y in range(source.y_size)])
+    possible = source.p_y() > 0  # base_llr raises exactly where p_y is 0
+    if Y.size and not possible.all() and not possible.take(Y).all():
+        raise DomainError("an observed side symbol has probability zero")
+    return np.array([base_llr(source, y) if p else 0.0 for y, p in enumerate(possible)])
 
 
 def _clamp_depth(table: np.ndarray, n: int) -> int:
@@ -524,7 +555,7 @@ def _decode_node(L, node, sums, beta, J):
         h = 1 << (d - 1)
         mag = np.abs(L)
         mag = np.minimum(mag[:h], mag[h:])  # min(|a|, |b|): the guard's min |L|, and f's
-    if d == 0 or mag.min() > guard:
+    if d == 0 or np.minimum.reduce(mag, axis=None) > guard:
         hard = (L < -SC_TIE).view(np.uint8)
         if check is None or _parity_holds(hard, check, sums[d][lo:hi]):
             beta[lo:hi] = hard

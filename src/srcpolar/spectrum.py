@@ -307,9 +307,7 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int, *,
         raise UnsupportedAlphabetError("Monte-Carlo estimation requires q = 2")
     _check_count(samples, "samples", 1)
     rng = np.random.default_rng(_check_count(seed, "seed", 0))
-    # rng.choice's own cdf; JointSource has checked p more strictly than choice does
-    cdf = s.probs.reshape(-1).cumsum()
-    cdf /= cdf[-1]
+    cdf = _choice_cdf(s)
     table = _llr_table(s, np.flatnonzero(s.p_y() > 0))  # every side symbol a draw can hold
     cell_llrs = np.concatenate([table, table])  # cell x * y_size + y -> base_llr of y
     shared = (cdf, cell_llrs, bit_reverse_indices(n), _clamp_depth(table, n), _entropy)
@@ -328,6 +326,13 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int, *,
         samples=samples,
         seed=seed,
     )
+
+
+def _choice_cdf(s: JointSource) -> np.ndarray:
+    """rng.choice's own cdf of the joint cells x * y_size + y; JointSource has checked p more strictly than choice does."""
+    cdf = s.probs.reshape(-1).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _cells(uniforms: np.ndarray, cdf: np.ndarray) -> np.ndarray:

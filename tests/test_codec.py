@@ -198,6 +198,21 @@ class TestDecompress:
         x_hat = decompress_blocks(compress_blocks(X, hset), Y, hset, BSC011)
         assert x_hat.dtype == np.uint8 and np.array_equal(x_hat, X)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_payloads_must_be_bits(self, rng, bad):
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 16), 0.75)
+        P = compress_blocks(rng.integers(0, 2, (3, 16), dtype=np.uint8), hset).astype(type(bad))
+        P[1, 2] = bad
+        with pytest.raises(DomainError, match="known bits must be 0 or 1|whole numbers"):
+            decompress_blocks(P, None, hset, BER011)
+
+    def test_bool_and_whole_float_payloads_decode(self, rng):
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 16), 0.75)
+        P = compress_blocks(rng.integers(0, 2, (3, 16), dtype=np.uint8), hset)
+        want = decompress_blocks(P, None, hset, BER011)
+        for dtype in (bool, np.float64, np.float32):
+            assert np.array_equal(decompress_blocks(P.astype(dtype), None, hset, BER011), want)
+
     def test_read_path_runs_no_transform(self, rng, monkeypatch):
         # decode_batch returns x itself, so neither decompress_blocks nor
         # sw_decode_blocks, nor the crc32 check, may need a transform.
@@ -429,6 +444,27 @@ class TestContainer:
             compress_file(ShortReads(bytes(range(1, 20)), 2, 2, 2, 2, 3), hset)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("first_checksum", [False, True])
+    def test_mixed_versions_rejected(self, rng, first_checksum):
+        # compress_file writes one version per container; a reader row check keeps it so
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 64), 0.75)
+        X = rng.integers(0, 2, (3, 64), dtype=np.uint8)
+        for versions in ([first_checksum, not first_checksum], [first_checksum] * 2 + [not first_checksum]):
+            body = b"".join(compress(bits(x), hset, c).to_bytes() for x, c in zip(X, versions))
+            with pytest.raises(FormatError):
+                decompress_file(body + bytes(4), None, hset, BER011)
+
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_blocks_read_as_one_array(self, rng, checksum, monkeypatch):
+        # Only the first block is parsed on its own; the other 63 are checked against its header.
+        data = rng.integers(0, 256, 64 * 8, dtype=np.uint8).tobytes()
+        container = compress_file(io.BytesIO(data), FULL_RATE[64], checksum)
+        parse, parsed = CompressedBlock.from_bytes, []
+        monkeypatch.setattr(CompressedBlock, "from_bytes",
+                            staticmethod(lambda *a: parsed.append(1) or parse(*a)))
+        assert decompress_file(container, None, FULL_RATE[64], BER011) == data
+        assert len(parsed) <= 1
+
     def test_truncated_container_rejected(self):
         hset = FULL_RATE[16]
         container = bytes(compress_file(io.BytesIO(b"three"), hset, checksum=True))
@@ -476,6 +512,24 @@ class TestReaderFuzz:
         except SrcPolarError:
             return
         assert out == data
+
+    @pytest.mark.parametrize("N", [8, 64, 1024])
+    @pytest.mark.parametrize("blocks", [1, 2, 8])
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_bit_flip_in_a_shared_header_field(self, rng, N, blocks, checksum):
+        # Magic, version, n, fingerprint and payload bit count: 18 bytes every block repeats.
+        hset = READ_SETS[N]
+        data = rng.integers(0, 256, blocks * N // 8, dtype=np.uint8).tobytes()
+        container = bytes(compress_file(io.BytesIO(data), hset, checksum))
+        width = (len(container) - 4) // blocks
+        for pos in range(8 * 18 * blocks):
+            bad = bytearray(container)
+            bad[pos // 144 * width + pos % 144 // 8] ^= 1 << pos % 8
+            with pytest.raises((FormatError, FingerprintMismatchError)):
+                decompress_file(bytes(bad), None, hset, BER011)
+
+
+READ_SETS = {N: build_high_entropy_set(zbound_spectrum(BER011, N), 0.75) for N in (8, 64, 1024)}
 
 
 class TestSerialization:
