@@ -29,8 +29,12 @@ Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set,
 `compress_file` of 2 MiB of Ber(0.11) with crcs: the bulk_compress input
 (N=2^16, R=0.75), on every usable core and with the chunk pipeline's worker
 count patched to 1 (so the layer's gain and the threads' show apart; a
-checkout without the pipeline frames on one thread either way), and the
-same bytes at N=1024, R=0.7, and `decompress_file`
+checkout without the pipeline frames on one thread either way), the
+same bytes at N=1024, R=0.7, the first 1 MiB less 3 bytes of them at N=64,
+R=0.75 (many blocks per chunk, a short last block and a last group of
+eight blocks padded with zero blocks), and sideinfo_codec's compress, a
+2 KiB file (16 blocks) on the sideinfo_codec set, where the fixed cost of
+a call shows; and `decompress_file`
 of version 2 containers: one whose SC misses SC-Flip repairs, and one
 N=2^16 block with a payload bit flipped, which fails.  The read path also
 runs on the sideinfo_codec set with crcs and BSC(0.11) side files: CLI
@@ -191,7 +195,10 @@ def _write_cases(sp) -> dict:
     the two swsim sets (joint [0.76, 0.01, 0.04, 0.19], N=1024, R_x=0.5,
     R_y=0.85), and compress_file with checksum of 2 MiB of Ber(0.11): at
     N=2^16, R=0.75 (zbound), the bulk_compress input, and at N=1024, R=0.7
-    (zbound), where a chunk holds 1024 blocks and their headers.
+    (zbound), where a chunk holds 1024 blocks and their headers; of its
+    first 1 MiB less 3 bytes at N=64, R=0.75 (zbound), 131072 blocks, the
+    last one short; and of 2048 uniform bytes (seed 17) on the
+    sideinfo_codec set, the compress that workload runs.
     """
     import io
 
@@ -214,6 +221,12 @@ def _write_cases(sp) -> dict:
         if N == 1 << 16:
             cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum, one worker"] = (
                 lambda hset=hset: _one_worker(sp, lambda: sp.compress_file(io.BytesIO(raw), hset, True)))
+    n64 = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), 64), 0.75)
+    cases["compress_file, 1 MiB less 3 bytes Ber(0.11), N=64, R=0.75, checksum"] = (
+        lambda: sp.compress_file(io.BytesIO(raw[: (1 << 20) - 3]), n64, True))
+    small = np.random.default_rng(17).integers(0, 256, 2048, dtype=np.uint8).tobytes()
+    cases["compress_file, 2 KiB (16 blocks), sideinfo set, checksum"] = (
+        lambda: sp.compress_file(io.BytesIO(small), _sideinfo_set(sp), True))
     return cases
 
 

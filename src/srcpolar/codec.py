@@ -17,11 +17,14 @@ payloads as (blocks, k) arrays.
 The write path lays blocks out positions-major, (N, blocks), always in a
 copy of the input, and transform._forward_take runs the butterflies in
 its blocked order and takes the payloads at the bit-reversed kept
-positions.  compress_file writes a chunk's blocks as one byte array, a
-header template, a crc32 column and the payloads packed once per chunk,
-without building a CompressedBlock; its chunks are framed on every usable
-core through the ordered chunk pipeline (pipeline.ordered), so the bytes
-do not depend on the core count.  decompress_file reads a container the
+positions.  compress_file bit-slices each chunk, eight blocks to a byte,
+one per bit lane (_sliced), so the same transform call XORs eight blocks
+at once, and turns the kept rows back into packed payloads with the same
+8x8 bit transpose (_unsliced).  It writes a chunk's blocks as one byte
+array, a header template, a crc32 column and the payloads, without
+building a CompressedBlock; its chunks are framed on every usable core
+through the ordered chunk pipeline (pipeline.ordered), so the bytes do
+not depend on the core count.  decompress_file reads a container the
 same way: its blocks as one (blocks, header + payload) byte array whose
 rows must repeat the first block's header, every payload from one
 unpackbits and every crc32 checked from one packbits of the decoded rows
@@ -51,9 +54,10 @@ MAGIC = b"PLSC"
 VERSION_PLAIN = 1
 VERSION_CRC = 2
 _PAD_TRAILER = 4  # u32 LE count of zero pad bits appended before encoding
-# Input bits of the chunks compress_file frames at once, in all, rounded to
-# whole blocks and bytes; bounds its memory whatever the file size.
-COMPRESS_BITS = 1 << 20
+# Bytes of the chunks compress_file frames at once, in all, which is the size
+# of their bit-sliced arrays, rounded to whole blocks; bounds its memory
+# whatever the file size.
+COMPRESS_BYTES = 1 << 19
 # Decisions SC-Flip tries to flip, one per pass, in a version 2 block whose crc32 fails.
 FLIP_TRIES = 16
 
@@ -139,19 +143,19 @@ def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray
     The calling thread reads the chunks, each a whole number of blocks and
     of bytes, and the chunk pipeline (pipeline.ordered) frames them in
     order (_framed_chunk), so the container is the same whatever the core
-    count.  The chunks being framed at once hold about COMPRESS_BITS bits
-    in all, and at least one block each: with w workers a chunk holds about
-    COMPRESS_BITS / w bits, and no more workers run than COMPRESS_BITS
-    holds whole blocks.
+    count.  The chunks being framed at once hold about COMPRESS_BYTES bytes
+    in all, the size of their bit-sliced arrays, and at least one block
+    each: with w workers a chunk holds about COMPRESS_BYTES / w bytes, and
+    no more workers run than COMPRESS_BYTES holds whole blocks.
     """
     N = hset.N
-    unit = max(N, 8)  # a whole number of blocks and of bytes
-    units = max(1, COMPRESS_BITS // unit)
+    unit = max(N, 8) // 8  # bytes of a whole number of blocks
+    units = max(1, COMPRESS_BYTES // unit)
     workers = min(pipeline._workers(), units)
-    chunk_bytes = unit * (units // workers) // 8
+    chunk_bytes = unit * (units // workers)
     version, n, k = (VERSION_CRC if checksum else VERSION_PLAIN), N.bit_length() - 1, len(hset.indices)
     head = np.frombuffer(_header(version, n, hset.fingerprint, k, 0 if checksum else None), dtype=np.uint8)
-    kept, pad = _kept_rows(hset.mask), 0  # the take index, once per file
+    kept, pad = _kept_rows(hset.mask, min(n, 3)), 0  # the take index of a sliced chunk (_sliced), once per file
 
     def chunks():
         nonlocal pad
@@ -171,32 +175,94 @@ def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray
 def _framed_chunk(raw: bytes, N: int, head: np.ndarray, kept: np.ndarray, checksum: bool) -> np.ndarray:
     """The blocks of one chunk of file bytes as a (blocks, header + payload) uint8 array, zero-padded to whole blocks.
 
-    The chunk is laid out positions-major, (N, blocks), transformed in one
-    call, and its payloads packed with one packbits; a block's crc32 is taken
-    from its source bytes, which are packbits of its bits, and written into
-    the header template head.  kept is transform._kept_rows of the set's mask.
+    The chunk is bit-sliced (_sliced): blocks 8g..8g+7 share column g of an
+    (N, groups) uint8 array, one bit lane each, so one transform call runs
+    every butterfly on eight blocks per byte.  An XOR acts on each bit
+    alone, so every lane gets the bits its block alone would.  The kept
+    rows are unsliced (_unsliced) into each block's packed payload, and the
+    zero blocks that fill the last group are dropped.  A block's crc32 is
+    taken from its source bytes, which are packbits of its bits, and
+    written into the header template head.  kept is transform._kept_rows of
+    the set's mask, for the sliced row order.
     """
     data = np.frombuffer(raw, dtype=np.uint8)
-    pad = -8 * data.size % N
-    # The chunk goes to _forward_take without a name, so it is freed once its transposed copy exists.
-    if N >= 8:  # whole bytes per block: unpack the transposed bytes, no bit gather
-        if pad:
-            data = np.concatenate([data, np.zeros(pad // 8, dtype=np.uint8)])
-        source = data.reshape(-1, N // 8)
-        payloads = _forward_take(_GF2, np.unpackbits(np.ascontiguousarray(source.T), axis=0), kept)
-    else:
-        X = np.concatenate([np.unpackbits(data), np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
-        source = np.packbits(X, axis=1)
-        payloads = _forward_take(_GF2, np.ascontiguousarray(X.T), kept)
-    # packbits along a row-major copy: along the (blocks, k) view itself it is about 5x slower
-    payloads = np.packbits(np.ascontiguousarray(payloads), axis=1)
-    rows = np.empty((len(source), head.size + payloads.shape[1]), dtype=np.uint8)
+    B = -(-8 * data.size // N)  # blocks, the last one zero-padded
+    if data.size % N:  # N bytes hold a group of eight blocks
+        data = np.concatenate([data, np.zeros(-data.size % N, dtype=np.uint8)])
+    # The sliced chunk goes to _forward_take without a name, so it is freed once its transposed copy exists.
+    payloads = _unsliced(_forward_take(_GF2, _sliced(data, N), kept))
+    G, _, K = payloads.shape
+    rows = np.empty((8 * G, head.size + K), dtype=np.uint8)
     rows[:, : head.size] = head
+    rows.reshape(G, 8, -1)[:, :, head.size :] = payloads
+    rows = rows[:B]
     if checksum:
-        crcs = np.fromiter(map(zlib.crc32, source), dtype="<u4", count=len(source))
+        source = data.reshape(-1, N // 8) if N >= 8 else np.packbits(np.unpackbits(data).reshape(-1, N), axis=1)
+        crcs = np.fromiter(map(zlib.crc32, source[:B]), dtype="<u4", count=B)
         rows[:, head.size - 4 : head.size] = crcs.view(np.uint8).reshape(-1, 4)
-    rows[:, head.size :] = payloads
     return rows
+
+
+# The rounds of Hacker's Delight's transpose8 on uint64 words, byte i holding row i of an 8x8 bit
+# matrix and its bit j column j: swap the off-diagonal 1x1, then 2x2, then 4x4 blocks.  Each is
+# (shift, mask, 2^shift + 1): the masked bits and the same bits shifted never overlap, so one
+# multiply forms t ^ (t << shift).
+_TRANSPOSE8 = tuple((np.uint64(s), np.uint64(m), np.uint64((1 << s) + 1))
+                    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
+
+def _transpose8(w: np.ndarray) -> np.ndarray:
+    """Transpose the 8x8 bit matrix in each uint64 of w in place, row i in byte i (little endian).
+
+    Five in-place passes per round, and no temporary but one array like w.
+    """
+    t = np.empty_like(w)
+    for s, m, spread in _TRANSPOSE8:
+        np.right_shift(w, s, out=t)
+        t ^= w
+        t &= m
+        t *= spread
+        w ^= t
+    return w
+
+
+def _sliced(data: np.ndarray, N: int) -> np.ndarray:
+    """The blocks of length N that data's bits make, bit-sliced: an (N, groups) uint8 array, positions major.
+
+    data holds whole groups of eight blocks, N bytes each.  Bit t of column
+    g holds block 8g + t.  The rows hold the positions with their low
+    min(n, 3) index bits on top (transform._blocked_rows' low): for N >= 8,
+    row r N/8 + m holds position 8m + r, so the copy that lays them out
+    runs inner loops of N/8 groups bytes; below 8 it is the natural order.
+    For N >= 8, byte m of the eight blocks of a group makes one uint64
+    whose 8x8 bit transpose holds position 8m + r of every block in byte
+    7 - r, block t in bit t.  Below 8, packbits across the blocks slices
+    them.
+    """
+    G = data.size // N
+    if N < 8:
+        X = np.unpackbits(data).reshape(G, 8, N)
+        return np.packbits(X, axis=1, bitorder="little").reshape(G, N).T.copy()
+    words = data.reshape(G, 8, N // 8).transpose(2, 0, 1).copy()  # (byte, group, block in group)
+    _transpose8(words.view("<u8"))
+    return np.ascontiguousarray(words[:, :, ::-1].transpose(2, 0, 1)).reshape(N, G)
+
+
+def _unsliced(P: np.ndarray) -> np.ndarray:
+    """The (groups, k) bit-sliced payloads P as each lane's packed payload bytes, a (groups, 8, ceil(k/8)) view.
+
+    P is _forward_take's result, a transposed view of a C-ordered (k,
+    groups) array.  Payload bits 8m..8m+7 of a group, padded with zeros,
+    make one uint64, bit 8m + r in byte 7 - r, whose 8x8 bit transpose
+    holds byte m of each lane's packed payload, lane t in byte t.
+    """
+    G, k = P.shape
+    U = P.T
+    if k % 8:
+        U = np.concatenate([U, np.zeros((-k % 8, G), dtype=np.uint8)])
+    words = U.reshape(-1, 8, G)[:, ::-1].transpose(0, 2, 1).copy()  # (payload byte, group, bit in byte)
+    _transpose8(words.view("<u8"))
+    return words.transpose(1, 2, 0)
 
 
 def decompress(block: CompressedBlock, y, hset: HighEntropySet, source: JointSource) -> SymbolBlock:

@@ -12,7 +12,10 @@ _forward_take uses that on a positions-major (N, B) chunk, where a stage's
 inner loops run over h*B adjacent bytes: it runs the stages of the top
 half of the index bits, copies the chunk once with those bits moved to
 the bottom (a transpose of whole rows, as in the "four-step" FFT), and
-runs the other half there, so no stage runs short loops.  _kron_rows
+runs the other half there, so no stage runs short loops.  Every stage
+applies the same kernel to one index bit, so the stages also compute v
+on a chunk whose rows hold the positions with their index bits rotated,
+as a bit-sliced one does; _kept_rows then finds the payloads.  _kron_rows
 keeps the natural order, h = N/2 down to 1, in place: the transposing
 copy would double the peak memory of _forward_rows and _inverse_rows.
 """
@@ -146,25 +149,36 @@ def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = No
 
 
 @lru_cache(maxsize=None)
-def _blocked_rows(n: int) -> np.ndarray:
+def _blocked_rows(n: int, low: int = 0) -> np.ndarray:
     """Row of _forward_take's transposed copy that holds v[rev(i)], for each position i of u.
 
     With a = n // 2 and b = n - a, the copy holds natural position p*2^b + q
     at row q*2^a + p.  Write i = s*2^a + t: then rev(i) = rev_a(t)*2^b + rev_b(s),
     at row rev_b(s)*2^a + rev_a(t).
+
+    With low, V's rows hold x with its low `low` index bits on top, as a
+    bit-sliced chunk does (codec._sliced): row rotr(p) holds position p,
+    rotated right by low bits within n.  Every stage applies the same kernel
+    F to one index bit, so the stages compute v = x F^(kron n) in that order
+    too, and v[rev(i)] sits at row rotr(rev(i)) = rev(rotl(i)): where the
+    natural layout holds u at rotl(i).
     """
     a, b = n // 2, n - n // 2
     rows = (bit_reverse_indices(b)[:, None] << a | bit_reverse_indices(a)).ravel()
+    if low:  # entry i = p 2^(n-low) + q takes the natural entry rotl(i) = q 2^low + p
+        rows = rows.reshape(-1, 1 << low).T.ravel()
     rows.setflags(write=False)
     return rows
 
 
-def _kept_rows(mask: np.ndarray) -> np.ndarray:
+def _kept_rows(mask: np.ndarray, low: int = 0) -> np.ndarray:
     """The rows of _forward_take's transposed copy that hold the positions a boolean mask over N keeps, in order.
 
-    A caller that takes the same positions of many chunks computes this once.
+    low is _blocked_rows': the rows of V hold x with its low `low` index
+    bits on top.  A caller that takes the same positions of many chunks
+    computes this once.
     """
-    return _blocked_rows(mask.size.bit_length() - 1)[mask]
+    return _blocked_rows(mask.size.bit_length() - 1, low)[mask]
 
 
 def _forward_take(field: FieldSpec, V: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -186,11 +186,11 @@ class TestCompressPipeline:
             assert (tmp_path / "out.bin").read_bytes() == data
 
     @pytest.mark.parametrize(
-        "N, chunk_bits", [(64, 1), (64, 192), (64, codec.COMPRESS_BITS), (4, 12), (2, 1)]
+        "N, chunk_bytes", [(64, 1), (64, 192), (64, codec.COMPRESS_BYTES), (4, 12), (2, 1)]
     )
-    def test_chunked_container_matches_per_block_compress(self, tmp_path, monkeypatch, N, chunk_bits):
+    def test_chunked_container_matches_per_block_compress(self, tmp_path, monkeypatch, N, chunk_bytes):
         # 1001 bytes: many chunks, and the last block is partial for every N here
-        data = np.random.default_rng(N + chunk_bits).integers(0, 256, 1001, dtype=np.uint8)
+        data = np.random.default_rng(N + chunk_bytes).integers(0, 256, 1001, dtype=np.uint8)
         (tmp_path / "in.bin").write_bytes(data.tobytes())
         m = self._freeze(tmp_path, N=N, R=0.75)
         hset = HighEntropySet.from_manifest(json.loads(m.read_text()))
@@ -201,7 +201,7 @@ class TestCompressPipeline:
             compress(SymbolBlock(JointSource.bernoulli(0.11).field, x), hset, checksum=True).to_bytes()
             for x in blocks
         ) + pad.to_bytes(4, "little")
-        monkeypatch.setattr(codec, "COMPRESS_BITS", chunk_bits)
+        monkeypatch.setattr(codec, "COMPRESS_BYTES", chunk_bytes)
         assert run(
             "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
             "--out", str(tmp_path / "c.plsc"), "--checksum",

@@ -361,7 +361,7 @@ class TestContainer:
     @pytest.mark.parametrize("checksum", [False, True])
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64])
     def test_container_is_the_block_stream_and_pad_trailer(self, rng, N, checksum, workers, chunks, monkeypatch):
-        # COMPRESS_BITS of 4 blocks (4 bytes below N = 8), split into chunks of
+        # COMPRESS_BYTES of 4 blocks (4 bytes below N = 8), split into chunks of
         # 4 // workers of them, workers capped at 4: the file spans one chunk,
         # two, or many, the last one short where a chunk holds more than a
         # byte, and padded where N is more than 8.  The chunks are framed on
@@ -373,7 +373,7 @@ class TestContainer:
                 asked.append(n)
                 return super().read(n)
 
-        monkeypatch.setattr(codec, "COMPRESS_BITS", 4 * max(N, 8))
+        monkeypatch.setattr(codec, "COMPRESS_BYTES", max(N, 8) // 2)
         monkeypatch.setattr(pipeline, "_workers", lambda: workers)
         chunk_bytes, asked = max(N, 8) * (4 // min(workers, 4)) // 8, []
         size = 101 if chunks == "many" else (chunks - 1) * chunk_bytes + max(1, chunk_bytes // 2 - 1)
@@ -390,11 +390,11 @@ class TestContainer:
         assert set(asked) == {chunk_bytes}
 
     def test_block_beyond_the_budget_is_one_chunk_framed_inline(self, rng, monkeypatch):
-        # Blocks of 64 bits against a budget of 32: one block per chunk, and no
+        # Blocks of 8 bytes against a budget of 4: one block per chunk, and no
         # more cores framing than the budget holds whole blocks, that is one.
         import concurrent.futures
 
-        monkeypatch.setattr(codec, "COMPRESS_BITS", 32)
+        monkeypatch.setattr(codec, "COMPRESS_BYTES", 4)
         monkeypatch.setattr(pipeline, "_workers", lambda: 4)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         hset, data = FULL_RATE[64], rng.integers(0, 256, 37, dtype=np.uint8)
@@ -403,11 +403,12 @@ class TestContainer:
         assert compress_file(io.BytesIO(data.tobytes()), hset) == want
 
     def test_chunk_freed_once_transposed(self):
-        # 2 MiB of Ber(0.11) at N=2^16, in chunks of 16 blocks framed one at a
-        # time on one core, or of 16 // w blocks framed w at a time on w cores:
-        # 1 MiB of uint8 bits in all.  Kept alive beside its transposed copy,
-        # one chunk of 16 blocks raises the peak to 5.0 MiB; 4.31 MiB is the
-        # peak of the natural stage order.
+        # 2 MiB of Ber(0.11) at N=2^16, bit-sliced in chunks of 64 blocks
+        # (512 KiB) framed one at a time on one core, or of 64 // w blocks framed
+        # w at a time on w cores: 512 KiB of sliced bytes in all.  The peak is
+        # 3.2-3.8 MiB on 1-4 cores; 4.31 MiB was the peak of the natural stage
+        # order on chunks of one uint8 per bit.  The one-core test below bounds
+        # a chunk kept alive beside its transposed copy.
         hset = build_high_entropy_set(zbound_spectrum(BER011, 1 << 16), 0.75)
         rng = np.random.default_rng(13)
         raw = b"".join(np.packbits(rng.random(1 << 20) < 0.11).tobytes() for _ in range(16))
@@ -420,6 +421,58 @@ class TestContainer:
         finally:
             tracemalloc.stop()
         assert peak <= 4.31 * 2**20
+
+    def test_sliced_chunk_freed_once_transposed(self, monkeypatch):
+        # The same file framed inline on one core, in chunks of 128 blocks
+        # (1 MiB): the peak is 5.1 MiB, and a sliced chunk kept alive beside its
+        # transposed copy raises it to 6.1 MiB.
+        monkeypatch.setattr(pipeline, "_workers", lambda: 1)
+        monkeypatch.setattr(codec, "COMPRESS_BYTES", 1 << 20)
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 1 << 16), 0.75)
+        rng = np.random.default_rng(13)
+        raw = b"".join(np.packbits(rng.random(1 << 20) < 0.11).tobytes() for _ in range(16))
+        compress_file(io.BytesIO(raw), hset, checksum=True)  # fills the index caches
+        fh = io.BytesIO(raw)
+        tracemalloc.start()
+        try:
+            compress_file(fh, hset, checksum=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.6 * 2**20
+
+    @pytest.mark.parametrize("budget", ["default", "3 blocks"])
+    @pytest.mark.parametrize("one_worker", [False, True])
+    @pytest.mark.parametrize("checksum", [False, True])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64, 1024, 1 << 16])
+    def test_sliced_container_is_the_per_block_reference(self, N, checksum, one_worker, budget, monkeypatch):
+        # compress_file slices eight blocks into each byte; the reference
+        # compresses each block alone from its unpacked bits (compress_blocks),
+        # with its _header and the crc32 of its source bytes.  Files of 1, 7, 8,
+        # 9 and 17 blocks, whole or with a short last block, at a rate whose k
+        # is not a multiple of 8 for N >= 8; with "3 blocks", chunks of three
+        # blocks or fewer leave lanes of zero blocks in every group.
+        if one_worker:
+            monkeypatch.setattr(pipeline, "_workers", lambda: 1)
+        if budget == "3 blocks":
+            monkeypatch.setattr(codec, "COMPRESS_BYTES", 3 * max(N, 8) // 8)
+        hset = build_high_entropy_set(zbound_spectrum(BER011, N), 0.7)
+        k, version = len(hset.indices), codec.VERSION_CRC if checksum else codec.VERSION_PLAIN
+        assert N < 8 or k % 8
+        rng = np.random.default_rng([N, checksum])
+        sizes = {-(-blocks * N // 8) - short for blocks in (1, 7, 8, 9, 17) for short in ((0, 1) if N >= 16 else (0,))}
+        for size in sorted(sizes):
+            data = rng.integers(0, 256, size, dtype=np.uint8)
+            flat = np.unpackbits(data)
+            pad = -flat.size % N
+            X = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
+            want = b"".join(
+                codec._header(version, N.bit_length() - 1, hset.fingerprint, k,
+                              zlib.crc32(np.packbits(x).tobytes()) if checksum else None)
+                + np.packbits(p).tobytes()
+                for x, p in zip(X, compress_blocks(X, hset))
+            ) + pad.to_bytes(4, "little")
+            assert bytes(compress_file(io.BytesIO(data.tobytes()), hset, checksum)) == want, size
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_short_reads_never_pad_inside_the_file(self, workers, monkeypatch):
@@ -481,6 +534,33 @@ class TestContainer:
         for bad in (side[:-1], side[:16], np.concatenate([side, side[:16]])):
             with pytest.raises(FormatError):
                 decompress_file(container, bad.tobytes(), hset, BSC011)
+
+
+class TestBitSlicing:
+    def test_transpose8_is_an_involution_and_a_bit_transpose(self, rng):
+        # every single-bit word, all zeros, all ones and random words; row i is byte i, column j bit j
+        words = np.concatenate([np.uint64(1) << np.arange(64, dtype=np.uint64),
+                                np.array([0, 2**64 - 1], dtype=np.uint64),
+                                rng.integers(0, 2**63, 200, dtype=np.uint64) * np.uint64(2) + np.uint64(1)])
+        w = words.view("<u8").copy()
+        matrices = np.unpackbits(w.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little").reshape(-1, 8, 8)
+        codec._transpose8(w)
+        got = np.unpackbits(w.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little").reshape(-1, 8, 8)
+        assert np.array_equal(got, matrices.transpose(0, 2, 1))
+        codec._transpose8(w)
+        assert np.array_equal(w, words)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 1024])
+    def test_sliced_layout(self, rng, N):
+        # bit t of column g is block 8g + t; row r N/8 + m holds position 8m + r (natural order below 8)
+        G = 3
+        data = rng.integers(0, 256, G * N, dtype=np.uint8)
+        X = np.unpackbits(data).reshape(G, 8, N)
+        natural = np.packbits(X, axis=1, bitorder="little").reshape(G, N).T
+        i = np.arange(N)
+        low = min(N.bit_length() - 1, 3)
+        rows = (i & ((1 << low) - 1)) * (N >> low) + (i >> low)
+        assert np.array_equal(codec._sliced(data, N)[rows], natural)
 
 
 class TestReaderFuzz:

@@ -721,6 +721,21 @@ class TestExactShortcuts:
         want = scdec._genie_llrs(table[Y], sums, -1)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("order", ["C", "F", "column slice"])
+    @pytest.mark.parametrize("N, B", [(1, 3), (8, 1), (1024, 3), (2048, 1)])
+    def test_known_sums_levels(self, N, B, order):
+        # sums[d] is every aligned block of 2^d positions times F^(kron d), for known in any
+        # memory order, as the chunk loop's column slices of the known bits are
+        u = np.random.default_rng([N, B]).integers(0, 2, (N, 2 * B), dtype=np.uint8)
+        known = {"C": np.ascontiguousarray(u[:, :B]), "F": np.asfortranarray(u[:, :B]), "column slice": u[:, ::2]}[order]
+        sums = scdec._known_sums(known)
+        assert len(sums) == N.bit_length() and sums[0] is known
+        for d, level in enumerate(sums):
+            want = known.T.reshape(B, N >> d, 1 << d).copy()
+            for h in (1 << s for s in range(d)):
+                _stage(FieldSpec.binary(), want, h)
+            assert np.array_equal(level, want.reshape(B, N).T), d
+
     @pytest.mark.parametrize("N", [1, 2, 8, 256])
     def test_sums_from_x_are_the_known_sums_of_u(self, N):
         # the genie's partial sums straight from x equal _known_sums of u = x G_N, level by level
