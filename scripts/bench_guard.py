@@ -10,11 +10,18 @@
         --note TEXT [--claim WORKLOAD METRIC]
 
 P and C are source checkouts (each with perfbench/ and src/).  `pairs` runs
-`perfbench/run.py --workload W --seed S --seconds 20 --trace 0` in both,
-once per seed, swapping which runs first from one seed to the next, and
-appends one JSON line per run to the log.  `setup` times workload W's
-construction (`perfbench/construct.py` with W's spec, the code build that
-`setup_s` times) in fresh interpreters, once per side and round, swapping
+BENCHMARK.json's command, `perfbench/run.py`, with `--workload W --seed S
+--seconds 20 --trace 0` in both, once per seed, swapping which runs first
+from one seed to the next, and appends one JSON line per run to the log.
+Like the benchmark itself, it starts the command's launcher (`python3`)
+as found on PATH, not this process's own interpreter (sys.executable):
+how the interpreter is started can move the measured metrics.  On PATH
+the launcher may be a version manager's shim; under pyenv, a process the
+shim started finds the version's own bin directory first on PATH, so it
+resolves to the interpreter the shim would run, in the shim's environment.
+`setup` times workload W's construction (`perfbench/construct.py` with
+W's spec, the code build that `setup_s` times) in fresh interpreters
+started by the same launcher, once per side and round, swapping
 which side runs first from one round to the next; round k builds with seed
 k + 1, and both sides must build the same digest.  It prints medians,
 quartiles and the rounds the change wins; `setup_s` is not normalised for
@@ -54,7 +61,8 @@ BENCHMARK.json (medians, quartiles, wins per pair, each against its
 bound), runs `decoder` once in each checkout, `ab` and `rss` once and
 `setup` (10 rounds) once per logged workload, and writes the evidence
 file, with the number of cores this process may run on, which is the
-chunk pipeline's worker count.
+chunk pipeline's worker count, and the launcher the logged runs were
+started with.
 TEXT says what the change does; --claim names the one workload and metric
 it claims a gain on, if any.  Every measurement runs in a child process.
 """
@@ -65,6 +73,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -91,14 +100,23 @@ SPEC_CODE = ("import json, pathlib, sys; sys.path[:0] = ['perfbench', 'src']; fr
              ".construction('rep0')))")
 
 
+@functools.cache
+def _launcher() -> str:
+    """The path of BENCHMARK.json's command[0] on PATH: the interpreter the benchmark itself starts."""
+    name = json.loads(BENCHMARK.read_text())["command"][0]
+    if (path := shutil.which(name)) is None:
+        raise SystemExit(f"{name}, BENCHMARK.json's launcher, is not on PATH")
+    return path
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+    proc = subprocess.run([_launcher(), "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     metrics = {k: v["value"] for k, v in result.get("metrics", {}).items()}
-    return {"exit": proc.returncode, "correct": result.get("correct"),
+    return {"launcher": _launcher(), "exit": proc.returncode, "correct": result.get("correct"),
             "attempted": result.get("attempted"), "failed": result.get("failed"), **metrics}
 
 
@@ -121,11 +139,11 @@ def _setup(parent: Path, change: Path, workload: str, rounds: int) -> dict:
     times = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as work:
         for k in range(rounds):
-            spec = subprocess.run([sys.executable, "-c", SPEC_CODE, workload, str(k + 1), work],
+            spec = subprocess.run([_launcher(), "-c", SPEC_CODE, workload, str(k + 1), work],
                                   cwd=sides["change"], capture_output=True, text=True, check=True).stdout
             digests = {}
             for side in (["parent", "change"] if k % 2 == 0 else ["change", "parent"]):
-                proc = subprocess.run([sys.executable, "perfbench/construct.py", spec.strip()],
+                proc = subprocess.run([_launcher(), "perfbench/construct.py", spec.strip()],
                                       cwd=sides[side], capture_output=True, text=True, check=True)
                 doc = json.loads(proc.stdout.strip().splitlines()[-1])
                 times[side].append(doc["setup_s"])
@@ -553,7 +571,7 @@ def cmd_write(args) -> None:
                            "--workload", wl, "--rounds", str(SETUP_ROUNDS))
              for wl in sorted({r["workload"] for r in runs})}
     env = json.loads(subprocess.run(
-        [sys.executable, "-c", "import sys; sys.path.insert(0, 'perfbench'); import run, json; "
+        [_launcher(), "-c", "import sys; sys.path.insert(0, 'perfbench'); import run, json; "
          "print(json.dumps(run.environment()))"],
         cwd=sides["change"], capture_output=True, text=True, check=True).stdout)
     workloads = summarise(runs)
@@ -577,6 +595,10 @@ def cmd_write(args) -> None:
         "command": ("python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0, run in a "
                     "checkout of the parent and of the change, alternating which runs first "
                     "(python3 scripts/bench_guard.py pairs)"),
+        "launcher": {"what": "the path BENCHMARK.json's launcher resolved to on PATH, which started the "
+                             "logged runs, and the one that started the setup rounds and env",
+                     "runs": sorted({r.get("launcher", "not recorded") for r in runs}),
+                     "setup": _launcher()},
         "env": env,
         "workers": {"what": "cores this process may run on (os.sched_getaffinity): the chunk pipeline's "
                             "worker count for Monte-Carlo construction and compress_file",

@@ -26,13 +26,14 @@ building a CompressedBlock; its chunks are framed on every usable core
 through the ordered chunk pipeline (pipeline.ordered), so the bytes do
 not depend on the core count.  decompress_file reads a container the
 same way: its blocks as one (blocks, header + payload) byte array whose
-rows must repeat the first block's header, every payload from one
-unpackbits and every crc32 checked from one packbits of the decoded rows
-(_read_blocks, _check_crcs).  The payloads are scattered straight into
-the decoder's positions-major known bits (scdec._decode_known).  A
-version 2 block whose crc32 fails is decoded again by SC-Flip
-(_flip_repair), through the decoder's chunk loop (scdec._sc_flips); the
-reference decoder never runs.
+rows must repeat the first block's header, and every payload from one
+unpackbits (_read_blocks).  Every reader, decompress, decompress_file
+and sw_decode (y alone, then x given the restored y), restores through
+_restore: the payloads are scattered straight into the decoder's
+positions-major known bits (scdec._decode_known), every crc32 is checked
+from one packbits of the decoded rows, and a version 2 block whose crc32
+fails is decoded again by SC-Flip, through the decoder's chunk loop
+(scdec._sc_flips); the reference decoder never runs.
 """
 
 import zlib
@@ -117,7 +118,7 @@ def compress(x: SymbolBlock, hset: HighEntropySet, checksum: bool = False) -> Co
     version = VERSION_CRC if checksum else VERSION_PLAIN
     return CompressedBlock(version, hset.N.bit_length() - 1, hset.fingerprint,
                            compress_blocks(x.data.reshape(1, -1), hset)[0],
-                           _crc(x.data) if checksum else None)
+                           int(_crcs(np.packbits(x.data)[None])[0]) if checksum else None)
 
 
 def compress_blocks(X, hset: HighEntropySet) -> np.ndarray:
@@ -198,9 +199,13 @@ def _framed_chunk(raw: bytes, N: int, head: np.ndarray, kept: np.ndarray, checks
     rows = rows[:B]
     if checksum:
         source = data.reshape(-1, N // 8) if N >= 8 else np.packbits(np.unpackbits(data).reshape(-1, N), axis=1)
-        crcs = np.fromiter(map(zlib.crc32, source[:B]), dtype="<u4", count=B)
-        rows[:, head.size - 4 : head.size] = crcs.view(np.uint8).reshape(-1, 4)
+        rows[:, head.size - 4 : head.size] = _crcs(source[:B]).view(np.uint8).reshape(-1, 4)
     return rows
+
+
+def _crcs(rows: np.ndarray) -> np.ndarray:
+    """The crc32 of each row of a (blocks, bytes) uint8 array, as a little-endian uint32 column."""
+    return np.fromiter(map(zlib.crc32, rows), dtype="<u4", count=len(rows))
 
 
 # The rounds of Hacker's Delight's transpose8 on uint64 words, byte i holding row i of an 8x8 bit
@@ -268,10 +273,7 @@ def _unsliced(P: np.ndarray) -> np.ndarray:
 def decompress(block: CompressedBlock, y, hset: HighEntropySet, source: JointSource) -> SymbolBlock:
     """Reconstruction of x from one block's payload and side block y."""
     Y = None if y is None else np.asarray(y).reshape(1, -1)
-    P, crcs = _payload(block, hset)
-    x_hat = decompress_blocks(P, Y, hset, source)
-    _check_crcs(crcs, x_hat, Y, hset, source)
-    return SymbolBlock(source.field, x_hat[0])
+    return SymbolBlock(source.field, _restore(*_payload(block, hset), Y, hset, source)[0])
 
 
 def decompress_file(container: bytes, side, hset: HighEntropySet, source: JointSource) -> bytes:
@@ -292,9 +294,7 @@ def decompress_file(container: bytes, side, hset: HighEntropySet, source: JointS
     if side is not None and len(side) != B * N:
         raise FormatError("side-information length does not match the container")
     Y = None if side is None else np.frombuffer(side, dtype=np.uint8).reshape(B, N)
-    x_hat = decompress_blocks(P, Y, hset, source)
-    _check_crcs(crcs, x_hat, Y, hset, source)
-    x = x_hat.ravel()
+    x = _restore(P, crcs, Y, hset, source).ravel()
     if x[x.size - pad :].any():
         raise FormatError(f"pad trailer {pad} drops bits that are not zero padding")
     return np.packbits(x[: x.size - pad]).tobytes()
@@ -350,55 +350,39 @@ def decompress_blocks(P, Y, hset: HighEntropySet, source: JointSource) -> np.nda
     return _decode_known(source, Y, hset.mask, P)
 
 
-def _payload(blk: CompressedBlock, hset: HighEntropySet) -> tuple[np.ndarray, list | None]:
+def _payload(blk: CompressedBlock, hset: HighEntropySet) -> tuple[np.ndarray, np.ndarray | None]:
     """A wire block's (1, k) payload, checked against hset's fingerprint, N and k, and its crc32 column.
 
-    The column is [crc] for a version 2 block and None for a version 1 block.
+    The column is the uint32 column [crc] for a version 2 block and None for a version 1 block.
     """
     if blk.fingerprint != hset.fingerprint:
         raise FingerprintMismatchError(f"fingerprint {blk.fingerprint} != {hset.fingerprint}")
     if blk.N != hset.N or len(blk.payload) != len(hset.indices):
         raise FormatError(f"block (N={blk.N}, {len(blk.payload)} bits) does not fit the set")
-    return np.reshape(blk.payload, (1, -1)), [blk.crc] if blk.version == VERSION_CRC else None
+    return np.reshape(blk.payload, (1, -1)), np.array([blk.crc], "<u4") if blk.version == VERSION_CRC else None
 
 
-def _check_crcs(crcs, x_hat: np.ndarray, Y=None, hset: HighEntropySet | None = None,
-                source: JointSource | None = None) -> None:
-    """Check each row of x_hat against its crc32 in crcs, None where the blocks are version 1.
+def _restore(P, crcs, Y, hset: HighEntropySet, source: JointSource) -> np.ndarray:
+    """x from the (blocks, k) payloads P and side blocks Y, each row checked against its crc32 in crcs.
 
-    The crc32s of every row come from one packbits of x_hat.  Given the
-    decode's side blocks Y, hset and source, the rows that fail are repaired
-    in place by _flip_repair; without them, or where a row is not repaired,
-    FormatError is raised.
+    crcs is a uint32 column, or None for version 1 blocks, which come back
+    unchecked.  A row that fails is replaced by the first SC-Flip pass
+    (scdec._sc_flips, FLIP_TRIES of them) whose crc32 matches; the first
+    row that no pass repairs raises FormatError.
     """
+    x_hat = decompress_blocks(P, Y, hset, source)
     if crcs is None:
-        return
-    got = np.fromiter(map(zlib.crc32, np.packbits(x_hat, axis=1)), dtype=np.uint32, count=len(x_hat))
-    bad = np.flatnonzero(got != crcs)
-    if bad.size and source is None:
-        raise FormatError("checksum mismatch after decompression")
-    if bad.size:
-        Y = None if Y is None else Y[bad]
-        x_hat[bad] = _flip_repair(x_hat[bad], Y, [crcs[b] for b in bad], hset, source)
-
-
-def _flip_repair(X: np.ndarray, Y, crcs: list, hset: HighEntropySet, source: JointSource) -> np.ndarray:
-    """SC-Flip: the rows of X, SC's decodings whose crc32 is not crcs, each replaced by a matching flip pass.
-
-    Row b's passes decode again with one decision flipped, for the
-    FLIP_TRIES unknown positions of smallest decision |llr| (scdec._sc_flips),
-    and the first x whose crc32 is crcs[b] replaces the row.  The first row
-    that no pass repairs raises FormatError.
-    """
-    for x, crc, passes in zip(X, crcs, _sc_flips(source, Y, X, hset.mask, FLIP_TRIES)):
-        if (x_flip := next((v for v in passes if _crc(v) == crc), None)) is None:
+        return x_hat
+    bad = np.flatnonzero(_crcs(np.packbits(x_hat, axis=1)) != crcs)
+    if not bad.size:  # rows that pass cost no SC-Flip set-up
+        return x_hat
+    flips = _sc_flips(source, None if Y is None else Y[bad], x_hat[bad], hset.mask, FLIP_TRIES)
+    for b, passes in zip(bad, flips):
+        x = next((v for v in passes if _crcs(np.packbits(v)[None])[0] == crcs[b]), None)
+        if x is None:
             raise FormatError("checksum mismatch after decompression")
-        x[:] = x_flip
-    return X
-
-
-def _crc(bits: np.ndarray) -> int:
-    return zlib.crc32(np.packbits(bits).tobytes())
+        x_hat[b] = x
+    return x_hat
 
 
 def error_bound(hset: HighEntropySet, spec: PolarSpectrum) -> float:
@@ -466,11 +450,10 @@ def sw_encode_y(y: SymbolBlock, cfg: SWConfig) -> CompressedBlock:
 
 
 def sw_decode(cx: CompressedBlock, cy: CompressedBlock, cfg: SWConfig):
-    """Two-stage joint decoding; returns (x_hat, y_hat)."""
-    (PX, crcs_x), (PY, crcs_y) = _payload(cx, cfg.set_x), _payload(cy, cfg.set_y)
-    x_hat, y_hat = sw_decode_blocks(PX, PY, cfg)
-    _check_crcs(crcs_x, x_hat)
-    _check_crcs(crcs_y, y_hat)
+    """Two-stage joint decoding, y alone and then x given y_hat, each through _restore; returns (x_hat, y_hat)."""
+    px, py = _payload(cx, cfg.set_x), _payload(cy, cfg.set_y)
+    y_hat = _restore(*py, None, cfg.set_y, cfg.y_marginal)
+    x_hat = _restore(*px, y_hat, cfg.set_x, cfg.joint)
     return SymbolBlock(cfg.joint.field, x_hat[0]), SymbolBlock(cfg.y_marginal.field, y_hat[0])
 
 

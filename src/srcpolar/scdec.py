@@ -37,9 +37,10 @@ u F^(kron n), the decoded block x = u G_N in bit-reversed order, so
 `decode_batch` returns x without a transform.
 
 SC-Flip (_sc_flips) decodes a block again with one decision flipped:
-it ranks the decisions by the genie's llrs of SC's own decisions and runs
-each pass through the same chunk loop, on a schedule that shares every
-node past the flip with the cached one.
+it ranks the decisions by the genie's llrs of SC's own decisions, from
+x as in Monte-Carlo construction, and runs each pass through the same
+chunk loop, on a schedule that shares every node past the flip with the
+cached one.
 
 `SequentialDecoder` is the step-by-step reference: it yields one
 decision llr per index and performs N log2 N combine operations per
@@ -56,7 +57,7 @@ import numpy as np
 from .errors import DomainError, ProtocolError, UnsupportedAlphabetError
 from .field import FieldSpec
 from .sources import JointSource
-from .transform import _check_block_length, _forward_rows, _integers, _stage, bit_reverse_indices
+from .transform import _check_block_length, _integers, _stage, bit_reverse_indices
 
 L_MAX = 700.0
 # An llr within SC_TIE of zero is a tie and decides 0, so that decisions do
@@ -284,17 +285,20 @@ def _sc_flips(source: JointSource, Y, X: np.ndarray, known_mask: np.ndarray, tri
     with one decision of row b flipped, for the `tries` unknown positions of
     smallest decision |llr|, smallest first (Afisiadis, Balatsoukas-Stimming
     and Burg, arXiv:1412.5501).  A decision's llr depends only on the
-    decisions before it, so the genie fed SC's own u = x G_N (G_N is its own
-    inverse over GF(2)) gives SC's decision llrs, batch_rows(N) rows per
-    call: a caller that stops at a row has ranked no chunk after that row's.
+    decisions before it, so the genie fed SC's own decisions gives SC's
+    decision llrs; as in Monte-Carlo construction, its partial sums come
+    from x (_sums_from_x: sums[0] is SC's u) and its idle clamps are
+    skipped, batch_rows(N) rows per call: a caller that stops at a row has
+    ranked no chunk after that row's.
     """
     Y = np.zeros(X.shape, dtype=np.uint8) if Y is None else _integers(Y, "side symbols")
-    unknown, root = np.flatnonzero(~known_mask), _schedule(known_mask.tobytes())
-    step = batch_rows(X.shape[1])
+    n, step = X.shape[1].bit_length() - 1, batch_rows(X.shape[1])
+    unknown, root, perm = np.flatnonzero(~known_mask), _schedule(known_mask.tobytes()), bit_reverse_indices(n)
     for s in range(0, len(X), step):
-        Ys, U = Y[s : s + step], _forward_rows(_GF2, X[s : s + step])
-        llrs = np.abs(genie_llr_profile(_llr_table(source, Ys)[Ys], U))
-        for y, u, a in zip(Ys, U, llrs):
+        Ys, sums = Y[s : s + step], _sums_from_x(X[s : s + step].T[perm])
+        table = _llr_table(source, Ys)
+        llrs = np.abs(_genie_llrs(table[Ys.T[perm]], sums, _clamp_depth(table, n)))
+        for y, u, a in zip(Ys, sums[0].T, llrs.T):
             flips = unknown[np.argsort(a[unknown], kind="stable")[:tries]]
             yield _flip_passes(source, y, u, known_mask, root, flips)
 

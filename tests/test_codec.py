@@ -280,7 +280,7 @@ class TestFlipRepair:
 
     def test_plain_blocks_untouched(self, case, monkeypatch):
         hset, X, Y, rows, data = case
-        monkeypatch.setattr(codec, "_flip_repair", lambda *a: pytest.fail("repair without a crc"))
+        monkeypatch.setattr(codec, "_sc_flips", lambda *a: pytest.fail("repair without a crc"))
         container = bytes(compress_file(io.BytesIO(data), hset))
         out = np.unpackbits(np.frombuffer(decompress_file(container, Y[rows].tobytes(), hset, BSC011),
                                           dtype=np.uint8)).reshape(len(rows), -1)
@@ -321,8 +321,8 @@ class TestFlipRepair:
         # Every one of 128 blocks fails its crc32 under side symbols of another
         # file; the first is not repaired, so only its chunk of 64 is ranked.
         hset, X, Y, rows, data = case
-        ranked, genie = [], scdec.genie_llr_profile
-        monkeypatch.setattr(scdec, "genie_llr_profile", lambda c, u: ranked.append(len(u)) or genie(c, u))
+        ranked, genie = [], scdec._genie_llrs
+        monkeypatch.setattr(scdec, "_genie_llrs", lambda L, sums, J: ranked.append(L.shape[1]) or genie(L, sums, J))
         X2, Y2 = np.concatenate([X, X]), np.concatenate([Y, Y])
         container = bytes(compress_file(io.BytesIO(np.packbits(X2).tobytes()), hset, checksum=True))
         with pytest.raises(FormatError, match="checksum mismatch"):
@@ -793,6 +793,30 @@ class TestSlepianWolf:
             x_hat, y_hat = sw_decode(sw_encode_x(x, cfg), sw_encode_y(y, cfg), cfg)
             errs += int(x_hat != x or y_hat != y)
         assert errs / trials <= 0.35
+
+    def test_checked_blocks_repaired_y_before_x(self):
+        # On the simulation joint at N=256, R_x=0.5, R_y=0.85, SC misses x in
+        # trial 6 and both x and y in trials 14, 15 and 62 of default_rng([17, t]);
+        # SC-Flip repairs y alone, then x given the repaired y.  No single flip
+        # repairs trial 87's x.  Version 1 blocks come back unchecked.
+        j = JointSource(JointSource.bernoulli(0.5).field, np.array([[0.76, 0.01], [0.04, 0.19]]))
+        cfg = sw_config(j, 256, 0.5, 0.85)
+
+        def pair(t):
+            draw = np.random.default_rng([17, t]).choice(4, 256, p=j.probs.reshape(-1))
+            return SymbolBlock(j.field, draw // 2), SymbolBlock(j.field, draw % 2)
+
+        for t, sc_missed_y in ((6, False), (14, True), (15, True), (62, True)):
+            x, y = pair(t)
+            x_hat, y_hat = sw_decode_blocks(compress(x, cfg.set_x).payload[None],
+                                            compress(y, cfg.set_y).payload[None], cfg)
+            assert ((x_hat[0] != x.data).any(), (y_hat[0] != y.data).any()) == (True, sc_missed_y)
+            assert sw_decode(compress(x, cfg.set_x, True), compress(y, cfg.set_y, True), cfg) == (x, y)
+            x_plain, _ = sw_decode(sw_encode_x(x, cfg), sw_encode_y(y, cfg), cfg)
+            assert np.array_equal(x_plain.data, x_hat[0])
+        x, y = pair(87)
+        with pytest.raises(FormatError, match="checksum mismatch"):
+            sw_decode(compress(x, cfg.set_x, True), compress(y, cfg.set_y, True), cfg)
 
     def test_manifest_fields(self):
         cfg = sw_config(self._joint(), 16, 0.8, 0.95)

@@ -505,6 +505,27 @@ class TestNodeKinds:
                 want = decode_block(s, y, {**known, int(i) + 1: 1 - int(u[i])})[0]
                 assert np.array_equal(x, polar_forward(SymbolBlock(s.field, want)).data)
 
+    @pytest.mark.parametrize("N", [16, 256, 1 << 14])
+    @pytest.mark.parametrize("s", [JointSource.bsc_pair(0.11), JointSource.bec_pair(0.3),
+                                   JointSource.bernoulli(0.11)], ids=["bsc", "bec", "bernoulli"])
+    def test_flip_candidates_are_the_public_genies_ranking(self, s, N, monkeypatch):
+        # _sc_flips ranks from x with idle clamps skipped (J = 4 and 8 for
+        # bsc_pair(0.11), -1 for bec_pair(0.3), whose llrs reach L_MAX); its
+        # candidates must be those of genie_llr_profile, fed u = x G_N with every
+        # clamp run.  Five rows make two chunks at N = 2^14.
+        rng, tries, B = np.random.default_rng(N), 16, 5
+        mask = build_high_entropy_set(zbound_spectrum(s, N), 0.5).mask
+        X, Y = np.divmod(rng.choice(s.probs.size, (B, N), p=s.probs.reshape(-1)), s.y_size)
+        X = decode_batch(s, Y, mask, _forward_rows(s.field, X.astype(np.uint8)))
+        assert scdec._clamp_depth(scdec._llr_table(s, Y), N.bit_length() - 1) == (
+            -1 if s.y_size == 3 else min(N.bit_length() - 1, 8))
+        got = []
+        monkeypatch.setattr(scdec, "_flip_passes", lambda *a: got.append(a[-1].tolist()))
+        list(scdec._sc_flips(s, None if s.y_size == 1 else Y, X, mask, tries))
+        llrs = np.abs(genie_llr_profile(scdec._llr_table(s, Y)[Y], _forward_rows(s.field, X)))
+        unknown = np.flatnonzero(~mask)
+        assert got == [unknown[np.argsort(a[unknown], kind="stable")[:tries]].tolist() for a in llrs]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_shared_schedule_is_the_compiled_one(self, seed):
         rng = np.random.default_rng(seed)
