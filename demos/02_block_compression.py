@@ -36,7 +36,7 @@ trials = 100
 for _ in range(trials):
     x = rng.integers(0, 2, N)
     y = x ^ (rng.random(N) < 0.05).astype(np.int64)
-    block = compress(SymbolBlock(source.field, x), hset, checksum=True)
+    block = compress(SymbolBlock(source.field, x), hset)
     try:
         x_hat = decompress(block, y, hset, source)
     except FormatError:  # the crc32 flags a block the decoder got wrong

@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: spectrum, freeze, compress, decompress, chansim, swsim.
+compress writes a crc32 with every block; decompress repairs a block whose
+crc32 fails by SC-Flip or exits 1 (older blocks without one are read unchecked).
 All stochastic commands require --seed and are byte-deterministic given
 their inputs on one host.  Across hosts, spectrum --method mc is the one
 exception: its 17-digit h and z come from numpy's exp and log1p, whose
@@ -110,7 +112,7 @@ def cmd_compress(args) -> int:
     if not source.field.is_binary:
         raise UnsupportedAlphabetError("compression requires a binary source")
     with open(args.infile, "rb") as fh:
-        _atomic_write(args.out, codec.compress_file(fh, hset, args.checksum))
+        _atomic_write(args.out, codec.compress_file(fh, hset))
     return 0
 
 
@@ -184,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--checksum", action="store_true")
+    # Unread, as every block carries its crc32; it still parses for the scripts that pass it.
+    p.add_argument("--checksum", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="restore a byte file from a container")

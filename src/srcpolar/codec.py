@@ -3,11 +3,11 @@
 Wire format of one compressed block:
 
     magic  "PLSC"          4 bytes
-    version u8             1 = plain, 2 = with crc32 of the source block
+    version u8             2; 1 (no crc32, read unchecked) is never written
     n       u8             block length is 2^n
     fingerprint            8 bytes (index-set manifest hash prefix)
     payload-bit-count u32  little endian
-    [crc32  u32 LE]        version 2 only
+    crc32  u32 LE          of the source block, which turns a block SC misses into an error
     payload                bits in increasing index order, MSB-first
 
 A container is a file's blocks, all of one version, then a u32 LE count of its
@@ -92,11 +92,8 @@ class CompressedBlock:
         n = buf[offset + 5]
         fingerprint = buf[offset + 6 : offset + 14].hex()
         nbits = int.from_bytes(buf[offset + 14 : offset + 18], "little")
-        pos = offset + 18
-        crc = None
-        if version == VERSION_CRC:
-            crc = int.from_bytes(buf[pos : pos + 4], "little")
-            pos += 4
+        pos = offset + (22 if version == VERSION_CRC else 18)
+        crc = int.from_bytes(buf[offset + 18 : pos], "little") if version == VERSION_CRC else None
         nbytes = (nbits + 7) // 8
         raw = buf[pos : pos + nbytes]
         if len(raw) < nbytes:
@@ -111,14 +108,13 @@ def _header(version: int, n: int, fingerprint: str, nbits: int, crc: int | None)
     return head + int(crc).to_bytes(4, "little") if version == VERSION_CRC else head
 
 
-def compress(x: SymbolBlock, hset: HighEntropySet, checksum: bool = False) -> CompressedBlock:
-    """u = x G_N; emit u restricted to the high-entropy indices."""
+def compress(x: SymbolBlock, hset: HighEntropySet) -> CompressedBlock:
+    """u = x G_N; emit u restricted to the high-entropy indices, with the crc32 of x."""
     if not x.field.is_binary:
         raise UnsupportedAlphabetError("compression requires a binary source")
-    version = VERSION_CRC if checksum else VERSION_PLAIN
-    return CompressedBlock(version, hset.N.bit_length() - 1, hset.fingerprint,
+    return CompressedBlock(VERSION_CRC, hset.N.bit_length() - 1, hset.fingerprint,
                            compress_blocks(x.data.reshape(1, -1), hset)[0],
-                           int(_crcs(np.packbits(x.data)[None])[0]) if checksum else None)
+                           int(_crcs(np.packbits(x.data)[None])[0]))
 
 
 def compress_blocks(X, hset: HighEntropySet) -> np.ndarray:
@@ -138,7 +134,7 @@ def compress_blocks(X, hset: HighEntropySet) -> np.ndarray:
     return _forward_take(_GF2, np.array(X.T, dtype=np.uint8, order="C"), _kept_rows(hset.mask))
 
 
-def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray:
+def compress_file(fh, hset: HighEntropySet) -> bytearray:
     """The container of the bytes read from the binary file fh, in chunks framed on every usable core.
 
     The calling thread reads the chunks, each a whole number of blocks and
@@ -154,8 +150,8 @@ def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray
     units = max(1, COMPRESS_BYTES // unit)
     workers = min(pipeline._workers(), units)
     chunk_bytes = unit * (units // workers)
-    version, n, k = (VERSION_CRC if checksum else VERSION_PLAIN), N.bit_length() - 1, len(hset.indices)
-    head = np.frombuffer(_header(version, n, hset.fingerprint, k, 0 if checksum else None), dtype=np.uint8)
+    n = N.bit_length() - 1
+    head = np.frombuffer(_header(VERSION_CRC, n, hset.fingerprint, len(hset.indices), 0), dtype=np.uint8)
     kept, pad = _kept_rows(hset.mask, min(n, 3)), 0  # the take index of a sliced chunk (_sliced), once per file
 
     def chunks():
@@ -164,7 +160,7 @@ def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray
             if pad:  # a short read before the end: padding it would insert zero bits
                 raise DomainError("file read returned a partial block before its end")
             pad = -8 * len(raw) % N  # nonzero only in the last, short chunk
-            yield raw, N, head, kept, checksum
+            yield raw, N, head, kept
 
     out = bytearray()
     for framed in pipeline.ordered(_framed_chunk, chunks(), workers):
@@ -173,7 +169,7 @@ def compress_file(fh, hset: HighEntropySet, checksum: bool = False) -> bytearray
     return out
 
 
-def _framed_chunk(raw: bytes, N: int, head: np.ndarray, kept: np.ndarray, checksum: bool) -> np.ndarray:
+def _framed_chunk(raw: bytes, N: int, head: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """The blocks of one chunk of file bytes as a (blocks, header + payload) uint8 array, zero-padded to whole blocks.
 
     The chunk is bit-sliced (_sliced): blocks 8g..8g+7 share column g of an
@@ -197,9 +193,8 @@ def _framed_chunk(raw: bytes, N: int, head: np.ndarray, kept: np.ndarray, checks
     rows[:, : head.size] = head
     rows.reshape(G, 8, -1)[:, :, head.size :] = payloads
     rows = rows[:B]
-    if checksum:
-        source = data.reshape(-1, N // 8) if N >= 8 else np.packbits(np.unpackbits(data).reshape(-1, N), axis=1)
-        rows[:, head.size - 4 : head.size] = _crcs(source[:B]).view(np.uint8).reshape(-1, 4)
+    source = data.reshape(-1, N // 8) if N >= 8 else np.packbits(np.unpackbits(data).reshape(-1, N), axis=1)
+    rows[:, head.size - 4 : head.size] = _crcs(source[:B]).view(np.uint8).reshape(-1, 4)
     return rows
 
 
@@ -351,10 +346,7 @@ def decompress_blocks(P, Y, hset: HighEntropySet, source: JointSource) -> np.nda
 
 
 def _payload(blk: CompressedBlock, hset: HighEntropySet) -> tuple[np.ndarray, np.ndarray | None]:
-    """A wire block's (1, k) payload, checked against hset's fingerprint, N and k, and its crc32 column.
-
-    The column is the uint32 column [crc] for a version 2 block and None for a version 1 block.
-    """
+    """A wire block's (1, k) payload, checked against hset's fingerprint, N and k, and its crc32 column, None in version 1."""
     if blk.fingerprint != hset.fingerprint:
         raise FingerprintMismatchError(f"fingerprint {blk.fingerprint} != {hset.fingerprint}")
     if blk.N != hset.N or len(blk.payload) != len(hset.indices):

@@ -70,12 +70,14 @@ class ChannelModel:
 
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling of outputs for an input bit vector."""
-        return self._outputs(x, rng.random(x.shape[0]))
+        return self._outputs(x, rng.random(x.shape[0])).astype(np.int64)
 
     def _outputs(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Channel outputs for inputs x given uniforms r of the same shape (inverse CDF)."""
+        """Outputs for 0/1 inputs x and uniforms r of one shape: r inverted (spectrum._cells) against the
+        cdf of x's row, normalized to end at 1.0 so that no output lies past the table."""
         cdf = np.cumsum(self.table, axis=1)
-        return (r[..., None] >= cdf[x]).sum(axis=-1, dtype=np.int64)
+        cdf /= cdf[:, -1:]
+        return np.choose(x, [_cells(r, row) for row in cdf])  # ValueError for an x not 0 or 1
 
 
 def parse_channel(text: str) -> ChannelModel:

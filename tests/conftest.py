@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from srcpolar import FieldSpec, JointSource
+from srcpolar import CompressedBlock, FieldSpec, JointSource
 
 F_KERNEL = np.array([[1, 0], [1, 1]], dtype=np.int64)
 
@@ -93,6 +93,24 @@ def random_binary_source(rng: np.random.Generator, y_size: int, floor: float = 0
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# Writers make version 2 blocks only; these derive the version 1 form that older
+# writers made of the same bits, so that the readers' version 1 path stays tested.
+def plain_block(blk: CompressedBlock) -> CompressedBlock:
+    """blk as a version 1 block: the same payload, without its crc32."""
+    return CompressedBlock(1, blk.n, blk.fingerprint, blk.payload)
+
+
+def plain_container(container) -> bytes:
+    """A container of version 2 blocks as version 1: each block's crc32 (bytes 18-21) dropped, byte 4 set to 1."""
+    body, pad = bytes(container[:-4]), bytes(container[-4:])
+    if not body:
+        return pad
+    width = CompressedBlock.from_bytes(body)[1]
+    rows = np.delete(np.frombuffer(body, dtype=np.uint8).reshape(-1, width), np.s_[18:22], axis=1)
+    rows[:, 4] = 1
+    return rows.tobytes() + pad
 
 
 def _replace_indices(at: int, value):

@@ -17,10 +17,10 @@ from srcpolar import (
     bhattacharyya,
     binary_entropy,
     build_high_entropy_set,
-    compress,
+    compress_blocks,
     conditional_entropy,
     decode_block,
-    decompress,
+    decompress_blocks,
     error_bound,
     exact_spectrum,
     make_duality_code,
@@ -28,9 +28,7 @@ from srcpolar import (
     renyi_entropy,
     simulate,
     sw_config,
-    sw_decode,
-    sw_encode_x,
-    sw_encode_y,
+    sw_decode_blocks,
     sw_error_bound,
     symmetric_capacity,
     tv_spectrum,
@@ -181,16 +179,19 @@ def test_criterion_06_decoder_oracle_equivalence():
 
 
 def _compression_trial(source, sample_xy, N, rate, trials, seed, spectrum=zbound_spectrum):
+    """SC's own block-error rate over the trials, and the set's certificate.
+
+    The trials run as one batch through compress_blocks and
+    decompress_blocks: SC alone, without the crc32 check and SC-Flip repair
+    that the readers of a container add.
+    """
     sp = spectrum(source, N)
     hset = build_high_entropy_set(sp, rate)
     cert = error_bound(hset, sp)
-    fails = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        x, y = sample_xy(rng)
-        blk = compress(SymbolBlock(source.field, x), hset)
-        x_hat = decompress(blk, y, hset, source)
-        fails += int(not np.array_equal(x_hat.data, x))
+    pairs = [sample_xy(np.random.default_rng([seed, t])) for t in range(trials)]
+    X = np.array([x for x, _ in pairs])
+    Y = None if pairs[0][1] is None else np.array([y for _, y in pairs])
+    fails = int((decompress_blocks(compress_blocks(X, hset), Y, hset, source) != X).any(axis=1).sum())
     return fails / trials, cert
 
 
@@ -277,15 +278,12 @@ def test_criterion_10_slepian_wolf_corner_point():
     cfg = sw_config(joint, 1024, 0.5, 0.85)
     cert = sw_error_bound(cfg)
     flat = joint.probs.reshape(-1)
-    errors = 0
     trials = 500
-    for t in range(trials):
-        rng = np.random.default_rng([110, t])
-        draw = rng.choice(4, 1024, p=flat)
-        x = SymbolBlock(joint.field, draw // 2)
-        y = SymbolBlock(joint.field, draw % 2)
-        x_hat, y_hat = sw_decode(sw_encode_x(x, cfg), sw_encode_y(y, cfg), cfg)
-        errors += int(x_hat != x or y_hat != y)
+    # SC alone, both stages batched: sw_decode_blocks checks no crc32
+    draws = np.array([np.random.default_rng([110, t]).choice(4, 1024, p=flat) for t in range(trials)])
+    X, Y = draws // 2, draws % 2
+    x_hat, y_hat = sw_decode_blocks(compress_blocks(X, cfg.set_x), compress_blocks(Y, cfg.set_y), cfg)
+    errors = int(((x_hat != X) | (y_hat != Y)).any(axis=1).sum())
     rate = errors / trials
     report(10, "two-encoder corner point within certificate", rate <= cert,
            f"error={rate:.3f} cert={cert:.3f}")

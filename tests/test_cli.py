@@ -15,7 +15,7 @@ import pytest
 from srcpolar import HighEntropySet, JointSource, SymbolBlock, binary_entropy, codec, compress, spectrum
 from srcpolar.cli import main
 
-from conftest import BAD_MANIFESTS
+from conftest import BAD_MANIFESTS, plain_container
 
 
 def run(*argv):
@@ -128,7 +128,7 @@ class TestCompressPipeline:
         (tmp_path / "in.bin").write_bytes(data)
         assert run(
             "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
-            "--out", str(tmp_path / "c.plsc"), "--checksum",
+            "--out", str(tmp_path / "c.plsc"),
         ) == 0
         # noiseless pair: the side file is the bit expansion of the input
         side = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
@@ -177,7 +177,7 @@ class TestCompressPipeline:
             m = self._freeze(tmp_path, preset=preset, N=N, R=rate)
             assert run(
                 "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
-                "--out", str(tmp_path / "c.plsc"), "--checksum",
+                "--out", str(tmp_path / "c.plsc"),
             ) == 0
             assert run(
                 "decompress", "--manifest", str(m), "--in", str(tmp_path / "c.plsc"),
@@ -198,13 +198,13 @@ class TestCompressPipeline:
         pad = -bits.size % N
         blocks = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)]).reshape(-1, N)
         want = b"".join(
-            compress(SymbolBlock(JointSource.bernoulli(0.11).field, x), hset, checksum=True).to_bytes()
+            compress(SymbolBlock(JointSource.bernoulli(0.11).field, x), hset).to_bytes()
             for x in blocks
         ) + pad.to_bytes(4, "little")
         monkeypatch.setattr(codec, "COMPRESS_BYTES", chunk_bytes)
         assert run(
             "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
-            "--out", str(tmp_path / "c.plsc"), "--checksum",
+            "--out", str(tmp_path / "c.plsc"),
         ) == 0
         assert (tmp_path / "c.plsc").read_bytes() == want
 
@@ -230,12 +230,24 @@ class TestCompressPipeline:
         try:
             assert run(
                 "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
-                "--out", str(tmp_path / "c.plsc"), "--checksum",
+                "--out", str(tmp_path / "c.plsc"),
             ) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_checksum_flag_is_hidden_and_changes_nothing(self, tmp_path, capsys):
+        # Every block carries its crc32; --checksum still parses for the scripts that pass it.
+        m = self._freeze(tmp_path, N=64, R=0.75)
+        (tmp_path / "in.bin").write_bytes(np.random.default_rng(5).integers(0, 256, 777, dtype=np.uint8).tobytes())
+        for name, flag in (("a.plsc", []), ("b.plsc", ["--checksum"])):
+            assert run("compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
+                       "--out", str(tmp_path / name), *flag) == 0
+        assert (tmp_path / "a.plsc").read_bytes() == (tmp_path / "b.plsc").read_bytes()
+        with pytest.raises(SystemExit):
+            run("compress", "--help")
+        assert "--checksum" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("checksum", [[], ["--checksum"]])
     @pytest.mark.parametrize("preset", ["bernoulli(0.11)", "bsc_pair(0.11)"])
@@ -319,7 +331,7 @@ class TestCompressPipeline:
         (tmp_path / "in.bin").write_bytes(b"ab")
         assert run(
             "compress", "--manifest", str(m), "--in", str(tmp_path / "in.bin"),
-            "--out", str(tmp_path / "c.plsc"), "--checksum",
+            "--out", str(tmp_path / "c.plsc"),
         ) == 0
         raw = (tmp_path / "c.plsc").read_bytes()
         (tmp_path / "c.plsc").write_bytes(raw[:-4] + pad.to_bytes(4, "little"))
@@ -373,6 +385,56 @@ class TestCompressPipeline:
         ) == 1
         assert capsys.readouterr().err.startswith("srcpolar: error:")
         assert not (tmp_path / "out").exists()
+
+
+class TestNoSilentCorruption:
+    """CLI compress and decompress with default flags never restore wrong bytes with exit 0.
+
+    Each case must restore the file exactly with exit 0, or exit 1 with
+    "checksum mismatch" and write nothing.  A writer without crc32s restores
+    wrong bytes with exit 0 in both.
+    """
+
+    @staticmethod
+    def _restores_or_fails(tmp_path, capsys, manifest, edited, data):
+        paths = {k: tmp_path / k for k in ("in.bin", "c.plsc", "out.bin")}
+        paths["in.bin"].write_bytes(data)
+        assert run("compress", "--manifest", str(manifest), "--in", str(paths["in.bin"]),
+                   "--out", str(paths["c.plsc"])) == 0
+        capsys.readouterr()
+        rc = run("decompress", "--manifest", str(edited), "--in", str(paths["c.plsc"]),
+                 "--out", str(paths["out.bin"]))
+        if rc == 0:
+            assert paths["out.bin"].read_bytes() == data
+        else:
+            assert rc == 1 and "checksum mismatch" in capsys.readouterr().err
+            assert not paths["out.bin"].exists()
+
+    @staticmethod
+    def _freeze(tmp_path):
+        m = tmp_path / "m.json"
+        assert run("freeze", "--preset", "bernoulli(0.11)", "-N", "1024", "-R", "0.7", "--out", str(m)) == 0
+        return m
+
+    def test_blocks_that_sc_misses(self, tmp_path, capsys):
+        # 16 KiB of Ber(0.11) at N=1024, R=0.7 (zbound): SC alone decodes 4 of its 128 blocks wrongly.
+        m = self._freeze(tmp_path)
+        hset, source = HighEntropySet.from_manifest(json.loads(m.read_text())), JointSource.bernoulli(0.11)
+        X = (np.random.default_rng(0).random((128, 1024)) < 0.11).astype(np.uint8)
+        missed = (codec.decompress_blocks(codec.compress_blocks(X, hset), None, hset, source) != X).any(axis=1)
+        assert missed.any()
+        self._restores_or_fails(tmp_path, capsys, m, m, np.packbits(X).tobytes())
+
+    def test_manifest_with_an_index_swapped(self, tmp_path, capsys):
+        # The set's last index swapped for the first index outside it: the same size and
+        # fingerprint, so the manifest still loads, and 4 KiB of Ber(0.11) decode against it.
+        m = self._freeze(tmp_path)
+        doc = json.loads(m.read_text())
+        outside = min(set(range(1, 1025)) - set(doc["indices"]))
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**doc, "indices": sorted([*doc["indices"][:-1], outside])}))
+        data = np.packbits(np.random.default_rng(7).random(8 * 4096) < 0.11).tobytes()
+        self._restores_or_fails(tmp_path, capsys, m, edited, data)
 
 
 class TestChansim:
@@ -591,9 +653,16 @@ class TestPinnedOutputs:
         ("bec_pair(0.4)", "0.5"): "ae94c53ab3776351d7791fc6f8c47c50c5d741296ca4861938003bc14b01e7c4",
     }
 
+    # The version 1 containers older writers made, derived from the version 2 ones
+    # (plain_container); DECOMPRESS pins their unchecked decodes.
     COMPRESS = {
         ("bsc_pair(0.11)", "0.6"): "3c85307702a91e13ef442f71b7e01c772b55fa3ad9f2e40d7c7e24f44841c2a6",
         ("bec_pair(0.4)", "0.5"): "afa2624932767cd98844ac504a99d422779d6f4553e891dc855e9e6e84b0f634",
+    }
+    # What compress writes: version 2, whose crc32s catch the blocks SC misses.
+    COMPRESS_CRC = {
+        ("bsc_pair(0.11)", "0.6"): "b400624633908d709a5b76f20d2e24a2849c1216459dcff7aadd7351320d6668",
+        ("bec_pair(0.4)", "0.5"): "3371d993f2d25f20a90aea3d23c974ded0e8bc60752a9f6fb354071b35210ba2",
     }
 
     MC_MANIFEST = "26f03e8db1c9acb747f7e1555f96d6928f4246444e256d4e7d88c0a4d5f35852"
@@ -637,7 +706,7 @@ class TestPinnedOutputs:
                    "--trials", "150", "--seed", "7", "--out", str(out)) == 0
         assert out.read_text() == self.SWSIM_BATCHES
 
-    def test_decompress(self, tmp_path):
+    def test_decompress(self, tmp_path, capsys):
         for (preset, rate), want in self.DECOMPRESS.items():
             rng = np.random.default_rng(11)
             data = rng.integers(0, 256, 500, dtype=np.uint8)
@@ -655,7 +724,16 @@ class TestPinnedOutputs:
             assert run("compress", "--manifest", str(paths["m.json"]), "--in", str(paths["x.bin"]),
                        "--out", str(paths["x.plsc"])) == 0
             container = paths["x.plsc"].read_bytes()
+            assert hashlib.sha256(container).hexdigest() == self.COMPRESS_CRC[preset, rate]
+            capsys.readouterr()
+            paths["x.out"].unlink(missing_ok=True)
+            assert run("decompress", "--manifest", str(paths["m.json"]),
+                       "--in", str(paths["x.plsc"]), "--side", str(paths["y.bin"]),
+                       "--out", str(paths["x.out"])) == 1
+            assert "checksum mismatch" in capsys.readouterr().err and not paths["x.out"].exists()
+            container = plain_container(container)
             assert hashlib.sha256(container).hexdigest() == self.COMPRESS[preset, rate]
+            paths["x.plsc"].write_bytes(container)
             assert run("decompress", "--manifest", str(paths["m.json"]),
                        "--in", str(paths["x.plsc"]), "--side", str(paths["y.bin"]),
                        "--out", str(paths["x.out"])) == 0

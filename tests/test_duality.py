@@ -63,6 +63,21 @@ class TestChannelModel:
         assert set(np.unique(y)) <= {0, 1, 2}
         assert (y == 2).mean() == pytest.approx(0.4, abs=0.02)
 
+    def test_row_summing_just_under_one_stays_in_the_alphabet(self):
+        # Each row sums to 1 - 4e-13, within the row-sum tolerance: a uniform above
+        # that sum must still draw the row's last symbol, not one past the table.
+        w = ChannelModel.dmc([[0.5, 0.5 - 4e-13], [0.5 - 4e-13, 0.5]])
+        x = np.array([0, 1, 0, 1])
+        r = np.full(4, 0.9999999999999)
+        assert w._outputs(x, r).tolist() == [1, 1, 1, 1]
+        y = w.sample(x, np.random.default_rng(0))
+        assert y.dtype == np.int64 and set(y.tolist()) <= {0, 1}
+        with pytest.raises(ValueError):
+            w.sample(np.array([0, 2]), np.random.default_rng(0))
+        code = make_duality_code(w, 16, 0.5, 1)
+        assert channel_decode_batch(w._outputs(np.zeros((2, 16), dtype=np.uint8), np.full((2, 16), 1 - 1e-13)),
+                                    code).shape == (2, code.data_size)
+
 
 class TestInducedSource:
     def test_bec_entropy_is_erasure_rate(self):

@@ -104,7 +104,7 @@ class TestOrdered:
             "from srcpolar import JointSource, build_high_entropy_set, compress_file, zbound_spectrum\n"
             "from srcpolar.spectrum import montecarlo_spectrum\n"
             "hset = build_high_entropy_set(zbound_spectrum(JointSource.bernoulli(0.11), 1024), 0.8)\n"
-            "compress_file(io.BytesIO(bytes(2048)), hset, True)\n"
+            "compress_file(io.BytesIO(bytes(2048)), hset)\n"
             "montecarlo_spectrum(JointSource.bsc_pair(0.11), 1024, 64, 1)\n"
             "assert 'concurrent.futures' not in sys.modules\n"
         )
