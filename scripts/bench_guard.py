@@ -46,10 +46,15 @@ of version 2 containers: one whose SC misses SC-Flip repairs, and one
 N=2^16 block with a payload bit flipped, which fails.  The read path also
 runs on the sideinfo_codec set with crcs and BSC(0.11) side files: CLI
 `decompress` in process of 8 containers of 16 blocks, the headline
-operation, and `decompress_file` of a 2 MiB container, 16384 blocks.  It
+operation, and `decompress_file` of a 2 MiB container, 16384 blocks.
+Manifests are loaded by `cli._load_manifest`, as CLI compress and
+decompress load them, from the bulk_compress and sideinfo_codec manifests
+as freeze writes them (mask, indices, fingerprint and source compared),
+and CLI `compress --checksum` of the bulk_compress input runs in process,
+the bulk_compress operation (containers compared).  It
 prints the parent/change time ratio per case, with its quartiles over the rounds,
-after asserting that both give equal outputs (spectra, manifests, bits,
-containers, restored bytes or error messages); a parent whose compress_file
+after asserting that both give equal outputs (spectra, manifests, loaded
+sets and sources, bits, containers, restored bytes or error messages); a parent whose compress_file
 has the checksum option is passed it, so both write crc32s.  `rss` runs CLI
 `compress --checksum` (the flag, ignored where crc32s are always written,
 makes an older parent write them too) of the bulk_compress input (2 MiB of
@@ -98,6 +103,9 @@ MC_FREEZE = "freeze --method mc, bsc_pair(0.11), N=1024, R=0.8, 10^4 samples, se
 DAMAGED = "decompress_file, 2 blocks of Ber(0.11), N=2^16, R=0.75, one payload bit flipped"
 CLI_DECOMPRESS = "CLI decompress, 8 containers of 16 blocks with crcs and BSC(0.11) side files, sideinfo set"
 BULK_READ = "decompress_file, 16384 blocks with crcs and BSC(0.11) side (2 MiB), sideinfo set"
+LOAD_BULK = "manifest load (cli._load_manifest), bulk_compress set: bernoulli(0.11), N=2^16, R=0.75, zbound"
+LOAD_SIDEINFO = "manifest load (cli._load_manifest), sideinfo set"
+CLI_COMPRESS = "CLI compress in process, 2 MiB Ber(0.11) (seed 13), bulk_compress set"
 # prints workload argv[1]'s construct.py spec for seed argv[2] and work directory argv[3]
 SPEC_CODE = ("import json, pathlib, sys; sys.path[:0] = ['perfbench', 'src']; from workloads import WORKLOADS; "
              "print(json.dumps(WORKLOADS[sys.argv[1]](int(sys.argv[2]), pathlib.Path(sys.argv[3]))"
@@ -279,7 +287,7 @@ def _one_worker(sp, call):
 
 def _repair_cases(sp) -> dict:
     """decompress_file calls that repair or fail on version 2 blocks, by case name; each returns
-    the restored bytes or the FormatError's message.
+    the restored bytes or the FormatError's message up to its first colon.
 
     The rows that SC decodes wrongly in test_codec.py::TestFlipRepair (bsc_pair(0.11), N=1024,
     R=0.7, zbound, rows 15, 30 and 35 of seed 2, with row 0), which SC-Flip repairs, and
@@ -294,7 +302,7 @@ def _repair_cases(sp) -> dict:
         try:
             return sp.decompress_file(container, side, hset, source)
         except sp.FormatError as e:
-            return str(e)
+            return str(e).partition(":")[0]  # the detail after it names blocks only in newer messages
 
     s = sp.JointSource.bsc_pair(0.11)
     hset = sp.build_high_entropy_set(sp.zbound_spectrum(s, 1024), 0.7)
@@ -314,7 +322,7 @@ def _repair_cases(sp) -> dict:
 
 def _read_cases(sp, work: Path) -> dict:
     """Read-path calls on the sideinfo_codec set by case name, each returning the restored bytes or
-    the FormatError's message.
+    the FormatError's message up to its first colon.
 
     CLI_DECOMPRESS: CLI `decompress` in process, as sideinfo_codec times it, of 8 containers
     written by `compress_file` with crcs, each of 2048 uniform bytes (16 blocks) with a BSC(0.11)
@@ -353,10 +361,47 @@ def _read_cases(sp, work: Path) -> dict:
         try:
             return sp.decompress_file(container, side, hset, s)
         except sp.FormatError as e:
-            return str(e)
+            return str(e).partition(":")[0]  # the detail after it names blocks only in newer messages
 
     bulk, bulk_side = encoded(rng, 2 << 20)
     return {CLI_DECOMPRESS: cli_decompress, BULK_READ: lambda: restore(bulk, bulk_side)}
+
+
+def _manifest_cases(sp, work: Path) -> dict:
+    """Manifest loads and CLI compress by case name, built with the package sp in the directory work.
+
+    LOAD_BULK and LOAD_SIDEINFO: cli._load_manifest of the bulk_compress and
+    sideinfo_codec manifests, each written as freeze writes it; each returns
+    (set, source), which ab compares by _manifest_view.  CLI_COMPRESS: CLI
+    `compress --checksum` in process of the bulk_compress input (2 MiB of
+    Ber(0.11), seed 13), the bulk_compress operation; it returns the
+    container's bytes.
+    """
+    import json
+
+    import numpy as np
+
+    bulk = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), 1 << 16), 0.75)
+    cases = {}
+    for name, hset in ((LOAD_BULK, bulk), (LOAD_SIDEINFO, _sideinfo_set(sp))):
+        path = work / f"manifest{hset.N}.json"
+        path.write_text(json.dumps(hset.to_manifest(), sort_keys=True, indent=2) + "\n")
+        cases[name] = lambda path=str(path): sp.cli._load_manifest(path)
+    (work / "bulk.bin").write_bytes(np.packbits(np.random.default_rng(13).random(8 << 21) < 0.11).tobytes())
+    argv = ["compress", "--manifest", str(work / f"manifest{bulk.N}.json"), "--in", str(work / "bulk.bin"),
+            "--out", str(work / "bulk.plsc"), "--checksum"]
+
+    def cli_compress():
+        rc = sp.cli.main(argv)
+        return str(rc) if rc else (work / "bulk.plsc").read_bytes()
+
+    cases[CLI_COMPRESS] = cli_compress
+    return cases
+
+
+def _manifest_view(hset, source) -> tuple:
+    """What ab compares of a loaded manifest: the set's mask, indices and fingerprint, and the source."""
+    return hset.mask.tobytes(), hset.indices, hset.fingerprint, source.description()
 
 
 def _decoder_probe(checkout: Path) -> dict:
@@ -467,6 +512,7 @@ def _ab(parent: Path, change: Path) -> dict:
         calls[side].update(_repair_cases(sp))
         (Path(work.name) / side).mkdir()
         calls[side].update(_read_cases(sp, Path(work.name) / side))
+        calls[side].update(_manifest_cases(sp, Path(work.name) / side))
     out = {}
     for name, change_call in calls["change"].items():
         want, got = calls["parent"][name](), change_call()
@@ -475,6 +521,8 @@ def _ab(parent: Path, change: Path) -> dict:
                 f"{name}: spectra differ"
         elif isinstance(want, bytes):  # restored bytes: array_equal would drop trailing zero bytes
             assert want == got, f"{name}: outputs differ"
+        elif isinstance(want, tuple):  # a loaded manifest
+            assert _manifest_view(*want) == _manifest_view(*got), f"{name}: outputs differ"
         else:  # bits, a container's bytes or a manifest's
             assert np.array_equal(want, got), f"{name}: outputs differ"
         t = time.perf_counter()

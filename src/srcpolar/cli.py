@@ -100,8 +100,7 @@ def cmd_freeze(args) -> int:
 
 def _load_manifest(path: str) -> tuple[HighEntropySet, JointSource]:
     try:
-        with open(path) as fh:
-            hset = HighEntropySet.from_manifest(json.load(fh))
+        hset = HighEntropySet.from_json(Path(path).read_text(encoding="utf-8"))
         return hset, JointSource.from_description(hset.source_desc)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"manifest {path}: {type(exc).__name__}: {exc}") from None

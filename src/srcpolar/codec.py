@@ -360,7 +360,8 @@ def _restore(P, crcs, Y, hset: HighEntropySet, source: JointSource) -> np.ndarra
     crcs is a uint32 column, or None for version 1 blocks, which come back
     unchecked.  A row that fails is replaced by the first SC-Flip pass
     (scdec._sc_flips, FLIP_TRIES of them) whose crc32 matches; the first
-    row that no pass repairs raises FormatError.
+    row that no pass repairs raises FormatError, which names that row and
+    how many rows failed their crc32.
     """
     x_hat = decompress_blocks(P, Y, hset, source)
     if crcs is None:
@@ -372,7 +373,8 @@ def _restore(P, crcs, Y, hset: HighEntropySet, source: JointSource) -> np.ndarra
     for b, passes in zip(bad, flips):
         x = next((v for v in passes if _crcs(np.packbits(v)[None])[0] == crcs[b]), None)
         if x is None:
-            raise FormatError("checksum mismatch after decompression")
+            raise FormatError(f"checksum mismatch after decompression: block {b} not repaired, "
+                              f"{bad.size} of {len(x_hat)} blocks failed their crc32")
         x_hat[b] = x
     return x_hat
 

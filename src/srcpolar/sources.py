@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedAlphabetError
+from .errors import DomainError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
 
 _SUM_TOL = 1e-12
@@ -80,8 +80,9 @@ class JointSource:
 
     @staticmethod
     def from_description(desc: dict) -> "JointSource":
-        q = int(desc["q"])
-        y_size = int(desc["y_size"])
+        q, y_size = desc["q"], desc["y_size"]
+        if type(q) is not int or type(y_size) is not int:  # not 2.5, "2" or true
+            raise FormatError(f"q={q!r}, y_size={y_size!r}: both must be integers")
         table = np.asarray(desc["probs"], dtype=float).reshape(q, y_size)
         return JointSource(FieldSpec.for_alphabet(q), table)
 

@@ -72,7 +72,10 @@ class PolarSpectrum:
 
 @dataclass(frozen=True)
 class HighEntropySet:
-    """Index set E(N, R): the ceil(NR) indices of largest z (1-based)."""
+    """Index set E(N, R): the ceil(NR) indices of largest z (1-based).
+
+    indices may be given as a 1-D integer array; the set keeps the tuple of its ints.
+    """
 
     N: int
     rate: float
@@ -90,13 +93,19 @@ class HighEntropySet:
         if not (isinstance(fp, str) and len(fp) == 16 and set(fp) <= set("0123456789abcdef")):
             raise FormatError(f"fingerprint {fp!r} is not 16 lowercase hex digits")
         bad = FormatError(f"indices must be ceil(NR) strictly increasing integers in 1..{N}")
-        if len(idx) != math.ceil(N * R) or set(map(type, idx)) != {int}:  # bool is not int
+        if isinstance(idx, np.ndarray):  # stored as the tuple of its ints
+            if idx.ndim != 1 or idx.dtype.kind != "i":
+                raise bad
+            arr = idx.astype(np.int64, copy=False)
+            object.__setattr__(self, "indices", tuple(arr.tolist()))
+        elif set(map(type, idx)) != {int}:  # bool is not int
             raise bad
-        try:
-            arr = np.fromiter(idx, np.int64, len(idx))
-        except OverflowError:
-            raise bad from None
-        if arr[0] < 1 or arr[-1] > N or (arr[1:] <= arr[:-1]).any():
+        else:
+            try:
+                arr = np.fromiter(idx, np.int64, len(idx))
+            except OverflowError:
+                raise bad from None
+        if arr.size != math.ceil(N * R) or arr[0] < 1 or arr[-1] > N or (arr[1:] <= arr[:-1]).any():
             raise bad
         mask = np.zeros(N, dtype=bool)
         mask[arr - 1] = True
@@ -119,11 +128,12 @@ class HighEntropySet:
 
     @staticmethod
     def from_manifest(doc: dict) -> "HighEntropySet":
+        """The set of a manifest dict; its "indices" are a list of Python ints, or an int64 array (from_json)."""
         try:
             return HighEntropySet(
                 N=doc["N"],
                 rate=doc["R"],
-                indices=tuple(doc["indices"]),
+                indices=idx if isinstance(idx := doc["indices"], np.ndarray) else tuple(idx),
                 fingerprint=doc["fingerprint"],
                 method=doc["method"],
                 seed=doc.get("seed"),
@@ -131,6 +141,85 @@ class HighEntropySet:
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed index-set manifest: {exc!r}") from None
+
+    @staticmethod
+    def from_json(text: str) -> "HighEntropySet":
+        """from_manifest(json.loads(text)), with the top-level index list read as one int64 array (_manifest_doc)."""
+        doc = _manifest_doc(text)
+        del text  # freed before the set makes 49,152 ints at N=2^16, when no caller holds it
+        return HighEntropySet.from_manifest(doc)
+
+
+_INDEX_BYTES = b"0123456789, \t\n\r"  # the bytes _int_array reads; any other leaves the list to json
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # v in 1..10**18 - 1 has _POW10.searchsorted(v, "right") digits
+_DECODER = json.JSONDecoder()
+_SKIP_WS = json.decoder.WHITESPACE.match
+
+
+def _manifest_doc(text: str) -> dict:
+    """json.loads(text), except that a top-level "indices" list of JSON integers comes back as one int64 array.
+
+    json's own scanner walks the top-level object: scanstring reads each
+    key and raw_decode each value, so every other value, a nested
+    "indices" included, is json's, and a repeated key keeps its last value
+    as in json.loads.  An "indices" list that _int_array does not take is
+    json's too, and text that is not one JSON object goes to json.loads,
+    which gives its value or raises its error.
+    """
+    try:
+        pos, doc = _after(text, _SKIP_WS(text, 0).end(), "{"), {}
+        while not text.startswith("}", pos):
+            if doc:  # every member after the first follows a comma
+                pos = _after(text, pos, ",")
+            if not text.startswith('"', pos):
+                raise ValueError("expected a key")
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _after(text, _SKIP_WS(text, pos).end(), ":")
+            close = text.find("]", pos) if key == "indices" and text.startswith("[", pos) else -1
+            arr = None if close < 0 else _int_array(text[pos + 1 : close].encode())
+            if arr is None:
+                doc[key], pos = _DECODER.raw_decode(text, pos)
+            else:
+                doc[key], pos = arr, close + 1
+            pos = _SKIP_WS(text, pos).end()
+        if _SKIP_WS(text, pos + 1).end() != len(text):
+            raise ValueError("extra data")
+    except ValueError:
+        return json.loads(text)
+    return doc
+
+
+def _after(text: str, pos: int, char: str) -> int:
+    """The position past char at pos and the whitespace after it; ValueError if char is not at pos."""
+    if not text.startswith(char, pos):
+        raise ValueError(f"expected {char!r}")
+    return _SKIP_WS(text, pos + 1).end()
+
+
+def _int_array(raw: bytes) -> np.ndarray | None:
+    """The integers of raw, the inside of a JSON list, as int64; None unless each lies in 1..10**18 - 1.
+
+    np.fromstring reads them.  It also reads what json rejects (+1, 01, a
+    trailing comma, a missing number as 0, \\v as whitespace) and saturates
+    past int64, so the list is taken only where raw holds nothing but
+    digits, commas and json's whitespace, one value is read per
+    comma-separated item, every value lies in 1..10**18 - 1 (none is a 0
+    read from no digits, or saturated), and the values' decimal digits add
+    up to the digits of raw (no number starts with 0, and none is left
+    unread).  An index set holds no other list; json reads any other.
+    """
+    if raw.translate(None, _INDEX_BYTES):
+        return None
+    try:
+        values = np.fromstring(raw, dtype=np.int64, sep=",")
+    except ValueError:  # a separator missing
+        return None
+    c = np.frombuffer(raw, dtype=np.uint8)
+    flags = np.equal(c, ord(","))
+    if values.size != np.count_nonzero(flags) + 1 or values.min() < 1 or values.max() >= 10**18:
+        return None
+    digits = np.count_nonzero(np.greater_equal(c, ord("0"), out=flags))
+    return values if _POW10.searchsorted(values, side="right").sum() == digits else None
 
 
 def spectrum_fingerprint(source_desc, N: int, method: str, seed) -> str:
@@ -393,7 +482,7 @@ def build_high_entropy_set(spec: PolarSpectrum, R: float) -> HighEntropySet:
     return HighEntropySet(
         N=spec.N,
         rate=R,
-        indices=tuple((chosen + 1).tolist()),
+        indices=chosen + 1,
         fingerprint=spectrum_fingerprint(spec.source_desc, spec.N, spec.method, spec.seed),
         method=spec.method,
         seed=spec.seed,

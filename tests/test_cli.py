@@ -101,6 +101,15 @@ class TestFreezeCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+# A manifest's "source" made into no source description: probs and y_size dropped, or int() made it binary.
+BAD_MANIFEST_SOURCES = {
+    "bad_source": lambda src: {"q": 2},
+    "source_q_float": lambda src: {**src, "q": 2.5},
+    "source_q_string": lambda src: {**src, "q": "2"},
+    "source_y_size_float": lambda src: {**src, "y_size": 1.9},
+}
+
+
 class TestCompressPipeline:
     @staticmethod
     def _freeze(tmp_path, preset="bernoulli(0.11)", N=64, R=1.0):
@@ -363,7 +372,7 @@ class TestCompressPipeline:
         ) == 1
 
     @pytest.mark.parametrize("command", ["compress", "decompress"])
-    @pytest.mark.parametrize("case", sorted([*BAD_MANIFESTS, "invalid_json", "bad_source"]))
+    @pytest.mark.parametrize("case", sorted([*BAD_MANIFESTS, "invalid_json", *BAD_MANIFEST_SOURCES]))
     def test_bad_manifest_fails(self, tmp_path, capsys, command, case):
         m = self._freeze(tmp_path, N=16, R=0.5)
         (tmp_path / "in.bin").write_bytes(b"two blocks")
@@ -374,8 +383,8 @@ class TestCompressPipeline:
         doc = json.loads(m.read_text())
         if case == "invalid_json":
             m.write_text(m.read_text()[:-3])
-        elif case == "bad_source":
-            m.write_text(json.dumps({**doc, "source": {"q": 2}}))
+        elif case in BAD_MANIFEST_SOURCES:
+            m.write_text(json.dumps({**doc, "source": BAD_MANIFEST_SOURCES[case](doc["source"])}))
         else:
             m.write_text(json.dumps(BAD_MANIFESTS[case](doc)))
         infile = tmp_path / ("in.bin" if command == "compress" else "c.plsc")
@@ -521,6 +530,10 @@ BAD_SOURCES = {
     "missing_y_size": '{"q": 2}',
     "not_a_dict": "[0.5, 0.5]",
     "probs_not_numbers": '{"q": 2, "y_size": 1, "probs": ["a", "b"]}',
+    # int() made each of these a binary source with y_size 2
+    "q_float": '{"q": 2.5, "y_size": 2, "probs": [0.4, 0.1, 0.1, 0.4]}',
+    "q_string": '{"q": "2", "y_size": 2, "probs": [0.4, 0.1, 0.1, 0.4]}',
+    "y_size_float": '{"q": 2, "y_size": 2.9, "probs": [0.4, 0.1, 0.1, 0.4]}',
 }
 SOURCE_COMMANDS = {
     "spectrum": ["-N", "4"],

@@ -274,7 +274,8 @@ class TestFlipRepair:
         hset, X, Y, rows, data = case
         monkeypatch.setattr(codec, "FLIP_TRIES", 0)
         container = bytes(compress_file(io.BytesIO(data), hset))
-        with pytest.raises(FormatError, match="checksum mismatch"):
+        with pytest.raises(FormatError, match="^checksum mismatch after decompression: block 1 not repaired, "
+                                              "3 of 4 blocks failed their crc32$"):
             decompress_file(container, Y[rows].tobytes(), hset, BSC011)
 
     def test_plain_blocks_untouched(self, case, monkeypatch):

@@ -1,9 +1,11 @@
 import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srcpolar import (
     BudgetExceededError,
@@ -394,6 +396,95 @@ class TestHighEntropySet:
         assert np.array_equal(again.mask, hset.mask)
         assert again.fingerprint == hset.fingerprint
         assert again.N == hset.N
+
+
+def _loaded(load, text):
+    """What a manifest's text loads to: the set's fields, mask and source, or the exception's type and text."""
+    try:
+        hset = load(text)
+        source = JointSource.from_description(hset.source_desc)
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:  # the first three are FormatErrors at the CLI
+        return type(exc), str(exc)
+    assert set(map(type, hset.indices)) == {int}
+    return hset, hset.mask.tobytes(), source.description()
+
+
+def _reference(text):
+    return HighEntropySet.from_manifest(json.loads(text))
+
+
+def _manifest_texts():
+    """Valid manifests with N <= 64, each written compact and as freeze writes it (indent=2)."""
+    sets = [build_high_entropy_set(zbound_spectrum(JointSource.bernoulli(0.11), 16), 0.5),
+            build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 64), 0.7),
+            build_high_entropy_set(zbound_spectrum(JointSource.bernoulli(0.2), 1), 1.0)]
+    return [json.dumps(h.to_manifest(), sort_keys=True, **kw) for h in sets for kw in ({}, {"indent": 2})]
+
+
+MANIFEST_TEXTS = _manifest_texts()
+# Index lists that json rejects, that np.fromstring alone reads otherwise than json, or at the edges of
+# the whitespace and value range the reader takes.
+ODD_LISTS = ["[01, 2, 3]", "[+1, 2]", "[1, 2,]", "[1 2]", "[1,,2]", "[,1]", "[1,\v2]", "[1,\f2]", "[ ]", "[]",
+             "[-1, 2]", "[-0, 1]", "[1, -]", "[0, 1]", "[1.0, 2]", "[1e0, 2]", "[true, 2]", "[1, 2\u00a0]",
+             "[99999999999999999999, 2]", "[1, 18446744073709551617]", "[1, 999999999999999999]",
+             "[1, 1000000000000000000]", "[1, 2\x00]", '[1, "2"]', "[1, [2]]", "[1, 2 ]", "[\n 1 ,\n 2\n]"]
+
+
+class TestManifestReader:
+    """HighEntropySet.from_json against json.loads, from_manifest and from_description: the same set and
+    source, or the same error, on every text."""
+
+    @staticmethod
+    def _same(text):
+        assert _loaded(HighEntropySet.from_json, text) == _loaded(_reference, text)
+
+    def test_freeze_output_is_read_as_one_array(self):
+        text = MANIFEST_TEXTS[3]
+        assert isinstance(spectrum._manifest_doc(text)["indices"], np.ndarray)
+        self._same(text)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_bad_manifests(self, case, indent):
+        hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 16), 0.5)
+        text = json.dumps(BAD_MANIFESTS[case](hset.to_manifest()), indent=indent)
+        assert isinstance(_loaded(HighEntropySet.from_json, text)[0], type)
+        self._same(text)
+
+    @pytest.mark.parametrize("text", [MANIFEST_TEXTS[0][:-3], MANIFEST_TEXTS[0] + "}", "", "[]", "null",
+                                      "\ufeff" + MANIFEST_TEXTS[0], MANIFEST_TEXTS[0].replace('"N"', "N"),
+                                      MANIFEST_TEXTS[0].replace(", ", ",,", 1), "{}", "{,}", '{"N": 16,}',
+                                      '{"indices": [1, 2]}'])
+    def test_invalid_json_and_other_documents(self, text):
+        self._same(text)
+
+    @pytest.mark.parametrize("odd", ODD_LISTS)
+    def test_odd_index_lists(self, odd):
+        doc = json.loads(MANIFEST_TEXTS[0])
+        for N, R in ((16, 2 / 16), (2**62, 2 / 2**62)):  # a valid set of N = 2**62 gets no mask: MemoryError
+            self._same(json.dumps({**doc, "N": N, "R": R, "indices": [7, 8]}).replace("[7, 8]", odd))
+
+    def test_nested_and_repeated_indices_keys(self):
+        doc = json.loads(MANIFEST_TEXTS[0])
+        nested = {**doc, "source": {**doc["source"], "indices": [1, "x"]}}
+        hset = HighEntropySet.from_json(json.dumps(nested))
+        assert hset.indices == tuple(doc["indices"]) and hset.source_desc["indices"] == [1, "x"]
+        self._same(json.dumps(nested))
+        first, last = json.dumps(doc["indices"]), json.dumps(doc["indices"][::-1])
+        self._same(MANIFEST_TEXTS[0][:-1] + f', "indices": {last}}}')
+        self._same(MANIFEST_TEXTS[0].replace(first, last)[:-1] + f', "indices": {first}}}')
+        self._same(MANIFEST_TEXTS[0].replace('"N"', '"\\u004e"').replace('"indices"', '"ind\\u0069ces"'))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data(), text=st.sampled_from(MANIFEST_TEXTS),
+           edit=st.sampled_from(["substitute", "delete", "insert"]), in_list=st.booleans(),
+           char=st.one_of(st.sampled_from(list("0123456789,-+ \n\t\v[]{}:\".e")), st.characters()))
+    def test_one_character_edits(self, data, text, edit, in_list, char):
+        lo, hi = (text.index("[") + 1, text.index("]")) if in_list else (0, len(text) - 1)
+        at = data.draw(st.integers(lo, hi))
+        edited = (text[:at] + char + text[at + 1:] if edit == "substitute" else text[:at] + text[at + 1:]
+                  if edit == "delete" else text[:at] + char + text[at:])
+        self._same(edited)
 
 
 class TestPolarizationFractions:
