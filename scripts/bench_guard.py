@@ -35,8 +35,7 @@ Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set,
 `compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim sets,
 `compress_file` of 2 MiB of Ber(0.11) with crcs: the bulk_compress input
 (N=2^16, R=0.75), on every usable core and with the chunk pipeline's worker
-count patched to 1 (so the layer's gain and the threads' show apart; a
-checkout without the pipeline frames on one thread either way), the
+count patched to 1 (so the layer's gain and the threads' show apart), the
 same bytes at N=1024, R=0.7, the first 1 MiB less 3 bytes of them at N=64,
 R=0.75 (many blocks per chunk, a short last block and a last group of
 eight blocks padded with zero blocks), and sideinfo_codec's compress, a
@@ -54,10 +53,9 @@ and CLI `compress --checksum` of the bulk_compress input runs in process,
 the bulk_compress operation (containers compared).  It
 prints the parent/change time ratio per case, with its quartiles over the rounds,
 after asserting that both give equal outputs (spectra, manifests, loaded
-sets and sources, bits, containers, restored bytes or error messages); a parent whose compress_file
-has the checksum option is passed it, so both write crc32s.  `rss` runs CLI
-`compress --checksum` (the flag, ignored where crc32s are always written,
-makes an older parent write them too) of the bulk_compress input (2 MiB of
+sets and sources, bits, containers, restored bytes or error messages).  `rss` runs CLI
+`compress --checksum` (the hidden flag the benchmark passes, which changes
+nothing) of the bulk_compress input (2 MiB of
 Ber(0.11), seed 13, N=2^16, R=0.75, zbound) in one fresh interpreter per side
 and round, alternating
 which side runs first, and reports each child's wall time and its own
@@ -79,7 +77,6 @@ import argparse
 import functools
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import shutil
@@ -244,40 +241,25 @@ def _write_cases(sp) -> dict:
             cases[f"compress_blocks, {set_name}, {B} rows"] = (
                 lambda X=X, hset=hset: sp.compress_blocks(X, hset))
     raw = np.packbits(np.random.default_rng(13).random(8 << 21) < 0.11).tobytes()
-    write = _crc_writer(sp)
     for N, n_name, rate in ((1 << 16, "2^16", 0.75), (1024, "1024", 0.7)):
         hset = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), N), rate)
         cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum"] = (
-            lambda hset=hset: write(io.BytesIO(raw), hset))
+            lambda hset=hset: sp.compress_file(io.BytesIO(raw), hset))
         if N == 1 << 16:
             cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum, one worker"] = (
-                lambda hset=hset: _one_worker(sp, lambda: write(io.BytesIO(raw), hset)))
+                lambda hset=hset: _one_worker(sp, lambda: sp.compress_file(io.BytesIO(raw), hset)))
     n64 = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), 64), 0.75)
     cases["compress_file, 1 MiB less 3 bytes Ber(0.11), N=64, R=0.75, checksum"] = (
-        lambda: write(io.BytesIO(raw[: (1 << 20) - 3]), n64))
+        lambda: sp.compress_file(io.BytesIO(raw[: (1 << 20) - 3]), n64))
     small = np.random.default_rng(17).integers(0, 256, 2048, dtype=np.uint8).tobytes()
     cases["compress_file, 2 KiB (16 blocks), sideinfo set, checksum"] = (
-        lambda: write(io.BytesIO(small), _sideinfo_set(sp)))
+        lambda: sp.compress_file(io.BytesIO(small), _sideinfo_set(sp)))
     return cases
 
 
-def _crc_writer(sp):
-    """sp.compress_file, writing a crc32 per block.
-
-    A package whose compress_file still takes the checksum option (it wrote
-    blocks without crc32s by default) gets checksum=True, so that both sides
-    write the same containers.  Drop this once no parent has the option.
-    """
-    if "checksum" in inspect.signature(sp.compress_file).parameters:
-        return functools.partial(sp.compress_file, checksum=True)
-    return sp.compress_file
-
-
 def _one_worker(sp, call):
-    """call() with the chunk pipeline of the package sp on one worker; a package without it runs call as it is."""
-    pipeline = getattr(sp, "pipeline", None)
-    if pipeline is None:
-        return call()
+    """call() with the chunk pipeline of the package sp on one worker."""
+    pipeline = sp.pipeline
     workers, pipeline._workers = pipeline._workers, lambda: 1
     try:
         return call()
@@ -309,11 +291,11 @@ def _repair_cases(sp) -> dict:
     rng, rows = np.random.default_rng(2), [0, 15, 30, 35]
     X = rng.integers(0, 2, (64, 1024), dtype=np.uint8)
     Y = (X ^ (rng.random((64, 1024)) < 0.11)).astype(np.uint8)[rows]
-    flips = bytes(_crc_writer(sp)(io.BytesIO(np.packbits(X[rows]).tobytes()), hset))
+    flips = bytes(sp.compress_file(io.BytesIO(np.packbits(X[rows]).tobytes()), hset))
     ber = sp.JointSource.bernoulli(0.11)
     big = sp.build_high_entropy_set(sp.zbound_spectrum(ber, 1 << 16), 0.75)
     raw = np.packbits(np.random.default_rng(13).random(2 << 16) < 0.11).tobytes()
-    damaged = bytearray(_crc_writer(sp)(io.BytesIO(raw), big))
+    damaged = bytearray(sp.compress_file(io.BytesIO(raw), big))
     damaged[30] ^= 0x10  # past the 22-byte version 2 header
     return {"decompress_file, SC-Flip repairs 3 of 4 blocks (bsc_pair(0.11), N=1024, R=0.7)":
             lambda: restore(flips, Y.tobytes(), hset, s),
@@ -341,7 +323,7 @@ def _read_cases(sp, work: Path) -> dict:
     def encoded(rng, size):
         x = rng.integers(0, 256, size, dtype=np.uint8)
         side = np.unpackbits(x) ^ (rng.random(8 * size) < 0.11)
-        return bytes(_crc_writer(sp)(io.BytesIO(x.tobytes()), hset)), side.astype(np.uint8).tobytes()
+        return bytes(sp.compress_file(io.BytesIO(x.tobytes()), hset)), side.astype(np.uint8).tobytes()
 
     rng, argvs = np.random.default_rng(17), []
     for k in range(8):
@@ -400,8 +382,13 @@ def _manifest_cases(sp, work: Path) -> dict:
 
 
 def _manifest_view(hset, source) -> tuple:
-    """What ab compares of a loaded manifest: the set's mask, indices and fingerprint, and the source."""
-    return hset.mask.tobytes(), hset.indices, hset.fingerprint, source.description()
+    """What ab compares of a loaded manifest: the set's mask, indices and fingerprint, and the source.
+
+    The indices are compared as int64 bytes, whatever sequence type a side keeps them in.
+    """
+    import numpy as np
+
+    return hset.mask.tobytes(), np.asarray(hset.indices, np.int64).tobytes(), hset.fingerprint, source.description()
 
 
 def _decoder_probe(checkout: Path) -> dict:

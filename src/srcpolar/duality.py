@@ -114,7 +114,7 @@ class DualityCode:
         return {
             "N": self.N,
             "R": self.rate,
-            "frozen_indices": list(self.frozen_set.indices),
+            "frozen_indices": self.frozen_set.indices.tolist(),
             "pattern_seed": self.pattern_seed,
             "channel": self.channel.description(),
         }

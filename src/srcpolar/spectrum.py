@@ -70,34 +70,37 @@ class PolarSpectrum:
             fh.write(f"{i + 1},{hval},{zval},{self.method}\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HighEntropySet:
     """Index set E(N, R): the ceil(NR) indices of largest z (1-based).
 
-    indices may be given as a 1-D integer array; the set keeps the tuple of its ints.
+    indices, given as a 1-D integer array or a sequence of Python ints, is
+    kept as the set's own sorted, read-only int64 array, and mask is built
+    from it.  Two sets are equal when their manifests are.  N is a power of
+    two up to 2**30, the lengths scdec._decode_node's clamp proof covers,
+    and R a number (not a bool) in (0, 1].
     """
 
     N: int
     rate: float
-    indices: tuple
+    indices: np.ndarray
     fingerprint: str
     method: str
     seed: int | None
     source_desc: dict | None
-    mask: np.ndarray = field(init=False, repr=False, compare=False)  # read-only, True at i-1
+    mask: np.ndarray = field(init=False, repr=False)  # read-only, True at i-1
 
     def __post_init__(self):
         N, R, idx, fp = self.N, self.rate, self.indices, self.fingerprint
-        if type(N) is not int or N < 1 or N & (N - 1) or not 0.0 < R <= 1.0:
-            raise FormatError(f"N={N!r}, R={R!r}: N must be a power of two and 0 < R <= 1")
+        if type(N) is not int or not 1 <= N <= 1 << 30 or N & (N - 1) or isinstance(R, bool) or not 0.0 < R <= 1.0:
+            raise FormatError(f"N={N!r}, R={R!r}: N must be a power of two up to 2**30 and R a number in (0, 1]")
         if not (isinstance(fp, str) and len(fp) == 16 and set(fp) <= set("0123456789abcdef")):
             raise FormatError(f"fingerprint {fp!r} is not 16 lowercase hex digits")
         bad = FormatError(f"indices must be ceil(NR) strictly increasing integers in 1..{N}")
-        if isinstance(idx, np.ndarray):  # stored as the tuple of its ints
+        if isinstance(idx, np.ndarray):
             if idx.ndim != 1 or idx.dtype.kind != "i":
                 raise bad
-            arr = idx.astype(np.int64, copy=False)
-            object.__setattr__(self, "indices", tuple(arr.tolist()))
+            arr = idx.astype(np.int64)  # the set's own copy: a later write into idx leaves the set as it is
         elif set(map(type, idx)) != {int}:  # bool is not int
             raise bad
         else:
@@ -107,19 +110,21 @@ class HighEntropySet:
                 raise bad from None
         if arr.size != math.ceil(N * R) or arr[0] < 1 or arr[-1] > N or (arr[1:] <= arr[:-1]).any():
             raise bad
+        arr.setflags(write=False)
         mask = np.zeros(N, dtype=bool)
         mask[arr - 1] = True
         mask.setflags(write=False)
+        object.__setattr__(self, "indices", arr)
         object.__setattr__(self, "mask", mask)
 
-    def complement(self) -> tuple:
-        return tuple(int(i) + 1 for i in np.flatnonzero(~self.mask))
+    def __eq__(self, other):
+        return self.to_manifest() == other.to_manifest() if isinstance(other, HighEntropySet) else NotImplemented
 
     def to_manifest(self) -> dict:
         return {
             "N": self.N,
             "R": self.rate,
-            "indices": list(self.indices),
+            "indices": self.indices.tolist(),
             "fingerprint": self.fingerprint,
             "method": self.method,
             "seed": self.seed,
@@ -133,7 +138,7 @@ class HighEntropySet:
             return HighEntropySet(
                 N=doc["N"],
                 rate=doc["R"],
-                indices=idx if isinstance(idx := doc["indices"], np.ndarray) else tuple(idx),
+                indices=doc["indices"],
                 fingerprint=doc["fingerprint"],
                 method=doc["method"],
                 seed=doc.get("seed"),
@@ -145,9 +150,7 @@ class HighEntropySet:
     @staticmethod
     def from_json(text: str) -> "HighEntropySet":
         """from_manifest(json.loads(text)), with the top-level index list read as one int64 array (_manifest_doc)."""
-        doc = _manifest_doc(text)
-        del text  # freed before the set makes 49,152 ints at N=2^16, when no caller holds it
-        return HighEntropySet.from_manifest(doc)
+        return HighEntropySet.from_manifest(_manifest_doc(text))
 
 
 _INDEX_BYTES = b"0123456789, \t\n\r"  # the bytes _int_array reads; any other leaves the list to json

@@ -139,5 +139,8 @@ BAD_MANIFESTS = {
     "one_index_short": lambda doc: {**doc, "indices": doc["indices"][:-1]},
     "N_not_power_of_two": lambda doc: {**doc, "N": 12},
     "rate_above_one": lambda doc: {**doc, "R": 1.5},
+    "rate_bool": lambda doc: {**doc, "R": True, "indices": list(range(1, doc["N"] + 1))},  # JSON true, N indices
+    # a valid set but for N, past the 2**30 that scdec's clamp proof covers; ceil(NR) stays the list's length
+    "N_beyond_2^30": lambda doc: {**doc, "N": 2**62, "R": len(doc["indices"]) / 2**62},
     "fingerprint_not_hex": lambda doc: {**doc, "fingerprint": "z" * 16},
 }

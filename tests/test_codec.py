@@ -62,7 +62,7 @@ class TestCompress:
 
     def test_n4_payload_example(self):
         hset = build_high_entropy_set(exact_spectrum(JointSource.bec_pair(0.5), 4), 0.5)
-        assert hset.indices == (1, 2)
+        assert hset.indices.tolist() == [1, 2]
         # x = (1,1,0,0) transforms to u = (0,0,1,0); payload keeps u_1, u_2
         blk = compress(bits([1, 1, 0, 0]), hset)
         assert list(blk.payload) == [0, 0]

@@ -140,7 +140,7 @@ class TestEncodeDecode:
         # BEC(0.5): frozen set {1,2} with an all-zero pattern leaves
         # u = (0, 0, data); data (1, 0) transforms to x = (1, 1, 0, 0)
         code = make_duality_code(ChannelModel.bec(0.5), 4, 0.5, 0)
-        assert code.frozen_set.indices == (1, 2)
+        assert code.frozen_set.indices.tolist() == [1, 2]
         object.__setattr__(code, "frozen_pattern", np.zeros(2, dtype=np.int64))
         x = channel_encode(np.array([1, 0]), code)
         assert list(x.data) == [1, 1, 0, 0]
@@ -255,7 +255,7 @@ def test_duality_identity():
         from srcpolar import build_high_entropy_set, zbound_spectrum
 
         hset = build_high_entropy_set(zbound_spectrum(induced_source(w), 32), 0.7)
-        assert code.frozen_set.indices == hset.indices
+        assert np.array_equal(code.frozen_set.indices, hset.indices)
 
 
 def test_frozen_pattern_equivariance():

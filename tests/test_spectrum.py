@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from srcpolar import (
     BudgetExceededError,
+    ChannelModel,
     DomainError,
     FieldSpec,
     FormatError,
@@ -20,6 +22,7 @@ from srcpolar import (
     conditional_entropy,
     exact_spectrum,
     genie_llr_profile,
+    make_duality_code,
     montecarlo_spectrum,
     pipeline,
     polarization_fractions,
@@ -133,8 +136,7 @@ class TestZBound:
             N = 1 << n
             sp = zbound_spectrum(s, N)
             hset = build_high_entropy_set(sp, 0.75)
-            comp = np.asarray(hset.complement()) - 1
-            sums.append(float(sp.z[comp].sum()))
+            sums.append(float(sp.z[~hset.mask].sum()))
         assert all(b < a for a, b in zip(sums[3:], sums[4:]))  # monotone from 2^7
         assert sums[-1] < 1e-2 * max(sums)
 
@@ -324,17 +326,16 @@ class TestMonteCarloExactness:
 class TestHighEntropySet:
     def test_full_rate(self):
         hset = build_high_entropy_set(zbound_spectrum(JointSource.bernoulli(0.11), 8), 1.0)
-        assert hset.indices == tuple(range(1, 9))
-        assert hset.complement() == ()
-        assert hset.mask.all()
+        assert hset.indices.tolist() == list(range(1, 9))
+        assert hset.mask.all()  # the complement is empty
 
     def test_bec_n4_half_rate(self):
         hset = build_high_entropy_set(exact_spectrum(JointSource.bec_pair(0.5), 4), 0.5)
-        assert hset.indices == (1, 2)
+        assert hset.indices.tolist() == [1, 2]
 
     def test_tie_break_toward_small_index(self):
         hset = build_high_entropy_set(exact_spectrum(BER_HALF, 4), 0.5)
-        assert hset.indices == (1, 2)
+        assert hset.indices.tolist() == [1, 2]
 
     def test_size_is_ceil(self):
         sp = zbound_spectrum(JointSource.bernoulli(0.11), 8)
@@ -347,10 +348,16 @@ class TestHighEntropySet:
     def test_mask_is_read_only_and_marks_the_indices(self):
         hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 64), 0.7)
         assert hset.mask.dtype == bool and hset.mask.shape == (64,)
-        assert tuple(np.flatnonzero(hset.mask) + 1) == hset.indices
-        assert tuple(np.flatnonzero(~hset.mask) + 1) == hset.complement()
-        with pytest.raises(ValueError):
-            hset.mask[0] = not hset.mask[0]
+        assert hset.indices.dtype == np.int64
+        assert np.array_equal(np.flatnonzero(hset.mask) + 1, hset.indices)
+        for read_only in (hset.mask, hset.indices):
+            with pytest.raises(ValueError):
+                read_only[0] = read_only[-1]
+        passed = np.flatnonzero(hset.mask) + 1
+        again = dataclasses.replace(hset, indices=passed)
+        passed[:] = 0  # the set owns its copy
+        assert again == hset and np.array_equal(again.indices, hset.indices)
+        assert np.array_equal(again.mask, hset.mask)
 
     @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
     def test_bad_manifest_rejected(self, case):
@@ -364,7 +371,7 @@ class TestHighEntropySet:
         sp = exact_spectrum(s, 8)
         hset = build_high_entropy_set(sp, 0.4)
         lo = min(sp.z[i - 1] for i in hset.indices)
-        hi = max((sp.z[i - 1] for i in hset.complement()), default=-1.0)
+        hi = sp.z[~hset.mask].max(initial=-1.0)
         assert lo >= hi
 
     def test_rate_validated(self):
@@ -392,10 +399,14 @@ class TestHighEntropySet:
     def test_manifest_round_trip(self):
         hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 16), 0.7)
         again = HighEntropySet.from_manifest(hset.to_manifest())
-        assert again.indices == hset.indices
+        assert np.array_equal(again.indices, hset.indices)
         assert np.array_equal(again.mask, hset.mask)
         assert again.fingerprint == hset.fingerprint
         assert again.N == hset.N
+        # json.dumps raises TypeError on an np.int64 left in either manifest's list
+        assert HighEntropySet.from_json(json.dumps(hset.to_manifest())) == hset
+        code = make_duality_code(ChannelModel.bec(0.4), 16, 0.5, 11)
+        assert json.loads(json.dumps(code.to_manifest()))["frozen_indices"] == code.frozen_set.indices.tolist()
 
 
 def _loaded(load, text):
@@ -403,9 +414,9 @@ def _loaded(load, text):
     try:
         hset = load(text)
         source = JointSource.from_description(hset.source_desc)
-    except (KeyError, TypeError, ValueError, MemoryError) as exc:  # the first three are FormatErrors at the CLI
+    except (KeyError, TypeError, ValueError) as exc:  # FormatErrors at the CLI
         return type(exc), str(exc)
-    assert set(map(type, hset.indices)) == {int}
+    assert hset.indices.dtype == np.int64 and not hset.indices.flags.writeable
     return hset, hset.mask.tobytes(), source.description()
 
 
@@ -461,14 +472,14 @@ class TestManifestReader:
     @pytest.mark.parametrize("odd", ODD_LISTS)
     def test_odd_index_lists(self, odd):
         doc = json.loads(MANIFEST_TEXTS[0])
-        for N, R in ((16, 2 / 16), (2**62, 2 / 2**62)):  # a valid set of N = 2**62 gets no mask: MemoryError
+        for N, R in ((16, 2 / 16), (2**62, 2 / 2**62)):  # N = 2**62 is refused, with or without a valid list
             self._same(json.dumps({**doc, "N": N, "R": R, "indices": [7, 8]}).replace("[7, 8]", odd))
 
     def test_nested_and_repeated_indices_keys(self):
         doc = json.loads(MANIFEST_TEXTS[0])
         nested = {**doc, "source": {**doc["source"], "indices": [1, "x"]}}
         hset = HighEntropySet.from_json(json.dumps(nested))
-        assert hset.indices == tuple(doc["indices"]) and hset.source_desc["indices"] == [1, "x"]
+        assert hset.indices.tolist() == doc["indices"] and hset.source_desc["indices"] == [1, "x"]
         self._same(json.dumps(nested))
         first, last = json.dumps(doc["indices"]), json.dumps(doc["indices"][::-1])
         self._same(MANIFEST_TEXTS[0][:-1] + f', "indices": {last}}}')
