@@ -31,7 +31,8 @@ calls, clamps and parity checks, and the tracemalloc peak per call, at 1,
 4, 8, 16 and 64 rows.  `ab` imports both checkouts' packages into one
 process under two names and times them interleaved, case by case:
 `decode_batch` at those row counts and on two chansim codes, the
-Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set,
+Monte-Carlo spectrum, CLI `freeze --method mc` of the sideinfo_codec set
+and `freeze --method zbound` of the bulk_compress set (N=2^16, R=0.75),
 `compress_blocks` at 1, 4 and 16 rows on the sideinfo_codec and swsim sets,
 `compress_file` of 2 MiB of Ber(0.11) with crcs: the bulk_compress input
 (N=2^16, R=0.75), on every usable core and with the chunk pipeline's worker
@@ -92,11 +93,12 @@ ROWS = (1, 4, 8, 16, 64)
 WRITE_ROWS = (1, 4, 16)  # compress_blocks rows timed by ab
 # ab: interleaved rounds per decode, write, read or repair case and per Monte-Carlo or damaged-block
 # case, and the least time one side's sample of a case takes (calls are repeated to reach it)
-ROUNDS, MC_ROUNDS, SAMPLE_S = 25, 8, 0.05
+ROUNDS, MC_ROUNDS, SAMPLE_S = 25, 24, 0.05
 SETUP_ROUNDS = 10  # setup rounds that write runs per workload
 RSS_ROUNDS = 5  # rss rounds per side that write runs
 MC_SPECTRUM = "montecarlo_spectrum(bsc_pair(0.11), 1024, 10^4, 5)"
 MC_FREEZE = "freeze --method mc, bsc_pair(0.11), N=1024, R=0.8, 10^4 samples, seed 5"
+BULK_FREEZE = "freeze --method zbound in process, bulk_compress set: bernoulli(0.11), N=2^16, R=0.75"
 DAMAGED = "decompress_file, 2 blocks of Ber(0.11), N=2^16, R=0.75, one payload bit flipped"
 CLI_DECOMPRESS = "CLI decompress, 8 containers of 16 blocks with crcs and BSC(0.11) side files, sideinfo set"
 BULK_READ = "decompress_file, 16384 blocks with crcs and BSC(0.11) side (2 MiB), sideinfo set"
@@ -166,14 +168,18 @@ def _setup(parent: Path, change: Path, workload: str, rounds: int) -> dict:
 
 
 def _load(checkout: Path, name: str):
-    """Import checkout's src/srcpolar as the package `name`, so that two checkouts can share a process."""
+    """Import checkout's src/srcpolar as the package `name`, so that two checkouts can share a process.
+
+    Timed calls reach functions through their modules (sp.codec.compress_blocks): a package that
+    imports its names on first use looks each one up again on every access, about 0.7 us.
+    """
     pkg = Path(checkout).resolve() / "src" / "srcpolar"
     spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
                                                   submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("cli", "duality", "scdec", "spectrum", "transform"):
+    for sub in ("cli", "codec", "duality", "pipeline", "scdec", "spectrum", "transform"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -239,21 +245,21 @@ def _write_cases(sp) -> dict:
         for B in WRITE_ROWS:
             X = np.random.default_rng([11, B]).integers(0, 2, (B, 1024), dtype=np.uint8)
             cases[f"compress_blocks, {set_name}, {B} rows"] = (
-                lambda X=X, hset=hset: sp.compress_blocks(X, hset))
+                lambda X=X, hset=hset: sp.codec.compress_blocks(X, hset))
     raw = np.packbits(np.random.default_rng(13).random(8 << 21) < 0.11).tobytes()
     for N, n_name, rate in ((1 << 16, "2^16", 0.75), (1024, "1024", 0.7)):
         hset = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), N), rate)
         cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum"] = (
-            lambda hset=hset: sp.compress_file(io.BytesIO(raw), hset))
+            lambda hset=hset: sp.codec.compress_file(io.BytesIO(raw), hset))
         if N == 1 << 16:
             cases[f"compress_file, 2 MiB Ber(0.11), N={n_name}, R={rate}, checksum, one worker"] = (
-                lambda hset=hset: _one_worker(sp, lambda: sp.compress_file(io.BytesIO(raw), hset)))
+                lambda hset=hset: _one_worker(sp, lambda: sp.codec.compress_file(io.BytesIO(raw), hset)))
     n64 = sp.build_high_entropy_set(sp.zbound_spectrum(sp.JointSource.bernoulli(0.11), 64), 0.75)
     cases["compress_file, 1 MiB less 3 bytes Ber(0.11), N=64, R=0.75, checksum"] = (
-        lambda: sp.compress_file(io.BytesIO(raw[: (1 << 20) - 3]), n64))
+        lambda: sp.codec.compress_file(io.BytesIO(raw[: (1 << 20) - 3]), n64))
     small = np.random.default_rng(17).integers(0, 256, 2048, dtype=np.uint8).tobytes()
     cases["compress_file, 2 KiB (16 blocks), sideinfo set, checksum"] = (
-        lambda: sp.compress_file(io.BytesIO(small), _sideinfo_set(sp)))
+        lambda: sp.codec.compress_file(io.BytesIO(small), _sideinfo_set(sp)))
     return cases
 
 
@@ -282,7 +288,7 @@ def _repair_cases(sp) -> dict:
 
     def restore(container, side, hset, source):
         try:
-            return sp.decompress_file(container, side, hset, source)
+            return sp.codec.decompress_file(container, side, hset, source)
         except sp.FormatError as e:
             return str(e).partition(":")[0]  # the detail after it names blocks only in newer messages
 
@@ -341,7 +347,7 @@ def _read_cases(sp, work: Path) -> dict:
 
     def restore(container, side):
         try:
-            return sp.decompress_file(container, side, hset, s)
+            return sp.codec.decompress_file(container, side, hset, s)
         except sp.FormatError as e:
             return str(e).partition(":")[0]  # the detail after it names blocks only in newer messages
 
@@ -490,11 +496,14 @@ def _ab(parent: Path, change: Path) -> dict:
     work = tempfile.TemporaryDirectory()
     calls = {}
     for side, sp in sides.items():
-        calls[side] = {name: (lambda sp=sp, case=case: sp.decode_batch(*case))
+        calls[side] = {name: (lambda sp=sp, case=case: sp.scdec.decode_batch(*case))
                        for name, case in _decode_cases(sp).items()}
         calls[side][MC_SPECTRUM] = (
             lambda sp=sp: sp.spectrum.montecarlo_spectrum(sp.JointSource.bsc_pair(0.11), 1024, 10**4, 5))
-        calls[side][MC_FREEZE] = lambda sp=sp, out=Path(work.name) / f"{side}.json": _freeze_mc(sp, out)
+        calls[side][MC_FREEZE] = lambda sp=sp, out=Path(work.name) / f"{side}.json": _freeze(
+            sp, out, "bsc_pair(0.11)", "1024", "0.8", "mc", "--samples", "10000", "--seed", "5")
+        calls[side][BULK_FREEZE] = lambda sp=sp, out=Path(work.name) / f"{side}-bulk.json": _freeze(
+            sp, out, "bernoulli(0.11)", "65536", "0.75", "zbound")
         calls[side].update(_write_cases(sp))
         calls[side].update(_repair_cases(sp))
         (Path(work.name) / side).mkdir()
@@ -532,10 +541,9 @@ def _ab(parent: Path, change: Path) -> dict:
     return out
 
 
-def _freeze_mc(sp, out: Path) -> bytes:
-    """CLI freeze of the sideinfo_codec set with the package sp, in process; returns the manifest's bytes."""
-    rc = sp.cli.main(["freeze", "--preset", "bsc_pair(0.11)", "-N", "1024", "-R", "0.8", "--method", "mc",
-                      "--samples", "10000", "--seed", "5", "--out", str(out)])
+def _freeze(sp, out: Path, preset: str, N: str, R: str, method: str, *more: str) -> bytes:
+    """CLI freeze with the package sp, in process; returns the manifest's bytes."""
+    rc = sp.cli.main(["freeze", "--preset", preset, "-N", N, "-R", R, "--method", method, *more, "--out", str(out)])
     assert rc == 0, f"freeze exited with {rc}"
     return out.read_bytes()
 

@@ -14,13 +14,12 @@ Floats are formatted with 17 significant digits.
 import argparse
 import functools
 import io
-import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-from . import codec, duality, spectrum as spec_mod
+from . import spectrum as spec_mod
 from .errors import FormatError, SrcPolarError, UnsupportedAlphabetError
 from .sources import JointSource, parse_preset
 from .spectrum import HighEntropySet
@@ -92,9 +91,7 @@ def cmd_freeze(args) -> int:
     spec_mod._check_rate(args.R)
     src = _load_source(args)
     sp = _compute_spectrum(src, args.N, args.method, args.samples, args.seed, entropy=False)
-    hset = spec_mod.build_high_entropy_set(sp, args.R)
-    doc = json.dumps(hset.to_manifest(), sort_keys=True, indent=2) + "\n"
-    _atomic_write(args.out, doc.encode())
+    _atomic_write(args.out, spec_mod.build_high_entropy_set(sp, args.R).to_json())
     return 0
 
 
@@ -107,6 +104,8 @@ def _load_manifest(path: str) -> tuple[HighEntropySet, JointSource]:
 
 
 def cmd_compress(args) -> int:
+    from . import codec
+
     hset, source = _load_manifest(args.manifest)
     if not source.field.is_binary:
         raise UnsupportedAlphabetError("compression requires a binary source")
@@ -116,6 +115,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
+    from . import codec
+
     hset, source = _load_manifest(args.manifest)
     side = Path(args.side).read_bytes() if args.side else None
     _atomic_write(args.out, codec.decompress_file(Path(args.infile).read_bytes(), side, hset, source))
@@ -123,6 +124,8 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_chansim(args) -> int:
+    from . import duality
+
     w = duality.parse_channel(args.channel)
     rows = io.StringIO()
     rows.write("channel,N,R,trials,fer,ber,bound\n")
@@ -139,6 +142,8 @@ def cmd_chansim(args) -> int:
 
 
 def cmd_swsim(args) -> int:
+    from . import codec, duality
+
     cfg = codec.sw_config(_load_source(args), args.N, args.rx, args.ry)
     rep = duality.sw_simulate(cfg, args.trials, args.seed)
     rows = (

@@ -15,7 +15,8 @@ Four ways to obtain per-index statistics of U^N = X^N G_N:
   order; the jobs invert them into the cells
   Generator.choice would draw, take the genie's partial sums straight
   from x, and skip the clamps the side symbols' llrs prove idle.  `freeze`
-  reads only z, so it asks for no h terms.
+  reads only z, so it asks for no h terms.  Only this estimator uses scdec
+  and pipeline, and it imports them when it runs.
 """
 
 import hashlib
@@ -26,12 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import pipeline
 from .errors import BudgetExceededError, DomainError, FormatError, UnsupportedAlphabetError
 from .field import FieldSpec
-from .scdec import _clamp_depth, _genie_llrs, _llr_table, _sums_from_x, batch_rows
 from .sources import JointSource, _entropy_nats, bhattacharyya
-from .transform import _check_block_length, _check_count, _forward_rows, bit_reverse_indices
+from .transform import MAX_BLOCK_LENGTH, _check_block_length, _check_count, _forward_rows, bit_reverse_indices
 
 METHOD_EXACT = "exact"
 METHOD_ZBOUND = "zbound"
@@ -77,8 +76,9 @@ class HighEntropySet:
     indices, given as a 1-D integer array or a sequence of Python ints, is
     kept as the set's own sorted, read-only int64 array, and mask is built
     from it.  Two sets are equal when their manifests are.  N is a power of
-    two up to 2**30, the lengths scdec._decode_node's clamp proof covers,
-    and R a number (not a bool) in (0, 1].
+    two up to transform.MAX_BLOCK_LENGTH (2**30), and R a number (not a
+    bool) in (0, 1].  to_json writes the manifest file and from_json reads
+    it.
     """
 
     N: int
@@ -92,7 +92,7 @@ class HighEntropySet:
 
     def __post_init__(self):
         N, R, idx, fp = self.N, self.rate, self.indices, self.fingerprint
-        if type(N) is not int or not 1 <= N <= 1 << 30 or N & (N - 1) or isinstance(R, bool) or not 0.0 < R <= 1.0:
+        if type(N) is not int or not 1 <= N <= MAX_BLOCK_LENGTH or N & (N - 1) or isinstance(R, bool) or not 0.0 < R <= 1.0:
             raise FormatError(f"N={N!r}, R={R!r}: N must be a power of two up to 2**30 and R a number in (0, 1]")
         if not (isinstance(fp, str) and len(fp) == 16 and set(fp) <= set("0123456789abcdef")):
             raise FormatError(f"fingerprint {fp!r} is not 16 lowercase hex digits")
@@ -121,15 +121,30 @@ class HighEntropySet:
         return self.to_manifest() == other.to_manifest() if isinstance(other, HighEntropySet) else NotImplemented
 
     def to_manifest(self) -> dict:
+        return self._manifest(self.indices.tolist())
+
+    def _manifest(self, indices) -> dict:
         return {
             "N": self.N,
             "R": self.rate,
-            "indices": self.indices.tolist(),
+            "indices": indices,
             "fingerprint": self.fingerprint,
             "method": self.method,
             "seed": self.seed,
             "source": self.source_desc,
         }
+
+    def to_json(self) -> bytes:
+        """The manifest file: (json.dumps(self.to_manifest(), sort_keys=True, indent=2) + "\\n").encode().
+
+        json writes every other field, with 0 for the index list, and the
+        list's lines take the place of that 0, written for all indices of
+        one digit count at once (_index_lines).
+        """
+        head, _, tail = json.dumps(self._manifest(0), sort_keys=True, indent=2).partition('\n  "indices": 0')
+        groups = np.split(self.indices, self.indices.searchsorted(10 ** np.arange(1, len(str(self.N)))))
+        body = b"".join(_index_lines(g, digits) for digits, g in enumerate(groups, 1))[1:]  # no comma before the first
+        return f'{head}\n  "indices": ['.encode() + body + f"\n  ]{tail}\n".encode()
 
     @staticmethod
     def from_manifest(doc: dict) -> "HighEntropySet":
@@ -225,6 +240,16 @@ def _int_array(raw: bytes) -> np.ndarray | None:
     return values if _POW10.searchsorted(values, side="right").sum() == digits else None
 
 
+def _index_lines(values: np.ndarray, digits: int) -> bytes:
+    """The manifest lines of values that all have `digits` digits, each a comma, a newline, 4 spaces and its digits."""
+    rows = np.empty((values.size, 6 + digits), dtype=np.uint8)
+    rows[:, :6] = np.frombuffer(b",\n    ", dtype=np.uint8)
+    for col in range(5 + digits, 5, -1):
+        values, rows[:, col] = np.divmod(values, 10)
+    rows[:, 6:] += ord("0")
+    return rows.tobytes()
+
+
 def spectrum_fingerprint(source_desc, N: int, method: str, seed) -> str:
     # The merge size decides which indices tv selects, so it is hashed too;
     # a change to the bin rule must change this tag as well.
@@ -254,10 +279,8 @@ def exact_spectrum(s: JointSource, N: int) -> PolarSpectrum:
     """Exact h (and, for q=2, z) spectrum by full enumeration."""
     _check_block_length(N)
     q, ys = s.q, s.y_size
-    if (q * ys) ** N > STATE_BUDGET:
-        raise BudgetExceededError(
-            f"(q*y_size)^N = {(q * ys) ** N} exceeds the {STATE_BUDGET} state budget"
-        )
+    if N * math.log2(q * ys) > math.log2(STATE_BUDGET):  # the power itself has millions of digits near N=2^30
+        raise BudgetExceededError(f"(q*y_size)^N = {q * ys}^{N} exceeds the {STATE_BUDGET} state budget")
     joint = s.probs
     for _ in range(N - 1):
         joint = np.kron(joint, s.probs)
@@ -394,6 +417,9 @@ def montecarlo_spectrum(s: JointSource, N: int, samples: int, seed: int, *,
     one pass over all samples, whatever the thread count.  With _entropy
     off, h is None and no h term is computed: `freeze` reads only z.
     """
+    from . import pipeline
+    from .scdec import _clamp_depth, _llr_table, batch_rows
+
     n = _check_block_length(N)
     if not s.field.is_binary:
         raise UnsupportedAlphabetError("Monte-Carlo estimation requires q = 2")
@@ -447,6 +473,8 @@ def _genie_terms(uniforms, cdf, cell_llrs, perm, J, entropy) -> tuple:
     y_size on.  The h term is -ln P(true bit) = logaddexp(0, -llr) for
     u = 0, logaddexp(0, llr) for u = 1; the z term is sech(llr / 2).
     """
+    from .scdec import _genie_llrs, _sums_from_x
+
     cells = _cells(uniforms, cdf).T[perm]  # bit-reversed, positions major
     sums = _sums_from_x(np.greater_equal(cells, cell_llrs.size // 2).view(np.uint8))
     llrs = _genie_llrs(cell_llrs[cells], sums, J)
@@ -475,17 +503,26 @@ def _add_terms(totals: tuple, terms: tuple) -> tuple:
 
 
 def build_high_entropy_set(spec: PolarSpectrum, R: float) -> HighEntropySet:
-    """Select the ceil(NR) largest-z indices; ties go to the smaller index."""
+    """Select the ceil(NR) largest-z indices; ties go to the smaller index.
+
+    One partition finds the k-th largest z, the cut: every z above it is
+    kept, and of the z equal to it, the first k - #above.  That is the
+    first k of a stable argsort of -z.  A NaN z raises DomainError.
+    """
     _check_rate(R)
-    if spec.z is None:
+    z = spec.z
+    if z is None:
         raise DomainError("spectrum has no z values to select on")
+    if np.isnan(z).any():
+        raise DomainError("spectrum has a NaN z value")
     k = math.ceil(spec.N * R)
-    order = np.argsort(-spec.z, kind="stable")
-    chosen = np.sort(order[:k])
+    cut = np.partition(z, z.size - k)[z.size - k]
+    chosen = z > cut
+    chosen[np.flatnonzero(z == cut)[: k - np.count_nonzero(chosen)]] = True
     return HighEntropySet(
         N=spec.N,
         rate=R,
-        indices=chosen + 1,
+        indices=np.flatnonzero(chosen) + 1,
         fingerprint=spectrum_fingerprint(spec.source_desc, spec.N, spec.method, spec.seed),
         method=spec.method,
         seed=spec.seed,

@@ -77,10 +77,15 @@ def _integers(a, what: str) -> np.ndarray:
     raise DomainError(f"{what} must be whole numbers")
 
 
+MAX_BLOCK_LENGTH = 1 << 30  # the block lengths scdec._decode_node's clamp proof covers
+
+
 def _check_block_length(N: int) -> int:
-    """log2 N; a block length that is not a power of two raises DomainError."""
+    """log2 N; a block length that is not a power of two, or exceeds MAX_BLOCK_LENGTH, raises DomainError."""
     if N < 1 or N & (N - 1):
         raise DomainError(f"block length {N} is not a power of two")
+    if N > MAX_BLOCK_LENGTH:
+        raise DomainError(f"block length {N} exceeds 2**30")
     return N.bit_length() - 1
 
 

@@ -3,7 +3,9 @@ import hashlib
 import importlib
 import json
 import os
+import resource
 import shutil
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -16,6 +18,8 @@ from srcpolar import HighEntropySet, JointSource, SymbolBlock, binary_entropy, c
 from srcpolar.cli import main
 
 from conftest import BAD_MANIFESTS, plain_container
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -62,6 +66,14 @@ class TestSpectrumCommand:
             "spectrum", "--preset", "cauchy(1)", "-N", "4", "--out", str(tmp_path / "x")
         ) == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("N", ["16", "8192"])
+    def test_exact_over_the_state_budget_fails(self, tmp_path, capsys, N):
+        # at N=8192 the message once held 4^8192, past Python's 4300-digit str limit, and exited with a traceback
+        out = tmp_path / "s.csv"
+        assert run("spectrum", "--preset", "bsc_pair(0.11)", "-N", N, "--method", "exact", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"srcpolar: error: (q*y_size)^N = 4^{N} exceeds the 16777216 state budget\n"
+        assert not out.exists()
 
     def test_mc_requires_seed(self, tmp_path):
         assert run(
@@ -600,6 +612,75 @@ def test_bad_source_file_fails(tmp_path, capsys, command, case):
     assert run(command, "--source", str(src), *SOURCE_COMMANDS[command], "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"srcpolar: error: source {src}: ")
     assert not out.exists()
+
+
+HUGE_N_COMMANDS = {
+    "spectrum": ["--preset", "bernoulli(0.11)", "--method", "zbound"],
+    "freeze": ["--preset", "bernoulli(0.11)", "-R", "0.5", "--method", "zbound"],
+    "chansim": ["--channel", "bsc(0.11)", "-R", "0.5", "--trials", "1", "--seed", "0"],
+    "swsim": ["--rx", "0.8", "--ry", "0.95", "--trials", "1", "--seed", "0"],
+}
+
+
+def _address_space_cap():
+    # 4 GiB: where a command allocates for the block length first, it fails with MemoryError, not by filling the host
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_N_COMMANDS))
+def test_block_length_beyond_2_30_fails_at_once(tmp_path, command):
+    joint = tmp_path / "joint.json"
+    joint.write_text('{"q": 2, "y_size": 2, "probs": [0.76, 0.01, 0.04, 0.19]}')
+    source = ["--source", str(joint)] if command == "swsim" else []
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "srcpolar.cli", command, *source, *HUGE_N_COMMANDS[command], "-N", str(1 << 31),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_address_space_cap,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stderr) == (1, "srcpolar: error: block length 2147483648 exceeds 2**30\n")
+    assert not out.exists()
+
+
+# The modules a command may load, beyond srcpolar, cli, errors, field, sources, spectrum and transform.
+COMMAND_MODULES = {
+    "freeze": ([], ["--preset", "bernoulli(0.11)", "-N", "1024", "-R", "0.75", "--method", "zbound"]),
+    "spectrum": ([], ["--preset", "bsc_pair(0.11)", "-N", "8", "--method", "exact"]),
+    "compress": (["codec", "pipeline", "scdec"], None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_a_command_imports_only_what_it_runs(tmp_path, command):
+    extra, argv = COMMAND_MODULES[command]
+    if argv is None:
+        manifest = tmp_path / "m.json"
+        assert run("freeze", "--preset", "bernoulli(0.11)", "-N", "64", "-R", "0.75", "--out", str(manifest)) == 0
+        (tmp_path / "in.bin").write_bytes(bytes(range(200)))
+        argv = ["--manifest", str(manifest), "--in", str(tmp_path / "in.bin")]
+    code = ("import sys; from srcpolar import cli; rc = cli.main(sys.argv[1:]); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('srcpolar')))); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code, command, *argv, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    base = ["cli", "errors", "field", "sources", "spectrum", "transform"]
+    assert proc.stdout.split() == ["srcpolar", *sorted(f"srcpolar.{m}" for m in base + extra)]
+
+
+def test_every_public_name_resolves_to_its_module():
+    import srcpolar
+
+    assert srcpolar.__all__ == sorted(srcpolar._HOME)
+    listed = dir(srcpolar)
+    for name in srcpolar.__all__:
+        module = importlib.import_module(srcpolar._HOME[name])
+        assert getattr(srcpolar, name) is getattr(module, name)
+        assert name in listed
+        assert name not in vars(srcpolar)  # looked up on every access, so a rebinding in its module shows
+    assert srcpolar.codec is importlib.import_module("srcpolar.codec")
+    with pytest.raises(AttributeError):
+        srcpolar.no_such_name
 
 
 COMMANDS = ["spectrum", "freeze", "compress", "decompress", "chansim", "swsim"]

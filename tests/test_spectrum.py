@@ -16,6 +16,7 @@ from srcpolar import (
     FormatError,
     HighEntropySet,
     JointSource,
+    PolarSpectrum,
     UnsupportedAlphabetError,
     bhattacharyya,
     build_high_entropy_set,
@@ -24,6 +25,7 @@ from srcpolar import (
     genie_llr_profile,
     make_duality_code,
     montecarlo_spectrum,
+    parse_preset,
     pipeline,
     polarization_fractions,
     scdec,
@@ -380,6 +382,28 @@ class TestHighEntropySet:
             with pytest.raises(DomainError):
                 build_high_entropy_set(sp, r)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_selection_is_the_stable_argsort(self, data):
+        # few distinct values, so that the cut falls among ties; -0.0 equals 0.0 in both orders
+        n = data.draw(st.integers(0, 7))
+        palette = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                     min_size=1, max_size=4))
+        z = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=1 << n, max_size=1 << n)))
+        k = data.draw(st.integers(1, 1 << n))
+        sp = PolarSpectrum(N=1 << n, method="zbound", h=None, z=z, source_desc=BER_HALF.description())
+        hset = build_high_entropy_set(sp, k / (1 << n))
+        assert hset.indices.tolist() == (np.sort(np.argsort(-z, kind="stable")[:k]) + 1).tolist()
+
+    @pytest.mark.parametrize("at", [0, 5, 15])
+    def test_nan_z_refused(self, at):
+        # a stable argsort put a NaN last; a partition could take it as the cut
+        z = zbound_spectrum(JointSource.bernoulli(0.11), 16).z.copy()
+        z[at] = np.nan
+        sp = PolarSpectrum(N=16, method="zbound", h=None, z=z, source_desc=BER_HALF.description())
+        with pytest.raises(DomainError, match="NaN"):
+            build_high_entropy_set(sp, 0.5)
+
     def test_fingerprint_depends_on_inputs(self):
         a = build_high_entropy_set(zbound_spectrum(JointSource.bernoulli(0.11), 8), 0.5)
         b = build_high_entropy_set(zbound_spectrum(JointSource.bernoulli(0.11), 8), 0.5)
@@ -407,6 +431,29 @@ class TestHighEntropySet:
         assert HighEntropySet.from_json(json.dumps(hset.to_manifest())) == hset
         code = make_duality_code(ChannelModel.bec(0.4), 16, 0.5, 11)
         assert json.loads(json.dumps(code.to_manifest()))["frozen_indices"] == code.frozen_set.indices.tolist()
+
+
+def _writer_spectra():
+    """(method, N) pairs for the writer's test: every method at small N, and the cheap ones up to 2^16."""
+    pairs = [("exact", 1), ("exact", 2), ("exact", 4)]
+    pairs += [(m, N) for m in ("zbound", "mc") for N in (1, 2, 16, 1024, 1 << 16)]
+    return pairs + [("tv", N) for N in (1, 2, 16, 1024)]
+
+
+@pytest.mark.parametrize("method, N", _writer_spectra())
+@pytest.mark.parametrize("preset", ["bernoulli(0.11)", "bsc_pair(0.11)", "bec_pair(0.4)"])
+def test_to_json_writes_the_manifest_as_json_does(preset, method, N):
+    s = parse_preset(preset)
+    if method == "mc":
+        sp = montecarlo_spectrum(s, N, 4, 9, _entropy=False)
+    else:
+        sp = {"exact": exact_spectrum, "zbound": zbound_spectrum, "tv": tv_spectrum}[method](s, N)
+    for R in (1 / N, 0.5, 0.75, 1.0):
+        for seed in (sp.seed, None, 2**40 + 1):
+            hset = dataclasses.replace(build_high_entropy_set(sp, R), seed=seed)
+            text = hset.to_json()
+            assert text == (json.dumps(hset.to_manifest(), sort_keys=True, indent=2) + "\n").encode()
+            assert HighEntropySet.from_json(text.decode()) == hset
 
 
 def _loaded(load, text):
