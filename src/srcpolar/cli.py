@@ -7,7 +7,8 @@ All stochastic commands require --seed and are byte-deterministic given
 their inputs on one host.  Across hosts, spectrum --method mc is the one
 exception: its 17-digit h and z come from numpy's exp and log1p, whose
 last bits depend on the SIMD kernels numpy picks for the CPU.  Output
-files are written atomically (temp file + rename).
+files are written atomically (temp file + rename), with the mode of the
+file they replace, or 0666 less the umask for a new file.
 Floats are formatted with 17 significant digits.
 """
 
@@ -15,6 +16,7 @@ import argparse
 import functools
 import io
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -29,8 +31,15 @@ _F = lambda v: format(v, ".17g")
 
 def _atomic_write(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
+    try:  # mkstemp makes the file 0600: give it the replaced file's mode, or a new file's
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-srcpolar-")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)

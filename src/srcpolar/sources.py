@@ -80,11 +80,13 @@ class JointSource:
 
     @staticmethod
     def from_description(desc: dict) -> "JointSource":
-        q, y_size = desc["q"], desc["y_size"]
-        if type(q) is not int or type(y_size) is not int:  # not 2.5, "2" or true
-            raise FormatError(f"q={q!r}, y_size={y_size!r}: both must be integers")
-        table = np.asarray(desc["probs"], dtype=float).reshape(q, y_size)
-        return JointSource(FieldSpec.for_alphabet(q), table)
+        q, y_size, probs = desc["q"], desc["y_size"], desc["probs"]
+        if type(q) is not int or type(y_size) is not int or q < 2 or y_size < 1:  # not 2.5, "2", true or -1
+            raise FormatError(f"q={q!r}, y_size={y_size!r}: both must be integers, q >= 2 and y_size >= 1")
+        if (type(probs) is not list or len(probs) != q * y_size
+                or not all(type(p) in (int, float) for p in probs)):  # not "0.1", true or [0.1]
+            raise FormatError(f"probs must be a flat list of q*y_size = {q * y_size} numbers")
+        return JointSource(FieldSpec.for_alphabet(q), np.array(probs, dtype=float).reshape(q, y_size))
 
     @staticmethod
     def from_json(text: str) -> "JointSource":

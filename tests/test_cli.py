@@ -119,6 +119,11 @@ BAD_MANIFEST_SOURCES = {
     "source_q_float": lambda src: {**src, "q": 2.5},
     "source_q_string": lambda src: {**src, "q": "2"},
     "source_y_size_float": lambda src: {**src, "y_size": 1.9},
+    # numpy's reshape inferred the -1, and float() read each of these probs
+    "source_y_size_minus_one": lambda src: {**src, "y_size": -1},
+    "source_probs_strings": lambda src: {**src, "probs": [str(p) for p in src["probs"]]},
+    "source_probs_bool": lambda src: {**src, "probs": [True, False]},
+    "source_probs_nested": lambda src: {**src, "probs": [[p] for p in src["probs"]]},
 }
 
 
@@ -546,6 +551,7 @@ BAD_SOURCES = {
     "q_float": '{"q": 2.5, "y_size": 2, "probs": [0.4, 0.1, 0.1, 0.4]}',
     "q_string": '{"q": "2", "y_size": 2, "probs": [0.4, 0.1, 0.1, 0.4]}',
     "y_size_float": '{"q": 2, "y_size": 2.9, "probs": [0.4, 0.1, 0.1, 0.4]}',
+    "y_size_minus_one": '{"q": 2, "y_size": -1, "probs": [0.4, 0.1, 0.1, 0.4]}',  # reshape inferred y_size 2
 }
 SOURCE_COMMANDS = {
     "spectrum": ["-N", "4"],
@@ -666,6 +672,25 @@ def test_a_command_imports_only_what_it_runs(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     base = ["cli", "errors", "field", "sources", "spectrum", "transform"]
     assert proc.stdout.split() == ["srcpolar", *sorted(f"srcpolar.{m}" for m in base + extra)]
+
+
+@pytest.mark.parametrize("command", ["freeze", "compress"])
+@pytest.mark.parametrize("before, after", [(None, 0o644), (0o640, 0o640)], ids=["new", "existing_0640"])
+def test_output_keeps_its_mode_or_takes_the_umask(tmp_path, command, before, after):
+    # the temp file behind the atomic write is made 0600, and the rename kept that mode
+    manifest, out = tmp_path / "m.json", tmp_path / "out"
+    assert run("freeze", "--preset", "bernoulli(0.11)", "-N", "64", "-R", "0.75", "--out", str(manifest)) == 0
+    (tmp_path / "in.bin").write_bytes(bytes(range(200)))
+    argv = {"freeze": ["--preset", "bernoulli(0.11)", "-N", "64", "-R", "0.75"],
+            "compress": ["--manifest", str(manifest), "--in", str(tmp_path / "in.bin")]}[command]
+    if before is not None:
+        out.write_bytes(b"old")
+        out.chmod(before)
+    code = "import os, sys; os.umask(0o022); from srcpolar import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, command, *argv, "--out", str(out)],
+                          capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert oct(out.stat().st_mode & 0o777) == oct(after)
 
 
 def test_every_public_name_resolves_to_its_module():
