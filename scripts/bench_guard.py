@@ -28,8 +28,9 @@ ratio per case, with its quartiles over the rounds.  `rss` runs CLI
 `compress` of the bulk_compress input in one fresh interpreter per side and
 round, and reports each child's wall time and its own ru_maxrss, read as it
 exits; the containers must be equal.  `write` summarises the logged runs per
-workload and end-to-end metric of BENCHMARK.json (medians, quartiles, wins
-per pair, each against its bound, and each side's median host factor), runs
+workload and end-to-end metric of BENCHMARK.json (medians, quartiles and
+wins over the pairs in which both runs report the metric, each against its
+bound, and each side's median host factor), runs
 `decoder` once in each checkout, `ab` and `rss` once and `setup` (10 rounds)
 once per logged workload, and writes the evidence file, with the number of
 cores this process may run on, which is the chunk pipeline's worker count,
@@ -570,7 +571,12 @@ def summarise(runs: list) -> dict:
                  "runs": mine, "metrics": {}}
         for gate in gates:
             name, better, bound = gate["name"], gate["better"], gate["bound"]
-            par, chg = ([side[p, s][name] for p in pairs] for s in ("parent", "change"))
+            # a run that exited before printing its metrics (counted in exit_nonzero) drops its pair here
+            complete = [p for p in pairs if all(name in side[p, s] for s in ("parent", "change"))]
+            if len(complete) < 2:
+                raise ValueError(f"{wl} {name}: reported by both runs of {len(complete)} of {len(pairs)} pairs, "
+                                 "fewer than two")
+            par, chg = ([side[p, s][name] for p in complete] for s in ("parent", "change"))
             sign = 1 if better == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
             qp, qc = _quartiles(par), _quartiles(chg)
@@ -578,7 +584,7 @@ def summarise(runs: list) -> dict:
             entry["metrics"][name] = {
                 "better": better, "bound": bound, "parent": qp, "change": qc,
                 "ratio_change_over_parent": qc["median"] / qp["median"],
-                "change_wins": f"{wins} of {len(pairs)}",
+                "change_wins": f"{wins} of {len(complete)}",
                 "worse_by_share_of_parent_median": worse, "within_bound": worse <= bound}
         out[wl] = entry
     return out
@@ -625,7 +631,8 @@ def cmd_write(sides: dict, args) -> None:
         "host_factor": {"what": "median per side and workload of the host_factor each logged run reports "
                                 "(perfbench/probe.py's pure-Python probe, which scales bits_per_s_norm; "
                                 "setup_s is not scaled): a host change between files shows here",
-                        "workloads": {wl: {s: statistics.median(r["host_factor"] for r in e["runs"] if r["side"] == s)
+                        "workloads": {wl: {s: statistics.median(r["host_factor"] for r in e["runs"] if r["side"] == s
+                                                                and r["host_factor"] is not None)
                                            for s in ("parent", "change")} for wl, e in workloads.items()}},
         "workloads": workloads,
         "seeds_note": "; ".join(f"{wl} seeds {min(e['seeds'])}-{max(e['seeds'])}" for wl, e in workloads.items()),

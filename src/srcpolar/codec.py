@@ -89,10 +89,12 @@ class CompressedBlock:
         version = buf[offset + 4]
         if version not in (VERSION_PLAIN, VERSION_CRC):
             raise FormatError(f"unsupported block version {version}")
+        pos = offset + (22 if version == VERSION_CRC else 18)
+        if len(buf) < pos:
+            raise FormatError("truncated compressed block header")
         n = buf[offset + 5]
         fingerprint = buf[offset + 6 : offset + 14].hex()
         nbits = int.from_bytes(buf[offset + 14 : offset + 18], "little")
-        pos = offset + (22 if version == VERSION_CRC else 18)
         crc = int.from_bytes(buf[offset + 18 : pos], "little") if version == VERSION_CRC else None
         nbytes = (nbits + 7) // 8
         raw = buf[pos : pos + nbytes]

@@ -22,6 +22,7 @@ Four ways to obtain per-index statistics of U^N = X^N G_N:
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -170,48 +171,39 @@ class HighEntropySet:
 
 _INDEX_BYTES = b"0123456789, \t\n\r"  # the bytes _int_array reads; any other leaves the list to json
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # v in 1..10**18 - 1 has _POW10.searchsorted(v, "right") digits
-_DECODER = json.JSONDecoder()
-_SKIP_WS = json.decoder.WHITESPACE.match
+_INDICES_KEY = re.compile(r'"indices"[ \t\n\r]*:[ \t\n\r]*\[')  # json's whitespace only, not \s
 
 
 def _manifest_doc(text: str) -> dict:
     """json.loads(text), except that a top-level "indices" list of JSON integers comes back as one int64 array.
 
-    json's own scanner walks the top-level object: scanstring reads each
-    key and raw_decode each value, so every other value, a nested
-    "indices" included, is json's, and a repeated key keeps its last value
-    as in json.loads.  An "indices" list that _int_array does not take is
-    json's too, and text that is not one JSON object goes to json.loads,
+    The reverse of to_json's splice: _int_array reads the list after the
+    first '"indices": [' up to the next "]", and json.loads reads the rest
+    of the text with 0 in the list's place.  That result, with the array
+    for the 0, is returned only when _int_array took the list, neither the
+    text before the key nor the text after the list holds a backslash or
+    "indices", and the result is a dict with a top-level "indices".  Why it
+    is json.loads(text) then: with no escape and no second "indices"
+    outside the list, the key is the only string "indices" in the text.
+    The two texts give json the same tokens everywhere but the value (a
+    list of JSON integers in one, 0 in the other), so one parses exactly
+    when the other does, to the same values, and a top-level "indices" in
+    the result is the spliced one.  Every other text goes to json.loads,
     which gives its value or raises its error.
     """
-    try:
-        pos, doc = _after(text, _SKIP_WS(text, 0).end(), "{"), {}
-        while not text.startswith("}", pos):
-            if doc:  # every member after the first follows a comma
-                pos = _after(text, pos, ",")
-            if not text.startswith('"', pos):
-                raise ValueError("expected a key")
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            pos = _after(text, _SKIP_WS(text, pos).end(), ":")
-            close = text.find("]", pos) if key == "indices" and text.startswith("[", pos) else -1
-            arr = None if close < 0 else _int_array(text[pos + 1 : close].encode())
-            if arr is None:
-                doc[key], pos = _DECODER.raw_decode(text, pos)
-            else:
-                doc[key], pos = arr, close + 1
-            pos = _SKIP_WS(text, pos).end()
-        if _SKIP_WS(text, pos + 1).end() != len(text):
-            raise ValueError("extra data")
-    except ValueError:
-        return json.loads(text)
-    return doc
-
-
-def _after(text: str, pos: int, char: str) -> int:
-    """The position past char at pos and the whitespace after it; ValueError if char is not at pos."""
-    if not text.startswith(char, pos):
-        raise ValueError(f"expected {char!r}")
-    return _SKIP_WS(text, pos + 1).end()
+    key = _INDICES_KEY.search(text)
+    close = text.find("]", key.end()) if key else -1
+    arr = None if close < 0 else _int_array(text[key.end() : close].encode())
+    parts = () if arr is None else (text[: key.start()], text[close + 1 :])
+    if parts and not any("\\" in part or "indices" in part for part in parts):
+        try:
+            doc = json.loads('"indices": 0'.join(parts))
+        except ValueError:
+            return json.loads(text)  # raises: text fails wherever the spliced text does
+        if isinstance(doc, dict) and "indices" in doc:
+            doc["indices"] = arr
+            return doc
+    return json.loads(text)
 
 
 def _int_array(raw: bytes) -> np.ndarray | None:

@@ -19,11 +19,40 @@ def guard():
     return module
 
 
-@pytest.mark.parametrize("name", ["BENCH_pr28_manifest.json", "BENCH_pr29_indices.json", "BENCH_pr30_coldstart.json"])
-def test_summarise_reproduces_a_recorded_file(guard, name):
+def _logged_runs(name):
     doc = json.loads((ROOT / name).read_text())
-    runs = [run for entry in doc["workloads"].values() for run in entry["runs"]]
+    return doc, [run for entry in doc["workloads"].values() for run in entry["runs"]]
+
+
+@pytest.mark.parametrize("name", ["BENCH_pr28_manifest.json", "BENCH_pr29_indices.json", "BENCH_pr30_coldstart.json",
+                                  "BENCH_pr31_recorder.json"])
+def test_summarise_reproduces_a_recorded_file(guard, name):
+    doc, runs = _logged_runs(name)
     assert guard.summarise(runs) == doc["workloads"]
+
+
+def test_summarise_counts_a_failed_run_and_compares_the_complete_pairs(guard):
+    doc, runs = _logged_runs("BENCH_pr31_recorder.json")
+    metrics = [gate["name"] for gate in json.loads(guard.BENCHMARK.read_text())["end_to_end"]]
+    # what run_once logs when perfbench/run.py exits before its last line
+    failed = next(r for r in runs if r["workload"] == "simulation" and r["pair"] == 3 and r["side"] == "change")
+    for name in metrics:
+        del failed[name]
+    failed["exit"] = 1
+    out = guard.summarise(runs)
+    assert {wl: e for wl, e in out.items() if wl != "simulation"} == {
+        wl: e for wl, e in doc["workloads"].items() if wl != "simulation"}
+    sim = out["simulation"]
+    assert sim["pairs"] == 10 and sim["exit_nonzero"] == {"parent": 0, "change": 1}
+    others = guard.summarise([r for r in runs if not (r["workload"] == "simulation" and r["pair"] == 3)])
+    assert sim["metrics"] == others["simulation"]["metrics"]
+    assert all(m["change_wins"].endswith(" of 9") for m in sim["metrics"].values())
+
+    for r in runs:
+        if r["workload"] == "simulation" and r["pair"] > 0 and r["side"] == "parent":
+            del r["setup_s"]
+    with pytest.raises(ValueError, match="simulation setup_s"):
+        guard.summarise(runs)
 
 
 def test_sides_alternate_with_the_parent_first_in_even_rounds(guard):

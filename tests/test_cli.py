@@ -881,3 +881,29 @@ class TestPinnedOutputs:
         assert run("freeze", "--preset", "bsc_pair(0.11)", "-N", "256", "-R", "0.8",
                    "--method", "mc", "--samples", "2000", "--seed", "5", "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MC_MANIFEST
+
+
+def test_pins_hold_on_every_slower_simd_dispatch_path():
+    """TestPinnedOutputs and TestPinnedScBytes, but for test_mc_spectrum (the exception the CLI's help names),
+    rerun in a child pytest on each of numpy's SIMD dispatch paths below this host's own.
+
+    NPY_DISABLE_CPU_FEATURES, set in the child's environment alone, turns off every dispatch target
+    this host supports from one of them up; turning them all off leaves numpy's baseline.
+    """
+    if os.environ.get("NPY_DISABLE_CPU_FEATURES"):  # a child of this test, or a path already chosen
+        pytest.skip("NPY_DISABLE_CPU_FEATURES is set for this process")
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("this host runs only numpy's baseline SIMD path")
+    root = SRC.parent
+    for k in range(len(targets)):
+        disabled = " ".join(targets[k:])
+        r = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                            "tests/test_cli.py", "tests/test_scdec.py", "-k", "Pinned and not test_mc_spectrum"],
+                           cwd=root, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled},
+                           capture_output=True, text=True)
+        assert r.returncode == 0, f"NPY_DISABLE_CPU_FEATURES={disabled!r}:\n{r.stdout[-3000:]}{r.stderr[-2000:]}"

@@ -651,6 +651,17 @@ class TestSerialization:
             with pytest.raises(FormatError):
                 CompressedBlock.from_bytes(raw[:cut])
 
+    def test_every_prefix_of_a_version_2_block_is_truncated(self):
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 8), 1.0)
+        blk = compress(bits([1] * 8), hset)
+        empty = CompressedBlock(blk.version, blk.n, blk.fingerprint, np.zeros(0, dtype=np.uint8), 513)
+        for raw in (blk.to_bytes(), empty.to_bytes()):  # payload bit counts k and 0
+            assert CompressedBlock.from_bytes(raw)[1] == len(raw)
+            for cut in range(len(raw)):
+                for before in (b"", raw):  # the block at offset 0, and after a whole block
+                    with pytest.raises(FormatError, match="truncated"):
+                        CompressedBlock.from_bytes(before + raw[:cut], len(before))
+
     def test_bad_version(self):
         hset = build_high_entropy_set(zbound_spectrum(BER011, 8), 1.0)
         raw = bytearray(compress(bits([1] * 8), hset).to_bytes())

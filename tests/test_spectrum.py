@@ -454,6 +454,10 @@ def test_to_json_writes_the_manifest_as_json_does(preset, method, N):
             text = hset.to_json()
             assert text == (json.dumps(hset.to_manifest(), sort_keys=True, indent=2) + "\n").encode()
             assert HighEntropySet.from_json(text.decode()) == hset
+            for written in (text.decode(), json.dumps(hset.to_manifest(), sort_keys=True)):  # both read by numpy
+                indices = spectrum._manifest_doc(written)["indices"]
+                assert isinstance(indices, np.ndarray) and indices.dtype == np.int64
+                assert np.array_equal(indices, hset.indices)
 
 
 def _loaded(load, text):
@@ -496,8 +500,9 @@ class TestManifestReader:
     def _same(text):
         assert _loaded(HighEntropySet.from_json, text) == _loaded(_reference, text)
 
-    def test_freeze_output_is_read_as_one_array(self):
-        text = MANIFEST_TEXTS[3]
+    @pytest.mark.parametrize("text", MANIFEST_TEXTS,
+                             ids=[f"set{i // 2}-{('compact', 'indent2')[i % 2]}" for i in range(len(MANIFEST_TEXTS))])
+    def test_freeze_output_is_read_as_one_array(self, text):
         assert isinstance(spectrum._manifest_doc(text)["indices"], np.ndarray)
         self._same(text)
 
