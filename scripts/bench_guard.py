@@ -53,6 +53,13 @@ The rules every subcommand keeps:
 - Isolation.  Every measurement runs in a child process: `write` starts
   each subcommand as a child of its own, and `pairs`, `setup` and `rss`
   run each side in fresh interpreters.
+- No bytecode.  A fresh interpreter that finds srcpolar's bytecode in a
+  checkout skips compiling it, so that side's setup_s reads faster.  Every
+  child starts with PYTHONDONTWRITEBYTECODE=1 (_env), so no run leaves
+  bytecode for a later one.  Python still loads a .pyc whose source's
+  mtime and size match, so `pairs`, `setup`, `rss` and `write` refuse to
+  start while either checkout holds a __pycache__ under src/ or
+  perfbench/, and name each one; they delete nothing.
 """
 
 import argparse
@@ -110,16 +117,30 @@ def _alternate(rounds: int, sample) -> dict:
     return out
 
 
+def _env(**extra: str) -> dict:
+    """This process's environment with extra, for a child that must write no bytecode."""
+    return {**os.environ, **extra, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _refuse_bytecode(sides: dict) -> None:
+    """Exit naming every __pycache__ under either checkout's src/ or perfbench/, if there is one."""
+    found = sorted(str(d) for checkout in sides.values() for top in ("src", "perfbench")
+                   for d in (checkout / top).rglob("__pycache__"))
+    if found:
+        raise SystemExit("a checkout holds bytecode, which its fresh interpreters would load instead of "
+                         "compiling; delete it and run again: " + " ".join(found))
+
+
 def _child(checkout: Path, code: str, *args: str):
     """What a child running `python3 -c code args` in checkout prints, read as JSON."""
-    return json.loads(subprocess.run([_launcher(), "-c", code, *args], cwd=checkout, capture_output=True,
-                                     text=True, check=True).stdout)
+    return json.loads(subprocess.run([_launcher(), "-c", code, *args], cwd=checkout, env=_env(),
+                                     capture_output=True, text=True, check=True).stdout)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([_launcher(), "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=checkout, env=_env(), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     metrics = {k: v["value"] for k, v in result.get("metrics", {}).items()}
@@ -148,7 +169,7 @@ def _setup(sides: dict, args) -> dict:
 
         def build(k, side):
             proc = subprocess.run([_launcher(), "perfbench/construct.py", specs[k]],
-                                  cwd=sides[side], capture_output=True, text=True, check=True)
+                                  cwd=sides[side], env=_env(), capture_output=True, text=True, check=True)
             return json.loads(proc.stdout.strip().splitlines()[-1])
         docs = _alternate(args.rounds, build)
     for k, (p, c) in enumerate(zip(docs["parent"], docs["change"])):
@@ -525,10 +546,10 @@ def _rss(sides: dict, args) -> dict:
                   "np.packbits(np.random.default_rng(13).random(8 << 21) < 0.11).tobytes())")
     code = ("import resource, sys; from srcpolar import cli; rc = cli.main(sys.argv[1:]); "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)")
-    env = {side: {**os.environ, "PYTHONPATH": str(checkout / "src")} for side, checkout in sides.items()}
+    env = {side: _env(PYTHONPATH=str(checkout / "src")) for side, checkout in sides.items()}
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        subprocess.run([_launcher(), "-c", make_input, str(work / "in.bin")], check=True)
+        subprocess.run([_launcher(), "-c", make_input, str(work / "in.bin")], env=_env(), check=True)
         freeze = _child(sides["change"], SPEC_CODE, "bulk_compress", "1", str(work))["argv"]
         subprocess.run([_launcher(), "-m", "srcpolar.cli", *freeze], env=env["change"], check=True)
 
@@ -547,7 +568,7 @@ def _rss(sides: dict, args) -> dict:
 
 
 def run_child(*args: str) -> dict:
-    out = subprocess.run([_launcher(), __file__, *args], capture_output=True, text=True, check=True)
+    out = subprocess.run([_launcher(), __file__, *args], env=_env(), capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
@@ -699,7 +720,10 @@ def main() -> None:
     if args.cmd == "decoder":
         return print(json.dumps(_decoder_probe(args.checkout)))
     run = {"pairs": cmd_pairs, "setup": _setup, "ab": _ab, "rss": _rss, "write": cmd_write}[args.cmd]
-    if (out := run({"parent": args.parent, "change": args.change}, args)) is not None:
+    sides = {"parent": args.parent, "change": args.change}
+    if args.cmd != "ab":  # ab times calls in one process, after both packages are imported
+        _refuse_bytecode(sides)
+    if (out := run(sides, args)) is not None:
         print(json.dumps(out))
 
 

@@ -427,9 +427,10 @@ def sw_config(joint: JointSource, N: int, rate_x: float, rate_y: float) -> SWCon
     y_marg = JointSource(joint.field, joint.p_y().reshape(2, 1))
     h_xy = conditional_entropy(joint)
     h_y = conditional_entropy(y_marg)
-    if rate_x <= h_xy:
+    # A rate of 1 keeps every index, so that stage decodes exactly whatever H is (H(Y) = 1 for uniform Y).
+    if rate_x != 1 and rate_x <= h_xy:
         raise DomainError(f"R_x={rate_x} must exceed H(X|Y)={h_xy:.6f}")
-    if rate_y <= h_y:
+    if rate_y != 1 and rate_y <= h_y:
         raise DomainError(f"R_y={rate_y} must exceed H(Y)={h_y:.6f}")
     spec_x, spec_y = zbound_spectrum(joint, N), zbound_spectrum(y_marg, N)
     set_x = build_high_entropy_set(spec_x, rate_x)

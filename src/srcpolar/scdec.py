@@ -57,7 +57,7 @@ import numpy as np
 from .errors import DomainError, ProtocolError, UnsupportedAlphabetError
 from .field import FieldSpec
 from .sources import JointSource
-from .transform import _check_block_length, _integers, _stage, bit_reverse_indices
+from .transform import _check_block_length, _halves, _integers, _stage, _stages, bit_reverse_indices
 
 L_MAX = 700.0
 # An llr within SC_TIE of zero is a tie and decides 0, so that decisions do
@@ -441,10 +441,7 @@ def _parity_check(known: np.ndarray) -> tuple:
 @lru_cache(maxsize=None)
 def _polar_matrix(m: int) -> np.ndarray:
     """F^(kron log2 m)^T as a read-only float32 (m, m) array: u = T v for partial sums v, positions major."""
-    T = np.eye(m, dtype=np.uint8)
-    for k in range(m.bit_length() - 1):
-        _stage(_GF2, T.reshape(-1), m << k)
-    T = T.astype(np.float32)
+    T = _stages(_GF2, np.eye(m, dtype=np.uint8).T, _halves(m.bit_length() - 1, 0)).T.astype(np.float32)
     T.flags.writeable = False
     return T
 
@@ -456,12 +453,7 @@ def _known_sums(known: np.ndarray) -> list:
     positions is one over h B entries of the flat array.  The stages commute: running them
     from the shortest half up gives every block size in one pass.
     """
-    N, B = known.shape
-    sums = [known]
-    for d in range(N.bit_length() - 1):
-        sums.append(sums[-1].copy())
-        _stage(_GF2, sums[-1].reshape(-1), B << d)
-    return sums
+    return _levels(known, range(known.shape[0].bit_length() - 1))
 
 
 def _sums_from_x(xr: np.ndarray) -> list:
@@ -471,12 +463,19 @@ def _sums_from_x(xr: np.ndarray) -> list:
     stage is its own inverse and the stages commute, so running them from the widest half
     down takes away one block size at a time; the last level is u = sums[0].
     """
-    N, B = xr.shape
-    sums = [xr]
-    for d in range(N.bit_length() - 2, -1, -1):
-        sums.append(sums[-1].copy())
-        _stage(_GF2, sums[-1].reshape(-1), B << d)
-    return sums[::-1]
+    return _levels(xr, range(xr.shape[0].bit_length() - 2, -1, -1))[::-1]
+
+
+def _levels(v: np.ndarray, ds) -> list:
+    """[v, then per d in ds a C-ordered copy of the level before with its stage over halves of 2^d positions].
+
+    v is (N, B), positions major; each copy's stage runs on its flat array (see _known_sums).
+    """
+    levels = [v]
+    for d in ds:
+        levels.append(levels[-1].copy())
+        _stage(_GF2, levels[-1].reshape(-1), v.shape[1] << d)
+    return levels
 
 
 def _decode_node(L, node, sums, beta, J):
@@ -610,8 +609,8 @@ def _parity_holds(hard: np.ndarray, check: tuple, sums: np.ndarray) -> bool:
     v = hard ^ sums
     m, B = v.shape
     span = C.shape[1]
-    for k in range(span.bit_length() - 1, m.bit_length() - 1):
-        _stage(_GF2, v.reshape(-1), B << k)
+    if m > span:
+        _stages(_GF2, v.T, _halves(m.bit_length() - 1, span.bit_length() - 1))
     u = np.matmul(C, v.reshape(-1, span, B), dtype=np.float32)[rows]
     return not np.fmod(u, 2).any()
 

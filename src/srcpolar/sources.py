@@ -156,14 +156,19 @@ def bhattacharyya(s: JointSource) -> float:
 
 
 def renyi_entropy(dist, alpha: float) -> float:
-    """Renyi entropy of order alpha in bits (alpha > 0, alpha != 1)."""
+    """Renyi entropy of order alpha in bits (finite alpha > 0, alpha != 1).
+
+    log2 sum p^alpha is taken as alpha log2 max p + log2 sum (p / max p)^alpha: the
+    largest term of the second sum is 1, so it does not underflow to 0 at large alpha
+    (0.5**2000 is 0).
+    """
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1 or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
         raise DomainError("invalid probability vector")
-    if alpha <= 0 or alpha == 1.0:
-        raise DomainError(f"alpha must be positive and != 1, got {alpha}")
-    support = p[p > 0]
-    return math.log2(float((support**alpha).sum())) / (1.0 - alpha)
+    if not math.isfinite(alpha) or alpha <= 0 or alpha == 1.0:
+        raise DomainError(f"alpha must be finite, positive and != 1, got {alpha}")
+    top = p.max()
+    return (alpha * math.log2(top) + math.log2(float(((p[p > 0] / top) ** alpha).sum()))) / (1.0 - alpha)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ the bottom (a transpose of whole rows, as in the "four-step" FFT), and
 runs the other half there, so no stage runs short loops.  Every stage
 applies the same kernel to one index bit, so the stages also compute v
 on a chunk whose rows hold the positions with their index bits rotated,
-as a bit-sliced one does; _kept_rows then finds the payloads.  _kron_rows
-keeps the natural order, h = N/2 down to 1, in place: the transposing
-copy would double the peak memory of _forward_rows and _inverse_rows.
+as a bit-sliced one does; _kept_rows then finds the payloads.
+_forward_rows and _inverse_rows keep the natural order, h = N/2 down to
+1, in place: the transposing copy would double their peak memory.
 """
 
 from dataclasses import dataclass
@@ -136,21 +136,13 @@ def _halves(n: int, low: int) -> list:
     return [1 << s for s in range(n - 1, low - 1, -1)]
 
 
-def _kron_rows(field: FieldSpec, w: np.ndarray, ops: OpCounter | None = None, sub=False) -> np.ndarray:
-    """w F^(kron n), or with sub w times its inverse, for each row of a (..., N) array, in place.
-
-    Returns w, in its dtype, so a uint8 array of bits stays one byte per bit.
-    """
-    return _stages(field, w, _halves(w.shape[-1].bit_length() - 1, 0), ops, sub)
-
-
 def _forward_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
     """Forward transform applied to each row of a (..., N) array, in its dtype."""
     n = rows.shape[-1].bit_length() - 1
     # For a (B, N) array this gather returns a column-major copy, whose B bits
     # per position are adjacent, so even the stages with short halves run long
     # inner loops; a row-major copy made the transform about 3x slower.
-    return _kron_rows(field, rows[..., bit_reverse_indices(n)], ops)
+    return _stages(field, rows[..., bit_reverse_indices(n)], _halves(n, 0), ops)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +209,7 @@ def _forward_take(field: FieldSpec, V: np.ndarray, rows: np.ndarray) -> np.ndarr
 def _inverse_rows(field: FieldSpec, rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
     """Inverse transform on each row: B_N commutes with the stages, so unpermute, then subtract."""
     n = rows.shape[-1].bit_length() - 1
-    return _kron_rows(field, rows[..., bit_reverse_indices(n)], ops, sub=True)
+    return _stages(field, rows[..., bit_reverse_indices(n)], _halves(n, 0), ops, sub=True)
 
 
 def polar_forward(block: SymbolBlock, ops: OpCounter | None = None) -> SymbolBlock:

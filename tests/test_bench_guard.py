@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,29 @@ def test_sides_alternate_with_the_parent_first_in_even_rounds(guard):
                     (2, "parent"), (2, "change"), (3, "change"), (3, "parent")]
     assert samples == {"parent": ["parent0", "parent1", "parent2", "parent3"],
                        "change": ["change0", "change1", "change2", "change3"]}
+
+
+@pytest.mark.parametrize("argv", [["pairs", "--workload", "bulk_compress", "--seeds", "1", "--log", "{tmp}/runs.jsonl"],
+                                  ["setup", "--workload", "bulk_compress"], ["rss"],
+                                  ["write", "--log", "{tmp}/runs.jsonl", "--out", "{tmp}/BENCH.json", "--note", "x"]],
+                         ids=lambda argv: argv[0])
+def test_a_checkout_holding_bytecode_is_refused(guard, tmp_path, monkeypatch, argv):
+    # a side whose fresh interpreters load bytecode skips compiling srcpolar, so its setup_s reads faster
+    cache = tmp_path / "parent" / "src" / "srcpolar" / "__pycache__"
+    cache.mkdir(parents=True)
+    (tmp_path / "change" / "perfbench").mkdir(parents=True)
+    sides = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    rest = [a.format(tmp=tmp_path) for a in argv[1:]]
+    monkeypatch.setattr(sys, "argv", ["bench_guard.py", argv[0], *sides, *rest])
+    with pytest.raises(SystemExit, match=re.escape(str(cache))):
+        guard.main()
+
+
+def test_a_child_writes_no_bytecode(guard, tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    (tmp_path / "probe_module.py").write_text("VALUE = [1, 2]\n")
+    assert guard._child(tmp_path, "import json, probe_module; print(json.dumps(probe_module.VALUE))") == [1, 2]
+    assert not (tmp_path / "__pycache__").exists()
 
 
 def test_census_kinds_are_those_of_the_known_mask(guard, monkeypatch):

@@ -530,6 +530,15 @@ class TestSwsim:
             "--out", str(tmp_path / "x"),
         ) == 1
 
+    def test_uniform_side_runs_at_full_rate(self, tmp_path):
+        # bsc_pair has H(Y) = 1, so R_y = 1 is the only rate its Y stage can take
+        out = tmp_path / "sw.csv"
+        argv = ["swsim", "--preset", "bsc_pair(0.11)", "-N", "256", "--rx", "0.9", "--trials", "50", "--seed", "1"]
+        assert run(*argv, "--ry", "1", "--out", str(out)) == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        assert row[2] == "1" and float(row[4]) == 0.0 and 0 < float(row[5]) < 1e-5
+        assert run(*argv, "--ry", "0.99", "--out", str(tmp_path / "x")) == 1
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_validated(self, tmp_path, capsys, trials):
         # 0 used to divide by zero, and -3 wrote a row with error rate -0

@@ -754,12 +754,13 @@ class TestSlepianWolf:
             sw_config(BER011, 16, 0.9, 0.9)
 
     def test_full_rate_round_trip(self, rng):
-        j = self._joint()
-        cfg = sw_config(j, 16, 1.0, 1.0)
-        x = SymbolBlock(j.field, rng.integers(0, 2, 16))
-        y = SymbolBlock(j.field, rng.integers(0, 2, 16))
-        x_hat, y_hat = sw_decode(sw_encode_x(x, cfg), sw_encode_y(y, cfg), cfg)
-        assert x_hat == x and y_hat == y
+        # bsc_pair has uniform Y, H(Y) = 1: rate 1 keeps every index, so it is accepted there too
+        for j in (self._joint(), BSC011):
+            cfg = sw_config(j, 16, 1.0, 1.0)
+            x = SymbolBlock(j.field, rng.integers(0, 2, 16))
+            y = SymbolBlock(j.field, rng.integers(0, 2, 16))
+            x_hat, y_hat = sw_decode(sw_encode_x(x, cfg), sw_encode_y(y, cfg), cfg)
+            assert x_hat == x and y_hat == y
 
     def test_total_rate_below_time_sharing(self):
         j = self._joint()

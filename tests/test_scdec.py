@@ -768,6 +768,16 @@ class TestExactShortcuts:
         for level_got, level_want in zip(got, want):
             assert np.array_equal(level_got, level_want)
 
+    @pytest.mark.parametrize("m", [1 << d for d in range(7)])
+    def test_polar_matrix_is_the_transposed_kronecker_power(self, m):
+        # _parity_check's u = T v for a node's partial sums v: T = (F^(kron log2 m))^T
+        want = np.ones((1, 1), dtype=np.uint8)
+        for _ in range(m.bit_length() - 1):
+            want = np.kron(want, np.array([[1, 0], [1, 1]], dtype=np.uint8))
+        T = scdec._polar_matrix(m)
+        assert T.dtype == np.float32 and T.flags.c_contiguous and not T.flags.writeable
+        assert np.array_equal(T, want.T)
+
     def test_clamp_depth(self):
         assert scdec._clamp_depth(np.array([math.log(0.89 / 0.11)]), 10) == 8  # 2.09 * 2^8 = 535
         assert scdec._clamp_depth(np.array([0.0, -0.0]), 10) == 10  # capped at n

@@ -89,7 +89,7 @@ class TestBhattacharyya:
 class TestRenyi:
     def test_uniform(self):
         for k in [2, 5, 8]:
-            for alpha in [0.25, 0.5, 2.0]:
+            for alpha in [0.25, 0.5, 2.0, 2000.0, 1e6]:  # 0.5**2000 underflows to 0
                 assert renyi_entropy(np.full(k, 1.0 / k), alpha) == pytest.approx(
                     math.log2(k), abs=1e-12
                 )
@@ -109,6 +109,9 @@ class TestRenyi:
             renyi_entropy([0.5, 0.5], -1.0)
         with pytest.raises(DomainError):
             renyi_entropy([0.5, 0.6], 0.5)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                renyi_entropy([0.5, 0.5], alpha)
 
 
 class TestZHInequalities:
