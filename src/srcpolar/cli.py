@@ -50,16 +50,13 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def _load_source(args) -> JointSource:
-    if getattr(args, "preset", None):
+    if args.preset is not None:  # argparse gives exactly one of --preset and --source
         return parse_preset(args.preset)
-    if getattr(args, "source", None):
-        with open(args.source) as fh:
-            text = fh.read()
-        try:
-            return JointSource.from_json(text)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"source {args.source}: {type(exc).__name__}: {exc}") from None
-    raise SrcPolarError("one of --preset or --source is required")
+    try:
+        with open(args.source) as fh:  # a file that is not UTF-8 fails here with a ValueError
+            return JointSource.from_json(fh.read())
+    except ValueError as exc:
+        raise FormatError(f"source {args.source}: {type(exc).__name__}: {exc}") from None
 
 
 def _compute_spectrum(src, N, method, samples, seed, entropy=True):
@@ -165,8 +162,9 @@ def cmd_swsim(args) -> int:
 
 
 def _add_source_args(p):
-    p.add_argument("--preset", help="named source, e.g. bernoulli(0.11) or bsc_pair(0.11)")
-    p.add_argument("--source", help="path to a source description JSON file")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--preset", help="named source, e.g. bernoulli(0.11) or bsc_pair(0.11)")
+    g.add_argument("--source", help="path to a source description JSON file")
 
 
 @functools.cache

@@ -1,8 +1,11 @@
 """Arithmetic over the source alphabet.
 
 Supports integers mod q for prime q, plus GF(4) with addition defined as
-bitwise XOR on {0,1,2,3}.  Only addition and negation are provided: the
-transform matrices are 0/1-valued, so multiplication is never needed.
+bitwise XOR on {0,1,2,3}.  Only elementwise addition and subtraction of
+symbol arrays are provided (add_array, sub_array), the operations the
+butterfly stages of the forward and inverse transforms run; their inputs are
+symbols already checked to lie in 0..q-1.  The transform matrices are
+0/1-valued, so multiplication is never needed.
 """
 
 from dataclasses import dataclass
@@ -57,25 +60,6 @@ class FieldSpec:
     @property
     def is_binary(self) -> bool:
         return self.q == 2
-
-    def _check(self, a: int) -> None:
-        if not 0 <= a < self.q:
-            raise DomainError(f"symbol {a} out of range for q={self.q}")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.kind == _GF4_KIND:
-            return a ^ b
-        return (a + b) % self.q
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.kind == _GF4_KIND:
-            return a
-        return (-a) % self.q
-
-    # Array forms used by the transforms; inputs assumed validated.
 
     def add_array(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """a + b; written into out, in out's dtype, when out is given."""

@@ -80,17 +80,27 @@ class JointSource:
 
     @staticmethod
     def from_description(desc: dict) -> "JointSource":
+        missing = [k for k in ("q", "y_size", "probs") if type(desc) is not dict or k not in desc]
+        if missing:
+            raise FormatError(f"source description is not an object with {', '.join(missing)}")
         q, y_size, probs = desc["q"], desc["y_size"], desc["probs"]
         if type(q) is not int or type(y_size) is not int or q < 2 or y_size < 1:  # not 2.5, "2", true or -1
             raise FormatError(f"q={q!r}, y_size={y_size!r}: both must be integers, q >= 2 and y_size >= 1")
         if (type(probs) is not list or len(probs) != q * y_size
                 or not all(type(p) in (int, float) for p in probs)):  # not "0.1", true or [0.1]
             raise FormatError(f"probs must be a flat list of q*y_size = {q * y_size} numbers")
-        return JointSource(FieldSpec.for_alphabet(q), np.array(probs, dtype=float).reshape(q, y_size))
+        try:
+            table = np.array(probs, dtype=float).reshape(q, y_size)
+        except OverflowError:  # a JSON integer past float's range, such as 10**400
+            raise FormatError("probs holds an integer too large for a float") from None
+        return JointSource(FieldSpec.for_alphabet(q), table)
 
     @staticmethod
     def from_json(text: str) -> "JointSource":
-        return JointSource.from_description(json.loads(text))
+        try:
+            return JointSource.from_description(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"source description is not JSON: {exc}") from None
 
     # Named presets ------------------------------------------------------
 
@@ -163,7 +173,7 @@ def renyi_entropy(dist, alpha: float) -> float:
     (0.5**2000 is 0).
     """
     p = np.asarray(dist, dtype=float)
-    if p.ndim != 1 or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
+    if p.ndim != 1 or not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
         raise DomainError("invalid probability vector")
     if not math.isfinite(alpha) or alpha <= 0 or alpha == 1.0:
         raise DomainError(f"alpha must be finite, positive and != 1, got {alpha}")
@@ -194,15 +204,7 @@ def check_z_h_inequalities(s: JointSource, tol: float = 1e-12) -> ZHReport:
         raise AssertionError(f"Z/H inequality violated: {lo} <= {h} <= {hi}")
     # Equality needs every conditional to be deterministic, or every one
     # uniform; a mixture keeps both inequalities strict (Jensen step).
-    all_det = True
-    all_unif = True
     py = s.p_y()
-    for y in range(s.y_size):
-        if py[y] <= 0:
-            continue
-        p0 = s.probs[0, y] / py[y]
-        if min(p0, 1.0 - p0) > tol:
-            all_det = False
-        if abs(p0 - 0.5) > tol:
-            all_unif = False
-    return ZHReport(z_sq=lo, h=h, log1pz=hi, tight=all_det or all_unif)
+    p0 = s.probs[0, py > 0] / py[py > 0]  # P(0|y) over the support of Y
+    tight = bool((np.minimum(p0, 1.0 - p0) <= tol).all() or (abs(p0 - 0.5) <= tol).all())
+    return ZHReport(z_sq=lo, h=h, log1pz=hi, tight=tight)

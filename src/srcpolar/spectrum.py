@@ -62,13 +62,6 @@ class PolarSpectrum:
     samples: int | None = None
     seed: int | None = None
 
-    def write_csv(self, fh) -> None:
-        fh.write("index,h,z,method\n")
-        for i in range(self.N):
-            hval = format(self.h[i], ".17g") if self.h is not None else ""
-            zval = format(self.z[i], ".17g") if self.z is not None else ""
-            fh.write(f"{i + 1},{hval},{zval},{self.method}\n")
-
 
 @dataclass(frozen=True, eq=False)
 class HighEntropySet:

@@ -1,5 +1,6 @@
 """The recorder of the BENCH_*.json files, scripts/bench_guard.py, without running a benchmark."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -115,3 +116,40 @@ def test_census_kinds_are_those_of_the_known_mask(guard, monkeypatch):
     decode_batch(*case)
     assert by_mask == kinds
     assert {"leaf_visits", "rep_visits", "rate1_visits", "mixed_visits"} <= set(kinds)
+
+
+def _reached_names(tree) -> set:
+    """Every attribute chain of bench_guard.py rooted at the package `sp` or the module `scdec`, as a tuple of
+    names, and every name that mock.patch.object or mock.patch.multiple patches on such a chain."""
+    def chain(node):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        return (node.id, *reversed(names)) if isinstance(node, ast.Name) and node.id in ("sp", "scdec") else None
+
+    found = {c for node in ast.walk(tree) if (c := chain(node)) and len(c) > 1}
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.args):
+            continue
+        target = chain(call.args[0])
+        if target and call.func.attr == "object":  # mock.patch.object(target, "name", ...)
+            found.add((*target, call.args[1].value))
+        elif target and call.func.attr == "multiple":  # mock.patch.multiple(target, name=...)
+            found.update((*target, kw.arg) for kw in call.keywords)
+    return found
+
+
+def test_every_private_name_the_recorder_reaches_resolves():
+    # a rename in src/ would otherwise show only when `write` runs `ab`, after the long `pairs` runs
+    import srcpolar
+
+    names = _reached_names(ast.parse((ROOT / "scripts" / "bench_guard.py").read_text()))
+    assert ("sp", "transform", "_forward_rows") in names and ("sp", "pipeline", "_workers") in names
+    assert ("scdec", "_decode_node") in names and ("sp", "duality", "ChannelModel", "bsc") in names
+    roots = {"sp": srcpolar, "scdec": srcpolar.scdec}
+    for root, *attrs in sorted(names):
+        obj = roots[root]
+        for i, attr in enumerate(attrs):
+            assert hasattr(obj, attr), f"{'.'.join([root, *attrs[:i + 1]])} does not resolve"
+            obj = getattr(obj, attr)

@@ -124,6 +124,7 @@ BAD_MANIFEST_SOURCES = {
     "source_probs_strings": lambda src: {**src, "probs": [str(p) for p in src["probs"]]},
     "source_probs_bool": lambda src: {**src, "probs": [True, False]},
     "source_probs_nested": lambda src: {**src, "probs": [[p] for p in src["probs"]]},
+    "source_probs_integer_past_float": lambda src: {**src, "probs": [10**400, 0]},  # OverflowError escaped
 }
 
 
@@ -561,6 +562,8 @@ BAD_SOURCES = {
     "q_string": '{"q": "2", "y_size": 2, "probs": [0.4, 0.1, 0.1, 0.4]}',
     "y_size_float": '{"q": 2, "y_size": 2.9, "probs": [0.4, 0.1, 0.1, 0.4]}',
     "y_size_minus_one": '{"q": 2, "y_size": -1, "probs": [0.4, 0.1, 0.1, 0.4]}',  # reshape inferred y_size 2
+    "not_utf8": b'{"q": 2, "y_size": 1, "probs": [0.5, 0.5]}\xff',  # UnicodeDecodeError escaped as a traceback
+    "integer_past_float": '{"q": 2, "y_size": 1, "probs": [1%s, 0]}' % ("0" * 400),  # so did OverflowError
 }
 SOURCE_COMMANDS = {
     "spectrum": ["-N", "4"],
@@ -622,11 +625,36 @@ def test_negative_seed_fails(tmp_path, capsys, command):
 @pytest.mark.parametrize("case", sorted(BAD_SOURCES))
 def test_bad_source_file_fails(tmp_path, capsys, command, case):
     src = tmp_path / "src.json"
-    src.write_text(BAD_SOURCES[case])
+    text = BAD_SOURCES[case]
+    src.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     assert run(command, "--source", str(src), *SOURCE_COMMANDS[command], "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"srcpolar: error: source {src}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SOURCE_COMMANDS))
+@pytest.mark.parametrize("given, message", [
+    ("both", "argument --source: not allowed with argument --preset"),  # --source was ignored, exit 0
+    ("neither", "one of the arguments --preset --source is required"),
+], ids=["both", "neither"])
+def test_exactly_one_source_option_is_accepted(tmp_path, capsys, command, given, message):
+    source = ["--preset", "bernoulli(0.11)", "--source", str(tmp_path / "missing.json")] if given == "both" else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(command, *source, *SOURCE_COMMANDS[command], "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: srcpolar {command} ") and err.endswith(f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_output_naming_a_directory_fails_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("freeze", "--preset", "bernoulli(0.11)", "-N", "8", "-R", "0.5", "--out", str(out)) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any(out.iterdir())
 
 
 HUGE_N_COMMANDS = {

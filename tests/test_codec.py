@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import re
 import threading
 import tracemalloc
 import zlib
@@ -204,6 +206,12 @@ class TestDecompress:
         P[1, 2] = bad
         with pytest.raises(DomainError, match="known bits must be 0 or 1|whole numbers"):
             decompress_blocks(P, None, hset, BER011)
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 11), (3, 13)], ids=["one_dimensional", "short", "long"])
+    def test_payload_shape_checked(self, shape):
+        hset = build_high_entropy_set(zbound_spectrum(BER011, 16), 0.75)
+        with pytest.raises(DomainError, match=re.escape(f"payloads of shape {shape} do not have 12 bits")):
+            decompress_blocks(np.zeros(shape, np.uint8), None, hset, BER011)
 
     def test_bool_and_whole_float_payloads_decode(self, rng):
         hset = build_high_entropy_set(zbound_spectrum(BER011, 16), 0.75)
@@ -705,6 +713,11 @@ class TestErrorBound:
         hset = build_high_entropy_set(sp, 0.5)
         with pytest.raises(DomainError):
             error_bound(hset, sp)
+
+    def test_spectrum_without_z_rejected(self):
+        sp = exact_spectrum(BER011, 8)
+        with pytest.raises(DomainError, match="spectrum has no z values"):
+            error_bound(build_high_entropy_set(sp, 0.5), dataclasses.replace(sp, z=None))
 
     def test_length_mismatch(self):
         sp8 = zbound_spectrum(BER011, 8)

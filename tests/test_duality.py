@@ -39,6 +39,10 @@ class TestChannelModel:
             ChannelModel.dmc([[0.5, 0.4], [0.5, 0.5]])
         with pytest.raises(DomainError):
             ChannelModel.bsc(1.5)
+        with pytest.raises(DomainError, match="channel table must be 2 x m"):
+            ChannelModel.dmc([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(DomainError, match="erasure probability 1.5 outside"):
+            ChannelModel.bec(1.5)
 
     @pytest.mark.parametrize("table", [[[np.nan, 0.5], [0.5, 0.5]], [[0.5, 0.5], [np.nan, np.nan]]])
     def test_non_finite_table_rejected(self, table):
@@ -179,6 +183,8 @@ class TestEncodeDecode:
         code = make_duality_code(ChannelModel.bsc(0.05), 8, 0.5, 0)
         with pytest.raises(DomainError):
             channel_decode(np.zeros(4, dtype=np.int64), code)
+        with pytest.raises(DomainError, match="received block must be one-dimensional"):
+            channel_decode(np.zeros((1, 8), dtype=np.int64), code)
         with pytest.raises(DomainError):
             channel_decode(np.full(8, 2), code)  # 2 not a BSC output
         with pytest.raises(DomainError):

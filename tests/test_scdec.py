@@ -59,6 +59,10 @@ class TestBaseLlr:
         with pytest.raises(DomainError):
             base_llr(JointSource.bernoulli(0.5), 3)
 
+    def test_nonbinary_rejected(self):
+        with pytest.raises(UnsupportedAlphabetError):
+            base_llr(JointSource(FieldSpec.prime(3), np.full((3, 1), 1 / 3)), 0)
+
 
 class TestCombines:
     def test_erasure_absorbs(self):
@@ -136,6 +140,20 @@ class TestDecideNext:
             dec.decide_next(3)
         with pytest.raises(ProtocolError):
             dec.decide_next(1)
+
+    @pytest.mark.parametrize("source, y, N, message", [
+        (JointSource.bernoulli(0.11), None, None, "N is required when no side block is given"),
+        (JointSource.bsc_pair(0.11), None, 4, "side block required for a source with side information"),
+        (JointSource.bsc_pair(0.11), np.zeros(4, dtype=np.int64), 8, "explicit N disagrees with side block length"),
+    ], ids=["no_N_no_side", "side_information_without_side", "N_disagrees"])
+    def test_block_arguments_checked(self, source, y, N, message):
+        with pytest.raises(DomainError, match=message):
+            SequentialDecoder(source, y, N)
+
+    def test_known_bit_must_be_a_bit(self):
+        dec = SequentialDecoder(JointSource.bernoulli(0.11), N=2)
+        with pytest.raises(DomainError, match="known bit must be 0 or 1, got 2"):
+            dec.decide_next(1, known=2)
 
     def test_side_symbols_must_be_whole_numbers(self):
         # rejected, not truncated to whole symbols and decoded

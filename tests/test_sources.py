@@ -9,6 +9,7 @@ from srcpolar import (
     CompressedBlock,
     DomainError,
     FieldSpec,
+    FormatError,
     JointSource,
     UnsupportedAlphabetError,
     bhattacharyya,
@@ -112,6 +113,9 @@ class TestRenyi:
         for alpha in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 renyi_entropy([0.5, 0.5], alpha)
+        for dist in ([math.nan, 1.0], [0.5, math.nan]):  # NaN fails no comparison with the sum
+            with pytest.raises(DomainError):
+                renyi_entropy(dist, 2.0)
 
 
 class TestZHInequalities:
@@ -144,6 +148,18 @@ class TestZHInequalities:
     def test_uniform_given_every_y_tight(self):
         s = JointSource(FieldSpec.binary(), np.array([[0.3, 0.2], [0.3, 0.2]]))
         assert check_z_h_inequalities(s).tight
+
+    def test_side_symbol_of_probability_zero_is_skipped(self, recwarn):
+        # y = 1 never occurs: P(x | y=1) is undefined and takes no part in tightness
+        s = JointSource(FieldSpec.binary(), np.array([[0.5, 0.0], [0.5, 0.0]]))
+        rep = check_z_h_inequalities(s)
+        assert rep.tight and rep.h == pytest.approx(1.0, abs=1e-12)
+        assert not recwarn.list
+
+    def test_nonbinary_rejected(self):
+        s = JointSource(FieldSpec.prime(3), np.full((3, 1), 1 / 3))
+        with pytest.raises(UnsupportedAlphabetError):
+            check_z_h_inequalities(s)
 
 
 def test_entropy_minus_zsq_positive_between_zeros():
@@ -236,6 +252,18 @@ class TestSerialization:
         doc = json.loads(JointSource.bernoulli(0.2).to_json())
         assert set(doc) == {"q", "y_size", "probs"}
 
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "source description is not an object with q, y_size, probs"),
+        ("[1]", "source description is not an object with q, y_size, probs"),
+        ('{"q": 2}', "source description is not an object with y_size, probs"),
+        ("x", "source description is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"q": 2, "y_size": 1, "probs": [1%s, 0]}' % ("0" * 400), "probs holds an integer too large for a float"),
+    ], ids=["empty_object", "list", "missing_keys", "not_json", "integer_past_float"])
+    def test_unreadable_description_is_format_error(self, text, message):
+        with pytest.raises(FormatError) as info:
+            JointSource.from_json(text)
+        assert str(info.value) == message
+
 
 class TestPresets:
     def test_parse_all(self):
@@ -252,6 +280,13 @@ class TestPresets:
             parse_preset("laplace(0.1)")
         with pytest.raises(DomainError):
             parse_preset("bernoulli")
+
+    @pytest.mark.parametrize("make, p", [
+        (JointSource.bernoulli, 2.0), (JointSource.bsc_pair, -1.0), (JointSource.bec_pair, 2.0),
+    ], ids=["bernoulli", "bsc_pair", "bec_pair"])
+    def test_probability_out_of_range_rejected(self, make, p):
+        with pytest.raises(DomainError, match=f"probability {p} outside"):
+            make(p)
 
 
 class TestSpecGrammar:

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import math
 import tracemalloc
@@ -196,6 +195,11 @@ class TestMonteCarlo:
         assert np.abs(mc.z - ex.z).max() < 0.01
         assert np.abs(mc.h - ex.h).max() < 0.02
 
+    def test_nonbinary_rejected(self):
+        s = JointSource(FieldSpec.prime(3), np.full((3, 1), 1 / 3))
+        with pytest.raises(UnsupportedAlphabetError):
+            montecarlo_spectrum(s, 4, 10, 0)
+
     def test_single_sample_ranges(self):
         mc = montecarlo_spectrum(JointSource.bsc_pair(0.11), 4, 1, 0)
         assert (mc.h >= 0).all()
@@ -360,6 +364,18 @@ class TestHighEntropySet:
         passed[:] = 0  # the set owns its copy
         assert again == hset and np.array_equal(again.indices, hset.indices)
         assert np.array_equal(again.mask, hset.mask)
+
+    @pytest.mark.parametrize("indices", [np.array([[1, 2, 3, 4, 5, 6, 7, 8]]), np.arange(1.0, 9.0)],
+                             ids=["two_dimensional", "float"])
+    def test_index_array_must_be_one_dimensional_integers(self, indices):
+        hset = build_high_entropy_set(zbound_spectrum(JointSource.bsc_pair(0.11), 16), 0.5)
+        with pytest.raises(FormatError, match="indices must be ceil"):
+            dataclasses.replace(hset, indices=indices)
+
+    def test_spectrum_without_z_rejected(self):
+        sp = dataclasses.replace(exact_spectrum(JointSource.bernoulli(0.11), 8), z=None)
+        with pytest.raises(DomainError, match="spectrum has no z values to select on"):
+            build_high_entropy_set(sp, 0.5)
 
     @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
     def test_bad_manifest_rejected(self, case):
@@ -567,6 +583,10 @@ class TestPolarizationFractions:
             fr = polarization_fractions(exact_spectrum(s, 8), float(rng.uniform(0.05, 0.95)))
             assert fr["high"] + fr["low"] + fr["mid"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_spectrum_without_h_rejected(self):
+        with pytest.raises(DomainError, match="spectrum has no h values"):
+            polarization_fractions(zbound_spectrum(BER_HALF, 4), 0.1)
+
     def test_delta_validated(self):
         sp = exact_spectrum(BER_HALF, 2)
         for d in [0.0, 1.0, -0.1]:
@@ -592,13 +612,3 @@ class TestNonBinaryAndGf4:
             ]
             assert spreads[0] <= spreads[1] <= spreads[2]
 
-
-def test_csv_export():
-    sp = exact_spectrum(JointSource.bernoulli(0.11), 4)
-    buf = io.StringIO()
-    sp.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "index,h,z,method"
-    assert len(lines) == 5
-    assert lines[1].startswith("1,")
-    assert lines[1].endswith(",exact")

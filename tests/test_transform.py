@@ -225,3 +225,9 @@ def test_runtime_scales_quasilinearly(rng):
 def test_one_block_length_check(make):
     with pytest.raises(DomainError, match="^block length 6 is not a power of two$"):
         make()
+
+
+def test_block_length_beyond_2_30_rejected():
+    assert transform._check_block_length(1 << 30) == 30
+    with pytest.raises(DomainError, match=r"^block length 2147483648 exceeds 2\*\*30$"):
+        transform._check_block_length(1 << 31)
